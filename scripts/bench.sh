@@ -19,7 +19,10 @@
 # measured block-engine speedup over per-instruction step dispatch.
 # "sweepUarch" is the fixed microarchitectural matrix (forwarding,
 # branch prediction, pipeline depth), whose replay accounting times
-# predictor replay from shared traces.
+# predictor replay from shared traces; "sweepUarchNoBlocks" is the
+# same matrix with --no-block-engine, so sweepUarch.simMips /
+# sweepUarchNoBlocks.simMips ("uarchBlockSpeedup") is the block-engine
+# speedup under non-default pipelines.
 # "sweepStoreCold" / "sweepStoreWarm" / "sweepServed" time the same
 # matrix against a fresh artifact store: cold fills it, warm must
 # execute zero builds and zero runs (enforced with --assert-warm), and
@@ -79,6 +82,10 @@ echo "== d16sweep: uarch matrix (fwd/bp/depth axes) =="
 ./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" \
     --json build/bench_uarch.json
 
+echo "== d16sweep: uarch matrix, block engine off (A/B baseline) =="
+./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" \
+    --no-block-engine --json build/bench_uarch_noblocks.json
+
 echo "== d16sweep: $MATRIX matrix, artifact store cold fill =="
 rm -rf build/bench-store
 # shellcheck disable=SC2086
@@ -117,6 +124,7 @@ jq -n \
     --slurpfile noreplay build/bench_noreplay.json \
     --slurpfile noblocks build/bench_noblocks.json \
     --slurpfile uarch build/bench_uarch.json \
+    --slurpfile uarchnoblocks build/bench_uarch_noblocks.json \
     --slurpfile storecold build/bench_storecold.json \
     --slurpfile storewarm build/bench_storewarm.json \
     --slurpfile served build/bench_served.json \
@@ -129,6 +137,7 @@ jq -n \
         "sweepNoReplay": $noreplay[0].timing,
         "sweepNoBlocks": $noblocks[0].timing,
         "sweepUarch": $uarch[0].timing,
+        "sweepUarchNoBlocks": $uarchnoblocks[0].timing,
         "sweepStoreCold": $storecold[0].timing,
         "sweepStoreWarm": $storewarm[0].timing,
         "sweepServed": $served[0].timing,
@@ -144,6 +153,10 @@ jq -n \
                          then ($replay[0].timing.simMips /
                                $noblocks[0].timing.simMips)
                          else 0 end),
+        "uarchBlockSpeedup": (if $uarchnoblocks[0].timing.simMips > 0
+                              then ($uarch[0].timing.simMips /
+                                    $uarchnoblocks[0].timing.simMips)
+                              else 0 end),
         "micro": ($micro[0].benchmarks
                   | map({"key": .name,
                          "value": {"realTime": .real_time,
@@ -152,5 +165,5 @@ jq -n \
      }' > "$OUT"
 
 echo "bench.sh: wrote $OUT"
-jq -r '"bench.sh: \(.label): wall \(.sweep.wallSeconds | . * 100 | round / 100)s with replay (build \(.sweep.buildSeconds | . * 100 | round / 100)s + simulate \(.sweep.simulateSeconds | . * 100 | round / 100)s + replay \(.sweep.replaySeconds | . * 100 | round / 100)s), \(.sweepNoReplay.wallSeconds | . * 100 | round / 100)s without, speedup \(.replaySpeedup * 100 | round / 100)x, \(.sweep.simMips | . * 10 | round / 10) sim MIPS (block engine \(.blockSpeedup * 100 | round / 100)x over step)"' "$OUT"
+jq -r '"bench.sh: \(.label): wall \(.sweep.wallSeconds | . * 100 | round / 100)s with replay (build \(.sweep.buildSeconds | . * 100 | round / 100)s + simulate \(.sweep.simulateSeconds | . * 100 | round / 100)s + replay \(.sweep.replaySeconds | . * 100 | round / 100)s), \(.sweepNoReplay.wallSeconds | . * 100 | round / 100)s without, speedup \(.replaySpeedup * 100 | round / 100)x, \(.sweep.simMips | . * 10 | round / 10) sim MIPS (block engine \(.blockSpeedup * 100 | round / 100)x over step, \(.uarchBlockSpeedup * 100 | round / 100)x on the uarch matrix)"' "$OUT"
 jq -r '"bench.sh: store: cold \(.sweepStoreCold.wallSeconds | . * 100 | round / 100)s, warm \(.sweepStoreWarm.wallSeconds | . * 1000 | round / 1000)s (\(.warmSpeedup | round)x vs storeless), served \(.sweepServed.wallSeconds | . * 1000 | round / 1000)s"' "$OUT"

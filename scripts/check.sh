@@ -61,8 +61,9 @@ echo "== d16sweep: uarch matrix vs golden (fwd/bp/depth axes) =="
     --golden tests/golden/sweep_uarch_golden.json
 
 echo "== d16sweep: uarch matrix, --no-block-engine (A/B) =="
-# Non-default configs demote block-eligible jobs to step dispatch, so
-# this A/B proves the demotion itself is invisible in the emission.
+# Block dispatch runs under every uarch config, so this A/B compares
+# the two real dispatch paths (compiled blocks vs per-instruction
+# step) across the forwarding, branch-policy and depth axes.
 ./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" --no-timing \
     --no-block-engine --json build/sweep_uarch_noblocks.json \
     --golden tests/golden/sweep_uarch_golden.json

@@ -85,46 +85,25 @@ branchStatsFor(const Trace &trace, const sim::UarchConfig &uarch)
               "' cannot replay branch stats for capture slice '",
               uarch.captureKey(), "'");
 
+    sim::BranchModel model(uarch, trace.insnBytes == 2 ? 1 : 2);
     BranchReplayStats out;
     if (uarch.branch == BranchPolicy::DelaySlot) {
-        // The machine charges takenExtra() on every taken transfer
+        // The delay-slot policy charges every taken transfer alike
         // (conditional or not, including the halting jr), and
         // takenBranches counts exactly those.
         out.branchStalls = trace.base.stats.takenBranches *
-                           static_cast<uint64_t>(uarch.takenExtra());
+                           static_cast<uint64_t>(model.jump());
         return out;
     }
 
-    if (!trace.hasOutcomes)
-        fatal("replay: trace has no branch-outcome stream (format v2); "
-              "re-capture it to replay predictor policies");
-
-    const uint64_t penalty =
-        static_cast<uint64_t>(uarch.mispredictPenalty());
-    if (uarch.branch == BranchPolicy::StaticNotTaken) {
-        for (const BranchOutcome &o : trace.outcomes)
-            if (o.taken)
-                out.mispredicts += 1;
-        out.branchStalls = out.mispredicts * penalty;
-        return out;
-    }
-
-    // Bimodal: run the 2-bit counter table over the outcome stream,
-    // exactly as the machine does in execution order.
-    panicIf(uarch.bhtLog2 < 1 || uarch.bhtLog2 > 20,
-            "bhtLog2 out of range");
-    std::vector<uint8_t> bht(size_t{1} << uarch.bhtLog2, 1);
-    const uint32_t mask = static_cast<uint32_t>(bht.size() - 1);
-    const uint32_t shift = trace.insnBytes == 2 ? 1 : 2;
+    // The predictors run the machine's model over the outcome stream
+    // in execution order; their unconditional transfers cost nothing.
     for (const BranchOutcome &o : trace.outcomes) {
-        const uint32_t idx = (o.pc >> shift) & mask;
-        const uint8_t ctr = bht[idx];
-        if ((ctr >= 2) != o.taken)
-            out.mispredicts += 1;
-        bht[idx] = o.taken ? (ctr < 3 ? ctr + 1 : 3)
-                           : (ctr > 0 ? ctr - 1 : 0);
+        bool mispredicted = false;
+        out.branchStalls += static_cast<uint64_t>(
+            model.conditional(o.pc, o.taken, mispredicted));
+        out.mispredicts += mispredicted ? 1 : 0;
     }
-    out.branchStalls = out.mispredicts * penalty;
     return out;
 }
 

@@ -70,9 +70,9 @@ struct BranchReplayStats
  * `uarch` from a recorded trace — branch penalties are additive
  * accounting over the taken-branch count (delay-slot policy) or the
  * branch-outcome stream (predictor policies), so every branch-policy
- * sibling of one capture replays exactly. FatalError if `uarch` needs
- * the outcome stream but the trace predates it (v2), or if the
- * trace's capture slice (forwarding/depth) does not match `uarch`'s.
+ * sibling of one capture replays exactly, through the machine's own
+ * sim::BranchModel. FatalError if the trace's capture slice
+ * (forwarding/depth) does not match `uarch`'s.
  */
 BranchReplayStats branchStatsFor(const Trace &trace,
                                  const sim::UarchConfig &uarch);

@@ -12,11 +12,9 @@ namespace
 
 constexpr uint32_t HeaderMagic = 0x54363144;  // "D16T" little-endian
 constexpr uint32_t TrailerMagic = 0x44363154; // "T16D" little-endian
-// v2 added branchBubbles; v3 added the capture-uarch tag, the
-// branch-policy statistics and the branch-outcome stream. v2 still
-// deserializes (hasOutcomes == false).
+// v3 added the capture-uarch tag, the branch-policy statistics and the
+// branch-outcome stream; older versions are rejected.
 constexpr uint32_t FormatVersion = 3;
-constexpr uint32_t LegacyVersion = 2;
 
 void
 put32(std::vector<uint8_t> &out, uint32_t v)
@@ -103,24 +101,22 @@ Trace::fetchCount() const
 }
 
 std::vector<uint8_t>
-Trace::serialize(bool legacyV2) const
+Trace::serialize() const
 {
     std::vector<uint8_t> out;
     out.reserve(128 + base.output.size() + runs.size() * 8 +
                 accesses.size() * 5 + outcomes.size() * 4);
 
     put32(out, HeaderMagic);
-    put32(out, legacyV2 ? LegacyVersion : FormatVersion);
+    put32(out, FormatVersion);
     put32(out, insnBytes);
     put32(out, 0);  // reserved
-    if (!legacyV2) {
-        // Capture-uarch tag: the slice of the microarchitecture that
-        // shaped the recorded streams (sim/uarch.hh).
-        out.push_back(capturedUarch.forward ? 1 : 0);
-        out.push_back(static_cast<uint8_t>(capturedUarch.branch));
-        out.push_back(static_cast<uint8_t>(capturedUarch.bhtLog2));
-        out.push_back(static_cast<uint8_t>(capturedUarch.depth));
-    }
+    // Capture-uarch tag: the slice of the microarchitecture that
+    // shaped the recorded streams (sim/uarch.hh).
+    out.push_back(capturedUarch.forward ? 1 : 0);
+    out.push_back(static_cast<uint8_t>(capturedUarch.branch));
+    out.push_back(static_cast<uint8_t>(capturedUarch.bhtLog2));
+    out.push_back(static_cast<uint8_t>(capturedUarch.depth));
 
     put32(out, static_cast<uint32_t>(base.exitStatus));
     put32(out, base.sizeBytes);
@@ -136,12 +132,10 @@ Trace::serialize(bool legacyV2) const
     put64(out, base.stats.fpOps);
     put64(out, base.stats.traps);
     put64(out, base.stats.branchBubbles);
-    if (!legacyV2) {
-        put64(out, base.stats.condBranches);
-        put64(out, base.stats.branchStalls);
-        put64(out, base.stats.mispredicts);
-        put64(out, base.stats.fwdSavedStalls);
-    }
+    put64(out, base.stats.condBranches);
+    put64(out, base.stats.branchStalls);
+    put64(out, base.stats.mispredicts);
+    put64(out, base.stats.fwdSavedStalls);
     put64(out, base.output.size());
     out.insert(out.end(), base.output.begin(), base.output.end());
 
@@ -158,13 +152,11 @@ Trace::serialize(bool legacyV2) const
                                            (a.write ? 0x80u : 0u)));
     }
 
-    if (!legacyV2) {
-        // Outcome entries pack the taken bit into pc bit 0, which is
-        // always clear for 2- and 4-byte instruction sites.
-        put64(out, outcomes.size());
-        for (const BranchOutcome &o : outcomes)
-            put32(out, o.pc | (o.taken ? 1u : 0u));
-    }
+    // Outcome entries pack the taken bit into pc bit 0, which is
+    // always clear for 2- and 4-byte instruction sites.
+    put64(out, outcomes.size());
+    for (const BranchOutcome &o : outcomes)
+        put32(out, o.pc | (o.taken ? 1u : 0u));
 
     put32(out, TrailerMagic);
     return out;
@@ -177,28 +169,24 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
     if (in.u32() != HeaderMagic)
         fatal("trace: bad magic (not a D16T trace)");
     const uint32_t version = in.u32();
-    if (version != FormatVersion && version != LegacyVersion)
+    if (version != FormatVersion)
         fatal("trace: unsupported format version ", version);
-    const bool v3 = version == FormatVersion;
 
     Trace t;
-    t.hasOutcomes = v3;
     t.insnBytes = in.u32();
     if (t.insnBytes != 2 && t.insnBytes != 4)
         fatal("trace: bad instruction width ", t.insnBytes);
     if (in.u32() != 0)
         fatal("trace: reserved header field is not zero");
-    if (v3) {
-        t.capturedUarch.forward = in.u8() != 0;
-        const uint8_t bp = in.u8();
-        if (bp > 2)
-            fatal("trace: bad branch-policy tag ", int{bp});
-        t.capturedUarch.branch = static_cast<sim::BranchPolicy>(bp);
-        t.capturedUarch.bhtLog2 = in.u8();
-        t.capturedUarch.depth = in.u8();
-        if (t.capturedUarch.depth < 5 || t.capturedUarch.depth > 7)
-            fatal("trace: bad pipeline depth ", t.capturedUarch.depth);
-    }
+    t.capturedUarch.forward = in.u8() != 0;
+    const uint8_t bp = in.u8();
+    if (bp > 2)
+        fatal("trace: bad branch-policy tag ", int{bp});
+    t.capturedUarch.branch = static_cast<sim::BranchPolicy>(bp);
+    t.capturedUarch.bhtLog2 = in.u8();
+    t.capturedUarch.depth = in.u8();
+    if (t.capturedUarch.depth < 5 || t.capturedUarch.depth > 7)
+        fatal("trace: bad pipeline depth ", t.capturedUarch.depth);
 
     t.base.exitStatus = static_cast<int>(in.u32());
     t.base.sizeBytes = in.u32();
@@ -214,12 +202,10 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
     t.base.stats.fpOps = in.u64();
     t.base.stats.traps = in.u64();
     t.base.stats.branchBubbles = in.u64();
-    if (v3) {
-        t.base.stats.condBranches = in.u64();
-        t.base.stats.branchStalls = in.u64();
-        t.base.stats.mispredicts = in.u64();
-        t.base.stats.fwdSavedStalls = in.u64();
-    }
+    t.base.stats.condBranches = in.u64();
+    t.base.stats.branchStalls = in.u64();
+    t.base.stats.mispredicts = in.u64();
+    t.base.stats.fwdSavedStalls = in.u64();
     t.base.output = in.str(in.u64());
 
     const uint64_t runCount = in.u64();
@@ -250,15 +236,13 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
         t.accesses.push_back(a);
     }
 
-    if (v3) {
-        const uint64_t outcomeCount = in.u64();
-        if (outcomeCount * 4 > in.remaining())
-            fatal("trace: truncated branch-outcome table");
-        t.outcomes.reserve(static_cast<size_t>(outcomeCount));
-        for (uint64_t i = 0; i < outcomeCount; ++i) {
-            const uint32_t v = in.u32();
-            t.outcomes.push_back({v & ~1u, (v & 1u) != 0});
-        }
+    const uint64_t outcomeCount = in.u64();
+    if (outcomeCount * 4 > in.remaining())
+        fatal("trace: truncated branch-outcome table");
+    t.outcomes.reserve(static_cast<size_t>(outcomeCount));
+    for (uint64_t i = 0; i < outcomeCount; ++i) {
+        const uint32_t v = in.u32();
+        t.outcomes.push_back({v & ~1u, (v & 1u) != 0});
     }
 
     if (in.u32() != TrailerMagic)
@@ -274,7 +258,7 @@ Trace::deserialize(const std::vector<uint8_t> &bytes)
     if (t.accesses.size() != t.base.stats.memOps())
         fatal("trace: data stream length ", t.accesses.size(),
               " does not match memory-op count ", t.base.stats.memOps());
-    if (v3 && t.outcomes.size() != t.base.stats.condBranches)
+    if (t.outcomes.size() != t.base.stats.condBranches)
         fatal("trace: branch-outcome stream length ", t.outcomes.size(),
               " does not match conditional-branch count ",
               t.base.stats.condBranches);

@@ -30,9 +30,8 @@
  * bytes per fetch run, 5 bytes per data access, 4 bytes per branch
  * outcome, with header/trailer magics and structural cross-checks so
  * truncated or corrupted traces are rejected rather than replayed.
- * Format v3 added the capture-uarch tag, the branch-policy statistics
- * and the outcome stream; v2 traces still deserialize (with
- * `hasOutcomes == false`, so predictor replay from them is refused).
+ * Only the current format (v3) is read: every store key carries the
+ * toolchain fingerprint, so no older trace can reach replay.
  */
 
 #ifndef D16SIM_CORE_REPLAY_TRACE_HH
@@ -79,11 +78,6 @@ struct Trace
     std::vector<DataAccess> accesses;
     std::vector<BranchOutcome> outcomes;
 
-    /** False only for deserialized v2 traces, which predate the
-     *  outcome stream: predictor-policy replay from them is a
-     *  FatalError rather than a silently wrong answer. */
-    bool hasOutcomes = true;
-
     /** The microarchitecture the capture ran under (its capture slice:
      *  forwarding and depth; see sim::UarchConfig::captureConfig).
      *  Replays must match it axis-for-axis on that slice. */
@@ -92,9 +86,8 @@ struct Trace
     /** Total fetches recorded (== base.stats.instructions). */
     uint64_t fetchCount() const;
 
-    /** Serialize to the compact binary format. `legacyV2` emits the
-     *  pre-outcome v2 layout (compatibility tests only). */
-    std::vector<uint8_t> serialize(bool legacyV2 = false) const;
+    /** Serialize to the compact binary format. */
+    std::vector<uint8_t> serialize() const;
 
     /** Parse a serialized trace; FatalError on truncation, bad magic,
      *  or structural corruption. */
@@ -164,8 +157,7 @@ class TraceProbe : public sim::Probe, public sim::TraceSink
             {addr, static_cast<uint8_t>(size), true});
     }
 
-    /** One override serves both bases (step-mode Probe fan-out and
-     *  block-terminator TraceSink delivery), like the data callbacks. */
+    /** Delivered through the Probe fan-out by both dispatch paths. */
     void
     onBranchOutcome(uint32_t pc, bool taken) override
     {

@@ -233,7 +233,10 @@ ArtifactStore::put(Kind kind, const std::string &key, const uint8_t *data,
     std::string tmpPath;
     {
         std::lock_guard<std::mutex> guard(mutex_);
+        // pid and handle address: two handles in one process (or two
+        // processes) on one directory never stage to the same name.
         tmpPath = dir_ + "/tmp/put." + std::to_string(::getpid()) + "." +
+                  std::to_string(reinterpret_cast<uintptr_t>(this)) + "." +
                   std::to_string(tmpSeq_++);
         ++counters_.puts;
     }

@@ -90,17 +90,27 @@ runDifferential(const std::string &source)
             // Three-way differential per variant: the reference
             // interpreter, step dispatch, and the block-compiled
             // threaded-code engine must all agree; step vs block
-            // additionally compares every SimStats counter.
+            // additionally compares every SimStats counter, on the
+            // paper's machine and with every uarch axis off it.
             core::RunMeasurement run;
             core::RunMeasurement blockRun;
+            core::RunMeasurement uarchRun;
+            core::RunMeasurement uarchBlockRun;
             try {
                 const assem::Image image = core::build(source, opts);
                 const auto predecoded =
                     std::make_shared<const sim::DecodedText>(image);
+                const auto blocks =
+                    core::buildBlockProgram(image, predecoded);
                 run = core::run(image, {}, {}, predecoded);
-                blockRun = core::run(
-                    image, {}, {}, predecoded,
-                    core::buildBlockProgram(image, predecoded));
+                blockRun = core::run(image, {}, {}, predecoded, blocks);
+                sim::MachineConfig uarch;
+                uarch.uarch.forward = true;
+                uarch.uarch.branch = sim::BranchPolicy::Bimodal;
+                uarch.uarch.depth = 7;
+                uarchRun = core::run(image, {}, uarch, predecoded);
+                uarchBlockRun =
+                    core::run(image, {}, uarch, predecoded, blocks);
             } catch (const PanicError &e) {
                 out.kind = DiffKind::Divergence;
                 out.variant = v.name;
@@ -138,24 +148,33 @@ runDifferential(const std::string &source)
                 return out;
             }
 
-            if (blockRun.output != run.output ||
-                blockRun.exitStatus != run.exitStatus ||
-                !(blockRun.stats == run.stats)) {
+            const auto diverged = [&](const core::RunMeasurement &step,
+                                      const core::RunMeasurement &block,
+                                      const char *machine) {
+                if (block.output == step.output &&
+                    block.exitStatus == step.exitStatus &&
+                    block.stats == step.stats)
+                    return false;
                 out.kind = DiffKind::Divergence;
                 out.variant = v.name;
                 out.optLevel = opt;
                 out.detail =
-                    where + ": block engine diverged from step "
-                    "dispatch\n  step:  [" + excerpt(run.output) +
-                    "] exit " + std::to_string(run.exitStatus) +
-                    ", " + std::to_string(run.stats.instructions) +
-                    " insns\n  block: [" + excerpt(blockRun.output) +
-                    "] exit " + std::to_string(blockRun.exitStatus) +
-                    ", " +
-                    std::to_string(blockRun.stats.instructions) +
-                    " insns";
+                    where + machine + ": block engine diverged from "
+                    "step dispatch\n  step:  [" + excerpt(step.output) +
+                    "] exit " + std::to_string(step.exitStatus) + ", " +
+                    std::to_string(step.stats.instructions) +
+                    " insns, " + std::to_string(step.stats.baseCycles()) +
+                    " cycles\n  block: [" + excerpt(block.output) +
+                    "] exit " + std::to_string(block.exitStatus) + ", " +
+                    std::to_string(block.stats.instructions) +
+                    " insns, " +
+                    std::to_string(block.stats.baseCycles()) + " cycles";
+                return true;
+            };
+            if (diverged(run, blockRun, "") ||
+                diverged(uarchRun, uarchBlockRun,
+                         " (fwd=on,bp=bimodal6,depth=7)"))
                 return out;
-            }
         }
     }
 

@@ -1,7 +1,6 @@
 #include "sim/block_engine.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "isa/codec.hh"
 #include "isa/operation.hh"
@@ -17,30 +16,6 @@ using isa::Op;
 
 namespace
 {
-
-float
-asFloat(uint64_t raw)
-{
-    return std::bit_cast<float>(static_cast<uint32_t>(raw));
-}
-
-uint64_t
-fromFloat(float f)
-{
-    return std::bit_cast<uint32_t>(f);
-}
-
-double
-asDouble(uint64_t raw)
-{
-    return std::bit_cast<double>(raw);
-}
-
-uint64_t
-fromDouble(double d)
-{
-    return std::bit_cast<uint64_t>(d);
-}
 
 /** Which register-file reads does `op` issue through the GPR
  *  scoreboard (Machine::execute's useGpr calls)? Reported as "reads
@@ -78,25 +53,38 @@ gprReads(Op op, bool &rs1, bool &rs2)
     }
 }
 
-/** Does the *previous* instruction leave `r` pending in the load
- *  delay slot? Only loads set a ready time that can still stall the
- *  next issue (t+2); every other producer's t+1 is already met. */
 bool
-loadWrites(const isa::TargetInfo &t, const DecodedInst &prev, int r)
+isLoad(Op op)
 {
-    if (isa::isPlainLoad(prev.op))
-        return prev.rd == r && !(r == 0 && t.r0IsZero());
-    if (prev.op == Op::Ldc)
-        return r == 0;  // D16-only; r0 is a real register there
-    return false;
+    return isa::isPlainLoad(op) || op == Op::Ldc;
 }
 
-/** Pre-bind one instruction. `prev` is the static predecessor in
- *  issue order (null when unknown, i.e. at a block entry: then every
- *  GPR read keeps its hazard check). */
+/** The GPR whose ready time `u` sets (Machine::execute's setGprReady
+ *  calls; makeUop normalizes the fixed ones onto rd), or -1. */
+int
+gprWritten(const isa::TargetInfo &t, const Uop &u)
+{
+    switch (u.op) {
+      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
+      case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra:
+      case Op::Neg: case Op::Inv: case Op::Mv:
+      case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
+      case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI:
+      case Op::MvI: case Op::Cmp: case Op::CmpI:
+      case Op::Ld: case Op::Ldh: case Op::Ldhu:
+      case Op::Ldb: case Op::Ldbu: case Op::Ldc:
+      case Op::MfiL: case Op::MfiH: case Op::Rdsr:
+      case Op::Trap: case Op::Jl: case Op::Jlr:
+        return u.rd == 0 && t.r0IsZero() ? -1 : u.rd;
+      default:
+        return -1;
+    }
+}
+
+/** Pre-bind one instruction (hazard flags are set per block by
+ *  setHazardFlags). */
 Uop
-makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc,
-        const DecodedInst *prev)
+makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc)
 {
     const uint32_t ib = static_cast<uint32_t>(t.insnBytes());
     Uop u;
@@ -117,6 +105,7 @@ makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc,
         u.imm = static_cast<int32_t>((pc & ~3u) +
                                      static_cast<uint32_t>(d.imm));
         u.aux = 4;
+        u.rd = 0;
         break;
       case Op::Ld: case Op::Ldh: case Op::Ldhu:
       case Op::Ldb: case Op::Ldbu:
@@ -126,26 +115,75 @@ makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc,
       case Op::Br: case Op::Bz: case Op::Bnz:
       case Op::J: case Op::Jl:
         u.imm = static_cast<int32_t>(pc + static_cast<uint32_t>(d.imm));
-        if (d.op == Op::Jl)
+        if (d.op == Op::Jl) {
             u.aux = pc + 2 * ib;
+            u.rd = 1;
+        }
         break;
       case Op::Jlr:
         u.aux = pc + 2 * ib;
+        u.rd = 1;
         break;
       case Op::Trap:
-        u.rs1 = 2;  // the service argument register
+        u.rs1 = 2;  // the service argument register (read and written)
+        u.rd = 2;
         break;
       default:
         break;
     }
-
-    bool r1 = false, r2 = false;
-    gprReads(d.op, r1, r2);
-    if (r1 && (!prev || loadWrites(t, *prev, u.rs1)))
-        u.flags |= Uop::ChkRs1;
-    if (r2 && (!prev || loadWrites(t, *prev, u.rs2)))
-        u.flags |= Uop::ChkRs2;
     return u;
+}
+
+/**
+ * Hazard flags for `n` uops of one block in issue order: one set per
+ * load delay up to UarchConfig::MaxLoadDelay, so one translation is
+ * exact under every config. The step scoreboard can stall a GPR read
+ * only while the value's latest writer is a load at most `delay`
+ * issues back; every other producer's t+1 is met by the next issue.
+ * So, for each delay:
+ *
+ *  - a source is checked iff, walking back at most `delay` uops, its
+ *    nearest writer is a load or the walk reaches block entry;
+ *  - a single-cycle producer keeps its t+1 ready write iff the load
+ *    delay exceeds one and the uop before it may be a load of the same
+ *    register (always at block entry). Up to a delay of two, only then
+ *    can the load's ready time outlast the producer's, so every elided
+ *    write leaves a stale ready time no later than step()'s, which no
+ *    issue can observe as a stall.
+ */
+void
+setHazardFlags(const isa::TargetInfo &t, Uop *seq, uint32_t n)
+{
+    for (uint32_t i = 0; i < n; ++i) {
+        Uop &u = seq[i];
+        bool r1 = false, r2 = false;
+        gprReads(u.op, r1, r2);
+        const int rd = gprWritten(t, u);
+        const bool mayFollowLoadOfRd =
+            i == 0 ||
+            (isLoad(seq[i - 1].op) && gprWritten(t, seq[i - 1]) == rd);
+        for (uint32_t delay = 1;
+             delay <= uint32_t{UarchConfig::MaxLoadDelay}; ++delay) {
+            const auto needsCheck = [&](int r) {
+                for (uint32_t k = 1; k <= delay; ++k) {
+                    if (k > i)
+                        return true;
+                    if (gprWritten(t, seq[i - k]) == r)
+                        return isLoad(seq[i - k].op);
+                }
+                return false;
+            };
+            uint8_t f = 0;
+            if (r1 && needsCheck(u.rs1))
+                f |= Uop::ChkRs1;
+            if (r2 && needsCheck(u.rs2))
+                f |= Uop::ChkRs2;
+            if (delay > 1 && rd >= 0 && !isLoad(u.op) && mayFollowLoadOfRd)
+                f |= Uop::KeepReady;
+            u.flags |= static_cast<uint8_t>(
+                f << Uop::flagShift(static_cast<int>(delay)));
+        }
+    }
 }
 
 } // namespace
@@ -213,49 +251,51 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
                     isa::isControlFlow(text.at(idx0 + cf + 1).op)))
         return finish(true);
 
-    b.uopBegin = static_cast<uint32_t>(uops_.size());
-    const uint32_t body = cf >= 0 ? span.count - 2 : span.count;
-    const DecodedInst *prev = nullptr;  // block entry: predecessor unknown
-    for (uint32_t i = 0; i < body; ++i) {
-        const DecodedInst &d = text.at(idx0 + i);
-        uops_.push_back(makeUop(t, d, span.startPc + i * ib, prev));
-        prev = &d;
-    }
-    b.uopCount = body;
+    // The block's issue order is its address order: body, then the
+    // terminator and its slot.
+    std::vector<Uop> seq;
+    seq.reserve(span.count);
+    for (uint32_t i = 0; i < span.count; ++i)
+        seq.push_back(makeUop(t, text.at(idx0 + i), span.startPc + i * ib));
+    setHazardFlags(t, seq.data(), span.count);
 
+    const uint32_t body = cf >= 0 ? span.count - 2 : span.count;
+    b.uopBegin = static_cast<uint32_t>(uops_.size());
+    b.uopCount = body;
+    uops_.insert(uops_.end(), seq.begin(), seq.begin() + body);
     if (cf >= 0) {
-        const DecodedInst &cfd = text.at(idx0 + cf);
-        const DecodedInst &slotd = text.at(idx0 + cf + 1);
         b.hasTerm = true;
-        b.term = makeUop(t, cfd, span.startPc + cf * ib, prev);
-        // The slot's dynamic predecessor is always the terminator,
-        // which is never a load: no GPR hazard check can fire.
-        b.slot = makeUop(t, slotd, span.startPc + (cf + 1) * ib, &cfd);
-        b.slotBubble = isa::isCanonicalNop(t, slotd);
+        b.term = seq[body];
+        b.slot = seq[body + 1];
+        b.slotBubble = isa::isCanonicalNop(t, text.at(idx0 + body + 1));
     }
     finish(false);
 }
 
 // ----- Machine dispatch ------------------------------------------------
 
-/** GPR hazard check for the flagged sources of `u`. Mirrors
- *  useGpr+finishIssue's stall arithmetic for the loadInterlocks case
- *  (ties and maxima resolve identically: both sources attribute to the
- *  load interlock counter). The caller adds the base issue cycle. */
+/** GPR hazard check for the sources of `u` flagged in `flags` (its
+ *  hazard set for this machine's load delay). Mirrors useGpr +
+ *  finishIssue's stall arithmetic for the loadInterlocks case (ties
+ *  and maxima resolve identically: both sources attribute to the load
+ *  interlock counter), including execute()'s store-data bypass when
+ *  `forwardRs2`. The caller adds the base issue cycle. */
 void
-Machine::uopGprStall(const Uop &u)
+Machine::uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2)
 {
     const uint64_t issue = cycle_ + 1;
-    uint64_t stall = 0;
-    if (u.flags & Uop::ChkRs1) {
-        const uint64_t ready = gprReady_[u.rs1];
-        if (ready > issue)
-            stall = ready - issue;
-    }
-    if (u.flags & Uop::ChkRs2) {
-        const uint64_t ready = gprReady_[u.rs2];
-        if (ready > issue && ready - issue > stall)
-            stall = ready - issue;
+    const auto pending = [&](uint8_t chk, int r) -> uint64_t {
+        const uint64_t ready = gprReady_[r];
+        return (flags & chk) && ready > issue ? ready - issue : 0;
+    };
+    uint64_t stall = pending(Uop::ChkRs1, u.rs1);
+    const uint64_t data = pending(Uop::ChkRs2, u.rs2);
+    if (data > stall) {
+        stall = data;
+        if (forwardRs2) {
+            stall -= 1;
+            stats_.fwdSavedStalls += 1;
+        }
     }
     if (stall) {
         stats_.loadInterlocks += stall;
@@ -263,62 +303,34 @@ Machine::uopGprStall(const Uop &u)
     }
 }
 
-/** finishIssue() for the slow (scoreboarded) uop cases; requires
- *  stallThisInsn_ reset by the caller before its useX() calls. */
-uint64_t
-Machine::uopFinishIssue()
-{
-    if (stallThisInsn_) {
-        if (stallIsFp_)
-            stats_.fpInterlocks += stallThisInsn_;
-        else
-            stats_.loadInterlocks += stallThisInsn_;
-    }
-    cycle_ += 1 + stallThisInsn_;
-    return cycle_;
-}
-
 /**
  * Execute one pre-bound body/slot uop (never a terminator). Identical
  * architectural and timing semantics to Machine::execute, minus the
  * work the translator already did: operand binding, hazard-check
- * narrowing (the ChkRs flags), and the t+1 ready-time writes of
- * single-cycle producers, which can never stall a later issue and are
- * elided. Returns true iff the uop halted the machine (Trap halt).
+ * narrowing (the ChkRs flags of this load delay's set), and the t+1
+ * ready-time writes of single-cycle producers that no issue can
+ * observe (all but the KeepReady ones). Returns true iff the uop
+ * halted the machine (Trap halt).
  */
 bool
 Machine::execUop(const Uop &u)
 {
     const FpLatencies &fpu = config_.fpu;
+    const uint8_t f = static_cast<uint8_t>(u.flags >> hazardShift_);
 
     switch (u.op) {
       case Op::Add: case Op::Sub: case Op::And: case Op::Or:
       case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra: {
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         ++cycle_;
-        const uint32_t a = gpr_[u.rs1];
-        const uint32_t b = gpr_[u.rs2];
-        uint32_t r = 0;
-        switch (u.op) {
-          case Op::Add: r = a + b; break;
-          case Op::Sub: r = a - b; break;
-          case Op::And: r = a & b; break;
-          case Op::Or: r = a | b; break;
-          case Op::Xor: r = a ^ b; break;
-          case Op::Shl: r = a << (b & 31); break;
-          case Op::Shr: r = a >> (b & 31); break;
-          default:
-            r = static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31));
-            break;
-        }
-        writeGpr(u.rd, r);
+        writeGpr(u.rd, alu(u.op, gpr_[u.rs1], gpr_[u.rs2]));
         break;
       }
 
       case Op::Neg: case Op::Inv: case Op::Mv: {
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         ++cycle_;
         const uint32_t a = gpr_[u.rs1];
         writeGpr(u.rd, u.op == Op::Neg ? 0u - a :
@@ -328,26 +340,11 @@ Machine::execUop(const Uop &u)
 
       case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
       case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI: {
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         ++cycle_;
-        const uint32_t a = gpr_[u.rs1];
-        const uint32_t imm = static_cast<uint32_t>(u.imm);
-        uint32_t r = 0;
-        switch (u.op) {
-          case Op::AddI: r = a + imm; break;
-          case Op::SubI: r = a - imm; break;
-          case Op::AndI: r = a & imm; break;
-          case Op::OrI: r = a | imm; break;
-          case Op::XorI: r = a ^ imm; break;
-          case Op::ShlI: r = a << (imm & 31); break;
-          case Op::ShrI: r = a >> (imm & 31); break;
-          default:
-            r = static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                      (imm & 31));
-            break;
-        }
-        writeGpr(u.rd, r);
+        writeGpr(u.rd,
+                 alu(u.op, gpr_[u.rs1], static_cast<uint32_t>(u.imm)));
         break;
       }
 
@@ -357,16 +354,16 @@ Machine::execUop(const Uop &u)
         break;
 
       case Op::Cmp:
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         ++cycle_;
         writeGpr(u.rd,
                  isa::evalCond(u.cond, gpr_[u.rs1], gpr_[u.rs2]) ? 1 : 0);
         break;
 
       case Op::CmpI:
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         ++cycle_;
         writeGpr(u.rd,
                  isa::evalCond(u.cond, gpr_[u.rs1],
@@ -375,47 +372,25 @@ Machine::execUop(const Uop &u)
 
       case Op::Ld: case Op::Ldh: case Op::Ldhu:
       case Op::Ldb: case Op::Ldbu: {
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f);
         const uint64_t t = ++cycle_;
         const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
-        uint32_t v = 0;
-        switch (u.op) {
-          case Op::Ld: v = memory_.read32(ea); break;
-          case Op::Ldh:
-            v = static_cast<uint32_t>(
-                static_cast<int32_t>(static_cast<int16_t>(
-                    memory_.read16(ea))));
-            break;
-          case Op::Ldhu: v = memory_.read16(ea); break;
-          case Op::Ldb:
-            v = static_cast<uint32_t>(
-                static_cast<int32_t>(static_cast<int8_t>(
-                    memory_.read8(ea))));
-            break;
-          default: v = memory_.read8(ea); break;
-        }
+        const uint32_t v = loadValue(u.op, ea);
         stats_.loads += 1;
         if (traceSink_)
             traceSink_->onDataRead(ea, static_cast<int>(u.aux));
         writeGpr(u.rd, v);
-        setGprReady(u.rd, t + 2);  // one load delay slot
+        setGprReady(u.rd, t + loadDelta_);  // load delay slot(s)
         break;
       }
 
       case Op::St: case Op::Sth: case Op::Stb: {
-        if (u.flags)
-            uopGprStall(u);
+        if (f & Uop::Chk)
+            uopGprStall(u, f, config_.uarch.forward);
         ++cycle_;
         const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
-        const uint32_t v = gpr_[u.rs2];
-        switch (u.op) {
-          case Op::St: memory_.write32(ea, v); break;
-          case Op::Sth:
-            memory_.write16(ea, static_cast<uint16_t>(v));
-            break;
-          default: memory_.write8(ea, static_cast<uint8_t>(v)); break;
-        }
+        storeValue(u.op, ea, gpr_[u.rs2]);
         stats_.stores += 1;
         if (traceSink_)
             traceSink_->onDataWrite(ea, static_cast<int>(u.aux));
@@ -430,7 +405,7 @@ Machine::execUop(const Uop &u)
         if (traceSink_)
             traceSink_->onDataRead(ea, 4);
         writeGpr(0, v);
-        setGprReady(0, t + 2);
+        setGprReady(0, t + loadDelta_);
         break;
       }
 
@@ -439,7 +414,7 @@ Machine::execUop(const Uop &u)
         stallThisInsn_ = 0;
         useFpr(u.rs1);
         useFpr(u.rs2);
-        const uint64_t t = uopFinishIssue();
+        const uint64_t t = finishIssue();
         const float a = asFloat(fpr_[u.rs1]);
         const float b = asFloat(fpr_[u.rs2]);
         float r = 0;
@@ -460,7 +435,7 @@ Machine::execUop(const Uop &u)
         stallThisInsn_ = 0;
         useFpr(u.rs1);
         useFpr(u.rs2);
-        const uint64_t t = uopFinishIssue();
+        const uint64_t t = finishIssue();
         const double a = asDouble(fpr_[u.rs1]);
         const double b = asDouble(fpr_[u.rs2]);
         double r = 0;
@@ -480,7 +455,7 @@ Machine::execUop(const Uop &u)
         stats_.fpOps += 1;
         stallThisInsn_ = 0;
         useFpr(u.rs1);
-        const uint64_t t = uopFinishIssue();
+        const uint64_t t = finishIssue();
         if (u.op == Op::FNegS)
             fpr_[u.rd] = fromFloat(-asFloat(fpr_[u.rs1]));
         else if (u.op == Op::FNegD)
@@ -496,7 +471,7 @@ Machine::execUop(const Uop &u)
         stallThisInsn_ = 0;
         useFpr(u.rs1);
         useFpr(u.rs2);
-        const uint64_t t = uopFinishIssue();
+        const uint64_t t = finishIssue();
         const bool r =
             u.op == Op::FCmpS
                 ? isa::evalCondFp(u.cond, asFloat(fpr_[u.rs1]),
@@ -513,34 +488,8 @@ Machine::execUop(const Uop &u)
         stats_.fpOps += 1;
         stallThisInsn_ = 0;
         useFpr(u.rs1);
-        const uint64_t t = uopFinishIssue();
-        const uint64_t src = fpr_[u.rs1];
-        uint64_t r = 0;
-        switch (u.op) {
-          case Op::CvtSiSf:
-            r = fromFloat(static_cast<float>(
-                static_cast<int32_t>(static_cast<uint32_t>(src))));
-            break;
-          case Op::CvtSiDf:
-            r = fromDouble(static_cast<double>(
-                static_cast<int32_t>(static_cast<uint32_t>(src))));
-            break;
-          case Op::CvtSfDf:
-            r = fromDouble(static_cast<double>(asFloat(src)));
-            break;
-          case Op::CvtDfSf:
-            r = fromFloat(static_cast<float>(asDouble(src)));
-            break;
-          case Op::CvtSfSi:
-            r = static_cast<uint32_t>(
-                static_cast<int32_t>(asFloat(src)));
-            break;
-          default:
-            r = static_cast<uint32_t>(
-                static_cast<int32_t>(asDouble(src)));
-            break;
-        }
-        fpr_[u.rd] = r;
+        const uint64_t t = finishIssue();
+        fpr_[u.rd] = convert(u.op, fpr_[u.rs1]);
         setFprReady(u.rd, t + fpu.convert);
         break;
       }
@@ -548,10 +497,10 @@ Machine::execUop(const Uop &u)
       case Op::MifL: case Op::MifH: {
         stats_.fpOps += 1;
         stallThisInsn_ = 0;
-        if (u.flags & Uop::ChkRs1)
+        if (f & Uop::ChkRs1)
             useGpr(u.rs1);
         useFpr(u.rd);  // partial update reads the other half
-        const uint64_t t = uopFinishIssue();
+        const uint64_t t = finishIssue();
         const uint64_t g = gpr_[u.rs1];
         if (u.op == Op::MifL)
             fpr_[u.rd] = (fpr_[u.rd] & 0xffffffff00000000ull) | g;
@@ -565,7 +514,7 @@ Machine::execUop(const Uop &u)
         stats_.fpOps += 1;
         stallThisInsn_ = 0;
         useFpr(u.rs1);
-        uopFinishIssue();
+        finishIssue();
         const uint64_t f = fpr_[u.rs1];
         writeGpr(u.rd, u.op == Op::MfiL
                            ? static_cast<uint32_t>(f)
@@ -575,16 +524,16 @@ Machine::execUop(const Uop &u)
 
       case Op::Trap:
         stats_.traps += 1;
-        if (u.flags)
-            uopGprStall(u);  // rs1 normalized to r2 at translation
+        if (f & Uop::Chk)
+            uopGprStall(u, f);  // rs1 normalized to r2 at translation
         ++cycle_;
         doTrap(u.imm);
-        return halted_;
+        break;
 
       case Op::Rdsr:
         stallThisInsn_ = 0;
         useStatus();
-        uopFinishIssue();
+        finishIssue();
         writeGpr(u.rd, fpStatus_);
         break;
 
@@ -595,7 +544,9 @@ Machine::execUop(const Uop &u)
       default:
         panic("block engine: unexpected op in a compiled block");
     }
-    return false;
+    if (f & Uop::KeepReady)
+        setGprReady(u.rd, cycle_ + 1);
+    return halted_;
 }
 
 /**
@@ -680,78 +631,45 @@ Machine::runBlocks()
         // slot. takenBranches increments before the slot executes,
         // matching step()'s ordering.
         const Uop &cf = b.term;
+        const uint32_t cfPc =
+            b.startPc +
+            b.uopCount * static_cast<uint32_t>(target_->insnBytes());
         executed = b.uopCount + 1;
         stats_.branches += 1;
-        bool taken = false;
-        uint32_t target = 0;
+        const uint8_t cff = static_cast<uint8_t>(cf.flags >> hazardShift_);
+        if (cff & Uop::Chk)
+            uopGprStall(cf, cff);
+        ++cycle_;
+        bool taken = true;
+        uint32_t target = static_cast<uint32_t>(cf.imm);
         switch (cf.op) {
-          case Op::Br:
-            ++cycle_;
-            taken = true;
-            target = static_cast<uint32_t>(cf.imm);
-            break;
-          case Op::Bz: case Op::Bnz: {
-            if (cf.flags)
-                uopGprStall(cf);
-            ++cycle_;
-            const bool z = gpr_[cf.rs1] == 0;
-            const bool cond = cf.op == Op::Bz ? z : !z;
-            // Outcome stream parity with step() (block dispatch only
-            // runs at the default uarch, where outcomes cost nothing
-            // but must still be recorded for capture).
-            stats_.condBranches += 1;
-            if (sink)
-                sink->onBranchOutcome(
-                    b.startPc + b.uopCount *
-                        static_cast<uint32_t>(target_->insnBytes()),
-                    cond);
-            if (cond) {
-                taken = true;
-                target = static_cast<uint32_t>(cf.imm);
-            }
-            break;
-          }
-          case Op::J:
-            ++cycle_;
-            taken = true;
-            target = static_cast<uint32_t>(cf.imm);
+          case Op::Br: case Op::J:
+            resolveJump(cfPc);
             break;
           case Op::Jl:
-            ++cycle_;
-            taken = true;
-            target = static_cast<uint32_t>(cf.imm);
+            resolveJump(cfPc);
             writeGpr(1, cf.aux);  // pre-bound link value
             break;
           case Op::Jr: case Op::Jlr:
-            if (cf.flags)
-                uopGprStall(cf);
-            ++cycle_;
-            taken = true;
+            resolveJump(cfPc);
             target = gpr_[cf.rs1];
             if (cf.op == Op::Jlr)
                 writeGpr(1, cf.aux);
             break;
-          case Op::Jrz: case Op::Jrnz: {
-            if (cf.flags)
-                uopGprStall(cf);
-            ++cycle_;
-            const bool z = gpr_[cf.rs2] == 0;
-            const bool cond = cf.op == Op::Jrz ? z : !z;
-            stats_.condBranches += 1;
-            if (sink)
-                sink->onBranchOutcome(
-                    b.startPc + b.uopCount *
-                        static_cast<uint32_t>(target_->insnBytes()),
-                    cond);
-            if (cond) {
-                taken = true;
-                target = gpr_[cf.rs1];
-            }
+          case Op::Bz: case Op::Bnz:
+            taken = (gpr_[cf.rs1] == 0) == (cf.op == Op::Bz);
+            resolveCond(cfPc, taken);
             break;
-          }
+          case Op::Jrz: case Op::Jrnz:
+            taken = (gpr_[cf.rs2] == 0) == (cf.op == Op::Jrz);
+            resolveCond(cfPc, taken);
+            target = gpr_[cf.rs1];
+            break;
           default:
             panic("block engine: bad terminator op");
         }
+        if (cff & Uop::KeepReady)
+            setGprReady(cf.rd, cycle_ + 1);  // the Jl/Jlr link
         if (taken)
             stats_.takenBranches += 1;
 

@@ -18,13 +18,23 @@
  * timing analyzer all cross-validate against Machine::step):
  *
  *  - Architectural state, program output and every SimStats field are
- *    bit-identical to stepping. Interlock accounting keeps the issue
- *    scoreboard's semantics: a GPR stall can only be caused by the
- *    *immediately preceding* dynamic instruction being a load, so a
- *    uop carries a hazard-check flag per source iff its static
- *    predecessor is a load writing that source (or the uop opens the
- *    block, where the predecessor is unknown). FP/status latencies
- *    span blocks and keep the full scoreboard.
+ *    bit-identical to stepping, under every UarchConfig. Interlock
+ *    accounting keeps the issue scoreboard's semantics: a GPR stall
+ *    can only be caused by a load at most loadDelay() dynamic
+ *    instructions back that is still the source's latest writer. One
+ *    BlockProgram serves every config: each uop carries one set of
+ *    hazard flags per load delay up to UarchConfig::MaxLoadDelay. In
+ *    the set for delay d a source is checked iff, walking back d
+ *    uops, its nearest writer is a load or the walk reaches block
+ *    entry, and (for d > 1) a single-cycle producer keeps its t+1
+ *    ready write (KeepReady) iff the uop before it may be a load of
+ *    the same register. The d = 1 set is exactly the paper machine's
+ *    one-slot elision, so the default config pays nothing for the
+ *    deeper ones. Loads
+ *    set ready at the config's load delay, stores apply the
+ *    forwarding bypass, and terminators charge branch stalls through
+ *    the Machine's BranchModel. FP/status latencies span blocks and
+ *    keep the full scoreboard.
  *  - `instructions` is batched per block with an exact fixup when a
  *    halt trap exits mid-block; `takenBranches` increments before the
  *    delay slot executes, as in step order; `branchBubbles` is static
@@ -83,6 +93,7 @@ struct BlockTable
  * sequential fetches from `startPc`. A probe that also implements
  * this interface (TraceProbe) keeps block dispatch eligible; data
  * accesses reuse the Probe callback names so one override serves both.
+ * Branch callbacks reach it as a Probe from either dispatch path.
  */
 class TraceSink
 {
@@ -95,16 +106,6 @@ class TraceSink
 
     virtual void onDataRead(uint32_t addr, int size) = 0;
     virtual void onDataWrite(uint32_t addr, int size) = 0;
-
-    /** The conditional branch terminating a block resolved `taken`.
-     *  Mirrors Probe::onBranchOutcome for block-dispatched terminators
-     *  so a captured trace's outcome stream is dispatch-invariant. */
-    virtual void
-    onBranchOutcome(uint32_t pc, bool taken)
-    {
-        (void)pc;
-        (void)taken;
-    }
 };
 
 /** One pre-bound micro-operation. Immediates are resolved at
@@ -112,11 +113,22 @@ class TraceSink
  *  absolute, MvHI's shift is folded, link values are precomputed. */
 struct Uop
 {
-    /** Hazard-check flags: test the GPR scoreboard for this source.
-     *  Clear means the translator proved the static predecessor is not
-     *  a load writing it, so no stall is possible. */
+    /** Hazard flags, one set per load delay d (UarchConfig::
+     *  loadDelay()), stored at flagShift(d); the machine shifts its
+     *  set down to these values. ChkRs: test the GPR scoreboard for
+     *  this source (clear means the translator proved no load within d
+     *  issues is its latest writer, so no stall is possible).
+     *  KeepReady: write rd's t+1 ready time (single-cycle producers
+     *  only; rd is normalized to the fixed register for Trap, Ldc and
+     *  Jl/Jlr). */
     static constexpr uint8_t ChkRs1 = 1;
     static constexpr uint8_t ChkRs2 = 2;
+    static constexpr uint8_t Chk = ChkRs1 | ChkRs2;
+    static constexpr uint8_t KeepReady = 4;
+    static constexpr unsigned flagShift(int loadDelay)
+    {
+        return 3u * static_cast<unsigned>(loadDelay - 1);
+    }
 
     isa::Op op{};
     isa::Cond cond{};

@@ -1,7 +1,6 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 #include "isa/codec.hh"
@@ -16,35 +15,6 @@ using isa::Cond;
 using isa::DecodedInst;
 using isa::Op;
 using isa::OpClass;
-
-namespace
-{
-
-float
-asFloat(uint64_t raw)
-{
-    return std::bit_cast<float>(static_cast<uint32_t>(raw));
-}
-
-uint64_t
-fromFloat(float f)
-{
-    return std::bit_cast<uint32_t>(f);
-}
-
-double
-asDouble(uint64_t raw)
-{
-    return std::bit_cast<double>(raw);
-}
-
-uint64_t
-fromDouble(double d)
-{
-    return std::bit_cast<uint64_t>(d);
-}
-
-} // namespace
 
 Machine::Machine(const assem::Image &image, MachineConfig config,
                  std::shared_ptr<const DecodedText> predecoded)
@@ -64,14 +34,8 @@ Machine::Machine(const assem::Image &image, MachineConfig config,
     limitCheckAt_ = std::min(config_.maxInstructions, LimitCheckInterval);
 
     loadDelta_ = 1 + static_cast<uint64_t>(config_.uarch.loadDelay());
-    insnShift_ = text_->insnShift();
-    if (config_.uarch.branch == BranchPolicy::Bimodal) {
-        panicIf(config_.uarch.bhtLog2 < 1 || config_.uarch.bhtLog2 > 20,
-                "bhtLog2 out of range");
-        // 2-bit saturating counters, initialized weakly-not-taken.
-        bht_.assign(1u << config_.uarch.bhtLog2, 1);
-        bhtMask_ = static_cast<uint32_t>(bht_.size() - 1);
-    }
+    hazardShift_ = Uop::flagShift(config_.uarch.loadDelay());
+    branch_ = BranchModel(config_.uarch, text_->insnShift());
 
     // ABI environment the startup stub would otherwise establish:
     // stack at the top of memory, gp at the data segment, return into
@@ -176,9 +140,8 @@ Machine::run()
     // one that declared itself a block-capable TraceSink. The guard
     // on the delay-slot/shadow flags keeps a pending transfer (from a
     // step()-executed branch) in step()'s hands until it resolves.
-    if (blocks_ && config_.uarch.isDefault() &&
-        (probes_.empty() ||
-         (probes_.size() == 1 && traceSink_ != nullptr))) {
+    if (blocks_ && (probes_.empty() ||
+                    (probes_.size() == 1 && traceSink_ != nullptr))) {
         while (!halted_) {
             if (!inDelaySlot_ && !inCfShadow_ && runBlocks())
                 break;
@@ -245,17 +208,8 @@ Machine::execute(const DecodedInst &inst)
     const FpLatencies &fpu = config_.fpu;
 
     // Scoreboard bookkeeping happens alongside execution; useX() calls
-    // must precede the commit of this instruction's issue time.
-    auto finishIssue = [&]() -> uint64_t {
-        if (stallThisInsn_) {
-            if (stallIsFp_)
-                stats_.fpInterlocks += stallThisInsn_;
-            else
-                stats_.loadInterlocks += stallThisInsn_;
-        }
-        cycle_ += 1 + stallThisInsn_;
-        return cycle_;  // this instruction's issue cycle
-    };
+    // must precede the commit of this instruction's issue time
+    // (finishIssue()).
 
     auto dataRead = [&](uint32_t addr, int size) {
         stats_.loads += 1;
@@ -270,79 +224,13 @@ Machine::execute(const DecodedInst &inst)
                 p->onDataWrite(addr, size);
     };
 
-    // Branch-policy accounting (sim/uarch.hh). Penalties are additive
-    // (SimStats::branchStalls) and never touch the issue scoreboard,
-    // so the interlock counters stay branch-policy-invariant; all of
-    // this is a no-op at the default microarchitecture.
-    auto chargeBranch = [&](int cycles) {
-        if (cycles <= 0)
-            return;
-        stats_.branchStalls += static_cast<uint64_t>(cycles);
-        if (!probes_.empty())
-            for (Probe *p : probes_)
-                p->onBranchStall(pc, static_cast<uint64_t>(cycles));
-    };
-    // A conditional branch resolved `c`: record the outcome (the
-    // replay stream) and apply the policy.
-    auto resolveCond = [&](bool c) {
-        stats_.condBranches += 1;
-        if (!probes_.empty())
-            for (Probe *p : probes_)
-                p->onBranchOutcome(pc, c);
-        switch (config_.uarch.branch) {
-          case BranchPolicy::DelaySlot:
-            if (c)
-                chargeBranch(config_.uarch.takenExtra());
-            break;
-          case BranchPolicy::StaticNotTaken:
-            if (c) {
-                stats_.mispredicts += 1;
-                chargeBranch(config_.uarch.mispredictPenalty());
-            }
-            break;
-          case BranchPolicy::Bimodal: {
-            const uint32_t idx = (pc >> insnShift_) & bhtMask_;
-            const uint8_t ctr = bht_[idx];
-            if ((ctr >= 2) != c) {
-                stats_.mispredicts += 1;
-                chargeBranch(config_.uarch.mispredictPenalty());
-            }
-            bht_[idx] = c ? (ctr < 3 ? ctr + 1 : 3)
-                          : (ctr > 0 ? ctr - 1 : 0);
-            break;
-          }
-        }
-    };
-    // An unconditional transfer: only the delay-slot policy charges
-    // the depth-derived fetch extra (predicted policies resolve the
-    // target at decode — an idealized BTB).
-    auto resolveJump = [&]() {
-        if (config_.uarch.branch == BranchPolicy::DelaySlot)
-            chargeBranch(config_.uarch.takenExtra());
-    };
-
     switch (op) {
       case Op::Add: case Op::Sub: case Op::And: case Op::Or:
       case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra: {
         useGpr(inst.rs1);
         useGpr(inst.rs2);
         const uint64_t t = finishIssue();
-        const uint32_t a = gpr_[inst.rs1];
-        const uint32_t b = gpr_[inst.rs2];
-        uint32_t r = 0;
-        switch (op) {
-          case Op::Add: r = a + b; break;
-          case Op::Sub: r = a - b; break;
-          case Op::And: r = a & b; break;
-          case Op::Or: r = a | b; break;
-          case Op::Xor: r = a ^ b; break;
-          case Op::Shl: r = a << (b & 31); break;
-          case Op::Shr: r = a >> (b & 31); break;
-          default:
-            r = static_cast<uint32_t>(static_cast<int32_t>(a) >> (b & 31));
-            break;
-        }
-        writeGpr(inst.rd, r);
+        writeGpr(inst.rd, alu(op, gpr_[inst.rs1], gpr_[inst.rs2]));
         setGprReady(inst.rd, t + 1);
         break;
       }
@@ -361,23 +249,8 @@ Machine::execute(const DecodedInst &inst)
       case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI: {
         useGpr(inst.rs1);
         const uint64_t t = finishIssue();
-        const uint32_t a = gpr_[inst.rs1];
-        const uint32_t imm = static_cast<uint32_t>(inst.imm);
-        uint32_t r = 0;
-        switch (op) {
-          case Op::AddI: r = a + imm; break;
-          case Op::SubI: r = a - imm; break;
-          case Op::AndI: r = a & imm; break;
-          case Op::OrI: r = a | imm; break;
-          case Op::XorI: r = a ^ imm; break;
-          case Op::ShlI: r = a << (imm & 31); break;
-          case Op::ShrI: r = a >> (imm & 31); break;
-          default:
-            r = static_cast<uint32_t>(static_cast<int32_t>(a) >>
-                                      (imm & 31));
-            break;
-        }
-        writeGpr(inst.rd, r);
+        writeGpr(inst.rd, alu(op, gpr_[inst.rs1],
+                             static_cast<uint32_t>(inst.imm)));
         setGprReady(inst.rd, t + 1);
         break;
       }
@@ -418,22 +291,7 @@ Machine::execute(const DecodedInst &inst)
         useGpr(inst.rs1);
         const uint64_t t = finishIssue();
         const uint32_t ea = gpr_[inst.rs1] + static_cast<uint32_t>(inst.imm);
-        uint32_t v = 0;
-        switch (op) {
-          case Op::Ld: v = memory_.read32(ea); break;
-          case Op::Ldh:
-            v = static_cast<uint32_t>(
-                static_cast<int32_t>(static_cast<int16_t>(
-                    memory_.read16(ea))));
-            break;
-          case Op::Ldhu: v = memory_.read16(ea); break;
-          case Op::Ldb:
-            v = static_cast<uint32_t>(
-                static_cast<int32_t>(static_cast<int8_t>(
-                    memory_.read8(ea))));
-            break;
-          default: v = memory_.read8(ea); break;
-        }
+        const uint32_t v = loadValue(op, ea);
         dataRead(ea, isa::memAccessSize(op));
         writeGpr(inst.rd, v);
         setGprReady(inst.rd, t + loadDelta_);  // load delay slot(s)
@@ -457,14 +315,7 @@ Machine::execute(const DecodedInst &inst)
         }
         finishIssue();
         const uint32_t ea = gpr_[inst.rs1] + static_cast<uint32_t>(inst.imm);
-        const uint32_t v = gpr_[inst.rs2];
-        switch (op) {
-          case Op::St: memory_.write32(ea, v); break;
-          case Op::Sth:
-            memory_.write16(ea, static_cast<uint16_t>(v));
-            break;
-          default: memory_.write8(ea, static_cast<uint8_t>(v)); break;
-        }
+        storeValue(op, ea, gpr_[inst.rs2]);
         dataWrite(ea, isa::memAccessSize(op));
         break;
       }
@@ -490,9 +341,9 @@ Machine::execute(const DecodedInst &inst)
             : op == Op::Bz ? gpr_[inst.rs1] == 0
                            : gpr_[inst.rs1] != 0;
         if (op == Op::Br)
-            resolveJump();
+            resolveJump(pc);
         else
-            resolveCond(cond);
+            resolveCond(pc, cond);
         if (cond) {
             taken = true;
             target = pc + static_cast<uint32_t>(inst.imm);
@@ -504,7 +355,7 @@ Machine::execute(const DecodedInst &inst)
         stats_.branches += 1;
         inCfShadow_ = true;
         const uint64_t t = finishIssue();
-        resolveJump();
+        resolveJump(pc);
         taken = true;
         target = pc + static_cast<uint32_t>(inst.imm);
         if (op == Op::Jl) {
@@ -519,7 +370,7 @@ Machine::execute(const DecodedInst &inst)
         inCfShadow_ = true;
         useGpr(inst.rs1);
         const uint64_t t = finishIssue();
-        resolveJump();
+        resolveJump(pc);
         taken = true;
         target = gpr_[inst.rs1];
         if (op == Op::Jlr) {
@@ -537,7 +388,7 @@ Machine::execute(const DecodedInst &inst)
         finishIssue();
         const bool cond = op == Op::Jrz ? gpr_[inst.rs2] == 0
                                         : gpr_[inst.rs2] != 0;
-        resolveCond(cond);
+        resolveCond(pc, cond);
         if (cond) {
             taken = true;
             target = gpr_[inst.rs1];
@@ -621,33 +472,7 @@ Machine::execute(const DecodedInst &inst)
         stats_.fpOps += 1;
         useFpr(inst.rs1);
         const uint64_t t = finishIssue();
-        const uint64_t src = fpr_[inst.rs1];
-        uint64_t r = 0;
-        switch (op) {
-          case Op::CvtSiSf:
-            r = fromFloat(static_cast<float>(
-                static_cast<int32_t>(static_cast<uint32_t>(src))));
-            break;
-          case Op::CvtSiDf:
-            r = fromDouble(static_cast<double>(
-                static_cast<int32_t>(static_cast<uint32_t>(src))));
-            break;
-          case Op::CvtSfDf:
-            r = fromDouble(static_cast<double>(asFloat(src)));
-            break;
-          case Op::CvtDfSf:
-            r = fromFloat(static_cast<float>(asDouble(src)));
-            break;
-          case Op::CvtSfSi:
-            r = static_cast<uint32_t>(
-                static_cast<int32_t>(asFloat(src)));
-            break;
-          default:
-            r = static_cast<uint32_t>(
-                static_cast<int32_t>(asDouble(src)));
-            break;
-        }
-        fpr_[inst.rd] = r;
+        fpr_[inst.rd] = convert(op, fpr_[inst.rs1]);
         setFprReady(inst.rd, t + fpu.convert);
         break;
       }

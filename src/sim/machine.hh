@@ -28,6 +28,7 @@
 #define D16SIM_SIM_MACHINE_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,9 +67,7 @@ struct MachineConfig
     FpLatencies fpu;
 
     /** Microarchitectural axes (sim/uarch.hh). The default is the
-     *  paper's machine; any non-default config disables block
-     *  dispatch (the hazard-elision contract is proved against the
-     *  baseline pipeline only) and runs through step(). */
+     *  paper's machine; both dispatch engines honor every config. */
     UarchConfig uarch;
 };
 
@@ -136,13 +135,135 @@ class Machine
     /** Block-engine dispatch (defined in block_engine.cc). */
     bool runBlocks();
     bool execUop(const Uop &u);
-    void uopGprStall(const Uop &u);
-    uint64_t uopFinishIssue();
+    void uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2 = false);
 
-    /** Issue-time scoreboard helpers. */
+    /** Branch-policy accounting shared by execute() and runBlocks()
+     *  (sim/uarch.hh). Penalties are additive (SimStats::branchStalls)
+     *  and never touch the issue scoreboard, so the interlock counters
+     *  stay branch-policy-invariant. */
+    void
+    chargeBranch(uint32_t pc, int cycles)
+    {
+        if (cycles <= 0)
+            return;
+        stats_.branchStalls += static_cast<uint64_t>(cycles);
+        for (Probe *p : probes_)
+            p->onBranchStall(pc, static_cast<uint64_t>(cycles));
+    }
+
+    /** The conditional branch at `pc` resolved `taken`: record the
+     *  outcome (the replay stream) and apply the policy. */
+    void
+    resolveCond(uint32_t pc, bool taken)
+    {
+        stats_.condBranches += 1;
+        for (Probe *p : probes_)
+            p->onBranchOutcome(pc, taken);
+        bool mispredicted = false;
+        chargeBranch(pc, branch_.conditional(pc, taken, mispredicted));
+        stats_.mispredicts += mispredicted ? 1 : 0;
+    }
+
+    /** An unconditional transfer at `pc`. */
+    void resolveJump(uint32_t pc) { chargeBranch(pc, branch_.jump()); }
+
+    /** The datapath both dispatch paths share: the integer ALU
+     *  (register and immediate forms alike), memory by access width,
+     *  and the FP conversions. */
+    static uint32_t
+    alu(isa::Op op, uint32_t a, uint32_t b)
+    {
+        using isa::Op;
+        switch (op) {
+          case Op::Add: case Op::AddI: return a + b;
+          case Op::Sub: case Op::SubI: return a - b;
+          case Op::And: case Op::AndI: return a & b;
+          case Op::Or: case Op::OrI: return a | b;
+          case Op::Xor: case Op::XorI: return a ^ b;
+          case Op::Shl: case Op::ShlI: return a << (b & 31);
+          case Op::Shr: case Op::ShrI: return a >> (b & 31);
+          default:
+            return static_cast<uint32_t>(static_cast<int32_t>(a) >>
+                                         (b & 31));
+        }
+    }
+
+    uint32_t
+    loadValue(isa::Op op, uint32_t ea)
+    {
+        using isa::Op;
+        switch (op) {
+          case Op::Ld: return memory_.read32(ea);
+          case Op::Ldh:
+            return static_cast<uint32_t>(static_cast<int32_t>(
+                static_cast<int16_t>(memory_.read16(ea))));
+          case Op::Ldhu: return memory_.read16(ea);
+          case Op::Ldb:
+            return static_cast<uint32_t>(static_cast<int32_t>(
+                static_cast<int8_t>(memory_.read8(ea))));
+          default: return memory_.read8(ea);
+        }
+    }
+
+    void
+    storeValue(isa::Op op, uint32_t ea, uint32_t v)
+    {
+        if (op == isa::Op::St)
+            memory_.write32(ea, v);
+        else if (op == isa::Op::Sth)
+            memory_.write16(ea, static_cast<uint16_t>(v));
+        else
+            memory_.write8(ea, static_cast<uint8_t>(v));
+    }
+
+    static uint64_t
+    convert(isa::Op op, uint64_t src)
+    {
+        using isa::Op;
+        const auto word = static_cast<int32_t>(static_cast<uint32_t>(src));
+        switch (op) {
+          case Op::CvtSiSf: return fromFloat(static_cast<float>(word));
+          case Op::CvtSiDf: return fromDouble(static_cast<double>(word));
+          case Op::CvtSfDf:
+            return fromDouble(static_cast<double>(asFloat(src)));
+          case Op::CvtDfSf:
+            return fromFloat(static_cast<float>(asDouble(src)));
+          case Op::CvtSfSi:
+            return static_cast<uint32_t>(static_cast<int32_t>(asFloat(src)));
+          default:
+            return static_cast<uint32_t>(
+                static_cast<int32_t>(asDouble(src)));
+        }
+    }
+
+    /** FP register bit views: singles live in the low word. */
+    static float
+    asFloat(uint64_t raw)
+    {
+        return std::bit_cast<float>(static_cast<uint32_t>(raw));
+    }
+    static uint64_t fromFloat(float f) { return std::bit_cast<uint32_t>(f); }
+    static double asDouble(uint64_t raw) { return std::bit_cast<double>(raw); }
+    static uint64_t fromDouble(double d) { return std::bit_cast<uint64_t>(d); }
+
+    /** Issue-time scoreboard helpers. finishIssue() commits the
+     *  stall the useX() calls accumulated (stallThisInsn_, reset per
+     *  instruction) and returns the instruction's issue cycle. */
     void useGpr(int r);
     void useFpr(int r);
     void useStatus();
+    uint64_t
+    finishIssue()
+    {
+        if (stallThisInsn_) {
+            if (stallIsFp_)
+                stats_.fpInterlocks += stallThisInsn_;
+            else
+                stats_.loadInterlocks += stallThisInsn_;
+        }
+        cycle_ += 1 + stallThisInsn_;
+        return cycle_;
+    }
     void setGprReady(int r, uint64_t when);
     void setFprReady(int r, uint64_t when);
 
@@ -173,13 +294,12 @@ class Machine
     std::array<uint64_t, 32> fprReady_{};
     uint64_t statusReady_ = 0;
 
-    // Microarchitecture-derived constants (sim/uarch.hh): cycles
-    // until a loaded register is ready, and the bimodal BHT (empty
-    // unless the branch policy is Bimodal).
+    // Microarchitecture-derived state (sim/uarch.hh): cycles until a
+    // loaded register is ready, the position of the block uops' hazard
+    // flags for that load delay, and the branch policy's cost model.
     uint64_t loadDelta_ = 2;
-    uint32_t insnShift_ = 2;
-    uint32_t bhtMask_ = 0;
-    std::vector<uint8_t> bht_;
+    unsigned hazardShift_ = 0;
+    BranchModel branch_;
 
     // Immutable predecoded text section (shared or privately built).
     uint32_t textBase_ = 0;

@@ -39,6 +39,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "support/error.hh"
 
 namespace d16sim::sim
 {
@@ -65,8 +68,12 @@ struct UarchConfig
                depth == 5;
     }
 
+    /** The deepest loadDelay() any config has; block translation is
+     *  exact up to it (sim/block_engine.hh). */
+    static constexpr int MaxLoadDelay = 2;
+
     /** Load delay slots (cycles before a loaded register is ready). */
-    int loadDelay() const { return depth <= 5 ? 1 : 2; }
+    int loadDelay() const { return depth <= 5 ? 1 : MaxLoadDelay; }
 
     /** Extra fetch cycles per taken transfer, delay-slot policy. */
     int takenExtra() const { return depth - 5; }
@@ -124,6 +131,70 @@ struct UarchConfig
 
     /** Key segment of `captureConfig()` (empty at the baseline). */
     std::string captureKey() const { return captureConfig().key(); }
+};
+
+/**
+ * The branch policy's cost model: the penalty each resolved transfer
+ * pays and, under Bimodal, the 2-bit counter table (initialized
+ * weakly-not-taken, indexed by `pc >> insnShift`). The machine feeds
+ * it every transfer in execution order; trace replay feeds it the
+ * recorded outcome stream, which is the same sequence.
+ */
+class BranchModel
+{
+  public:
+    BranchModel() = default;
+
+    BranchModel(const UarchConfig &uarch, uint32_t insnShift)
+        : uarch_(uarch), insnShift_(insnShift)
+    {
+        if (uarch.branch == BranchPolicy::Bimodal) {
+            panicIf(uarch.bhtLog2 < 1 || uarch.bhtLog2 > 20,
+                    "bhtLog2 out of range");
+            bht_.assign(size_t{1} << uarch.bhtLog2, 1);
+            bhtMask_ = static_cast<uint32_t>(bht_.size() - 1);
+        }
+    }
+
+    /** Resolve the conditional branch at `pc` to `taken`, training the
+     *  predictor; returns its stall cycles and reports whether the
+     *  policy mispredicted it. */
+    int
+    conditional(uint32_t pc, bool taken, bool &mispredicted)
+    {
+        switch (uarch_.branch) {
+          case BranchPolicy::DelaySlot:
+            mispredicted = false;
+            return taken ? uarch_.takenExtra() : 0;
+          case BranchPolicy::StaticNotTaken:
+            mispredicted = taken;
+            break;
+          case BranchPolicy::Bimodal: {
+            uint8_t &ctr = bht_[(pc >> insnShift_) & bhtMask_];
+            mispredicted = (ctr >= 2) != taken;
+            ctr = taken ? (ctr < 3 ? ctr + 1 : 3) : (ctr > 0 ? ctr - 1 : 0);
+            break;
+          }
+        }
+        return mispredicted ? uarch_.mispredictPenalty() : 0;
+    }
+
+    /** Stall cycles of an unconditional transfer: only the delay-slot
+     *  policy pays the depth-derived fetch extra (the predicted
+     *  policies resolve the target at decode, an idealized BTB). */
+    int
+    jump() const
+    {
+        return uarch_.branch == BranchPolicy::DelaySlot
+                   ? uarch_.takenExtra()
+                   : 0;
+    }
+
+  private:
+    UarchConfig uarch_;
+    uint32_t insnShift_ = 2;
+    uint32_t bhtMask_ = 0;
+    std::vector<uint8_t> bht_;
 };
 
 } // namespace d16sim::sim

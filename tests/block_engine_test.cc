@@ -6,15 +6,22 @@
  * architectural results, same SimStats field by field, same recorded
  * D16T traces, same canonical sweep JSON — the only observable
  * difference allowed is speed. These tests run both dispatchers over
- * the whole workload suite and over seeded fallback scenarios (jumps
- * into pool data, mid-block entry, probe-attached runs, instruction
- * limits) and require equality everywhere.
+ * the whole workload suite under the default and every uarch smoke
+ * config, over seeded images for each load-delay/forwarding rule of
+ * the translator, and over seeded fallback scenarios (jumps into pool
+ * data, mid-block entry, probe-attached runs, instruction limits) and
+ * require equality everywhere.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "asm/assembler.hh"
 #include "asm/parser.hh"
@@ -70,16 +77,19 @@ imageWord(const assem::Image &img, uint32_t addr, int bytes)
 }
 
 /** Run one image through step dispatch and block dispatch and require
- *  identical measurements; returns the block machine for inspection. */
+ *  identical measurements; returns the block machine for inspection.
+ *  `blocks` defaults to a fresh translation of `img`. */
 std::unique_ptr<sim::Machine>
 runBothAndCompare(const assem::Image &img, const std::string &where,
-                  sim::MachineConfig config = {})
+                  sim::MachineConfig config = {},
+                  std::shared_ptr<const sim::BlockProgram> blocks = nullptr)
 {
     sim::Machine stepM(img, config);
     stepM.run();
 
     auto blockM = std::make_unique<sim::Machine>(img, config);
-    blockM->setBlockProgram(core::buildBlockProgram(img));
+    blockM->setBlockProgram(blocks ? std::move(blocks)
+                                   : core::buildBlockProgram(img));
     blockM->run();
 
     EXPECT_EQ(stepM.halted(), blockM->halted()) << where;
@@ -89,6 +99,60 @@ runBothAndCompare(const assem::Image &img, const std::string &where,
         EXPECT_EQ(stepM.reg(r), blockM->reg(r)) << where << " r" << r;
     expectStatsEqual(stepM.stats(), blockM->stats(), where);
     return blockM;
+}
+
+/** Every workload x {D16, DLXe/32/3}, spread over a few threads: the
+ *  matrix is embarrassingly parallel and dominates this binary. */
+void
+forEachWorkloadVariant(
+    const std::function<void(const core::Workload &,
+                             const mc::CompileOptions &)> &body)
+{
+    struct Item
+    {
+        const core::Workload *w;
+        mc::CompileOptions opts;
+    };
+    std::vector<Item> items;
+    for (const core::Workload &w : core::workloadSuite())
+        for (const mc::CompileOptions &opts :
+             {mc::CompileOptions::d16(), mc::CompileOptions::dlxe(32, true)})
+            items.push_back({&w, opts});
+
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t)
+        workers.emplace_back([&] {
+            for (size_t i = next++; i < items.size(); i = next++) {
+                try {
+                    body(*items[i].w, items[i].opts);
+                } catch (const std::exception &e) {
+                    ADD_FAILURE() << items[i].w->name << ": " << e.what();
+                }
+            }
+        });
+    for (std::thread &t : workers)
+        t.join();
+}
+
+/** The six non-default machines of sweep::uarchSmokeMatrix(). */
+std::vector<sim::UarchConfig>
+uarchSmokeConfigs()
+{
+    std::vector<sim::UarchConfig> configs;
+    for (const core::sweep::JobSpec &spec : core::sweep::uarchSmokeMatrix())
+        if (std::find(configs.begin(), configs.end(), spec.uarch) ==
+            configs.end())
+            configs.push_back(spec.uarch);
+    return configs;
+}
+
+sim::MachineConfig
+uarchConfig(const std::string &key)
+{
+    sim::MachineConfig config;
+    config.uarch = core::sweep::parseUarch(key);
+    return config;
 }
 
 /** Minimal per-instruction probe: any non-TraceSink probe must force
@@ -128,37 +192,62 @@ TEST(BlockEngine, SmokeMatrixByteIdenticalJson)
 
 TEST(BlockEngine, WorkloadStatsAndTracesIdentical)
 {
-    const std::vector<mc::CompileOptions> variants = {
-        mc::CompileOptions::d16(),
-        mc::CompileOptions::dlxe(32, true),
-    };
-    for (const core::Workload &w : core::workloadSuite()) {
-        for (const mc::CompileOptions &opts : variants) {
-            const std::string where =
-                w.name + " " + std::string(opts.name());
-            const assem::Image img = core::build(w.source, opts);
-            auto predecoded =
-                std::make_shared<const sim::DecodedText>(img);
-            auto blocks = core::buildBlockProgram(img, predecoded);
+    forEachWorkloadVariant([](const core::Workload &w,
+                              const mc::CompileOptions &opts) {
+        const assem::Image img = core::build(w.source, opts);
+        auto predecoded = std::make_shared<const sim::DecodedText>(img);
+        auto blocks = core::buildBlockProgram(img, predecoded);
 
-            // Step vs block, probe-less.
-            const core::RunMeasurement stepRun =
-                core::run(img, {}, {}, predecoded);
-            const core::RunMeasurement blockRun =
-                core::run(img, {}, {}, predecoded, blocks);
-            EXPECT_EQ(stepRun.output, blockRun.output) << where;
-            EXPECT_EQ(stepRun.exitStatus, blockRun.exitStatus) << where;
-            expectStatsEqual(stepRun.stats, blockRun.stats, where);
+        const std::string where =
+            w.name + " " + std::string(opts.name());
 
-            // Step vs block trace capture: byte-identical D16T files.
+        // Step vs block, probe-less.
+        const core::RunMeasurement stepRun =
+            core::run(img, {}, {}, predecoded);
+        const core::RunMeasurement blockRun =
+            core::run(img, {}, {}, predecoded, blocks);
+        EXPECT_EQ(stepRun.output, blockRun.output) << where;
+        EXPECT_EQ(stepRun.exitStatus, blockRun.exitStatus) << where;
+        expectStatsEqual(stepRun.stats, blockRun.stats, where);
+
+        // Step vs block trace capture: byte-identical D16T files (which
+        // embed the run's stats) for the default machine and the two
+        // depth-7 capture slices, where the load delay is two.
+        for (const char *key : {"", "depth=7", "fwd=on,depth=7"}) {
+            const sim::MachineConfig config = uarchConfig(key);
             const core::replay::Trace stepTrace =
-                core::replay::capture(img, predecoded);
+                core::replay::capture(img, predecoded, config);
             const core::replay::Trace blockTrace =
-                core::replay::capture(img, predecoded, {}, blocks);
+                core::replay::capture(img, predecoded, config, blocks);
             EXPECT_EQ(stepTrace.serialize(), blockTrace.serialize())
+                << where << " [" << key << "]";
+        }
+    });
+}
+
+TEST(BlockEngine, UarchSmokeConfigsMatchStep)
+{
+    // Block dispatch runs under every microarchitecture: each smoke
+    // config must retire nearly everything through compiled blocks
+    // and still match step() field for field.
+    const std::vector<sim::UarchConfig> configs = uarchSmokeConfigs();
+    ASSERT_EQ(configs.size(), 6u);
+    forEachWorkloadVariant([&](const core::Workload &w,
+                               const mc::CompileOptions &opts) {
+        const assem::Image img = core::build(w.source, opts);
+        auto blocks = core::buildBlockProgram(img);
+        for (const sim::UarchConfig &uarch : configs) {
+            const std::string where = w.name + " " +
+                                      std::string(opts.name()) + " [" +
+                                      uarch.key() + "]";
+            sim::MachineConfig config;
+            config.uarch = uarch;
+            auto m = runBothAndCompare(img, where, config, blocks);
+            EXPECT_GE(m->blockInstructions(),
+                      m->stats().instructions * 9 / 10)
                 << where;
         }
-    }
+    });
 }
 
 TEST(BlockEngine, EngineActuallyDispatchesBlocks)
@@ -190,6 +279,119 @@ TEST(BlockEngine, TranslationCoversCfg)
         EXPECT_LT(blocks->needsStepCount(), blocks->blockCount() / 2)
             << opts.name();
     }
+}
+
+// ----- seeded load-delay and forwarding scenarios --------------------
+
+/** Step vs block at the configs whose rules the translator must honor
+ *  beyond the paper's machine: a two-cycle load delay, the store-data
+ *  bypass, and both. Returns the block machine's stats per config. */
+std::vector<sim::SimStats>
+compareUnderUarchRules(const std::string &src, const std::string &what)
+{
+    const assem::Image img = buildAsm(isa::TargetInfo::dlxe(), src);
+    auto blocks = core::buildBlockProgram(img);
+    std::vector<sim::SimStats> stats;
+    for (const char *key : {"depth=7", "fwd=on", "fwd=on,depth=7"}) {
+        const sim::MachineConfig config = uarchConfig(key);
+        auto m = runBothAndCompare(img, what + " [" + key + "]", config,
+                                   blocks);
+        EXPECT_EQ(m->blockInstructions(), m->stats().instructions)
+            << what << " [" << key << "]";
+        stats.push_back(m->stats());
+    }
+    return stats;
+}
+
+TEST(BlockEngineUarch, LoadOverwriteUseInOneBlock)
+{
+    // r3: the add overwrites the loaded value in the load's shadow, so
+    // the use sees the add's ready time, never the load's. r7: the
+    // load is two uops before its use, inside the depth-7 delay.
+    const auto stats = compareUnderUarchRules(R"(
+main:
+    ld r3, 0(gp)
+    add r3, r4, r5
+    add r6, r3, r3
+    ld r7, 0(gp)
+    mvi r8, 1
+    add r9, r7, r7
+    mvi r2, 0
+    trap 5
+    .data
+w:  .word 0
+)",
+                                              "ld; add r; use r");
+    EXPECT_EQ(stats[0].loadInterlocks, 1u);  // depth 7: only r7 stalls
+}
+
+TEST(BlockEngineUarch, LoadOverwriteUseAcrossBlocks)
+{
+    // The same overwrite, with the use opening the next block (a
+    // leader: the never-taken bnz targets it). Block entry checks
+    // every source, so the add's ready write must survive
+    // translation or the use would see the load's stale ready time.
+    const auto stats = compareUnderUarchRules(R"(
+main:
+    mvi r5, 0
+    bnz r5, next
+    nop
+    ld r3, 0(gp)
+    add r3, r4, r4
+next:
+    add r6, r3, r3
+    mvi r2, 0
+    trap 5
+    .data
+w:  .word 0
+)",
+                                              "ld; add r | use r");
+    EXPECT_EQ(stats[0].loadInterlocks, 0u);
+}
+
+TEST(BlockEngineUarch, LoadTwoUopsBeforeDelaySlotUse)
+{
+    // The slot's dynamic predecessor is the branch, but at depth 7 the
+    // load two issues back still stalls it one cycle.
+    const auto stats = compareUnderUarchRules(R"(
+main:
+    mvi r5, 1
+    ld r3, 0(gp)
+    bnz r5, end
+    add r6, r3, r3
+end:
+    mvi r2, 0
+    trap 5
+    .data
+w:  .word 0
+)",
+                                              "ld; bnz; slot use");
+    EXPECT_EQ(stats[0].loadInterlocks, 1u);
+}
+
+TEST(BlockEngineUarch, LoadThenStoreOfLoadedRegister)
+{
+    // Store data straight from a load: the bypass forwards one cycle
+    // of the data stall (ledgered in fwdSavedStalls); the second pair
+    // has its load two issues back, a depth-7-only stall.
+    const auto stats = compareUnderUarchRules(R"(
+main:
+    ld r3, 0(gp)
+    st r3, 4(gp)
+    ld r4, 0(gp)
+    mvi r5, 1
+    st r4, 8(gp)
+    mvi r2, 0
+    trap 5
+    .data
+w:  .word 0
+    .word 0
+    .word 0
+)",
+                                              "ld r; st r");
+    EXPECT_EQ(stats[0].loadInterlocks, 3u);  // depth 7, no bypass
+    EXPECT_EQ(stats[1].fwdSavedStalls, 1u);  // fwd on, depth 5
+    EXPECT_EQ(stats[2].fwdSavedStalls, 2u);  // fwd on, depth 7
 }
 
 // ----- seeded fallback scenarios --------------------------------------

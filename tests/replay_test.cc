@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/replay/replay.hh"
@@ -260,13 +261,11 @@ TEST(TraceFormat, V3OutcomeStreamRoundTripsByteExactly)
     for (const CompileOptions &opts :
          {CompileOptions::d16(), CompileOptions::dlxe()}) {
         const Trace t = captureProgram(opts);
-        EXPECT_TRUE(t.hasOutcomes);
         ASSERT_EQ(t.outcomes.size(), t.base.stats.condBranches);
         EXPECT_GT(t.outcomes.size(), 0u);
 
         const std::vector<uint8_t> bytes = t.serialize();
         const Trace back = Trace::deserialize(bytes);
-        EXPECT_TRUE(back.hasOutcomes);
         ASSERT_EQ(back.outcomes.size(), t.outcomes.size());
         for (size_t i = 0; i < t.outcomes.size(); ++i) {
             EXPECT_EQ(back.outcomes[i].pc, t.outcomes[i].pc);
@@ -277,36 +276,22 @@ TEST(TraceFormat, V3OutcomeStreamRoundTripsByteExactly)
     }
 }
 
-TEST(TraceFormat, LegacyV2RoundTripsByteExactly)
+TEST(TraceFormat, RejectsVersionTwoTrace)
 {
-    const Trace t = captureProgram(CompileOptions::d16());
-    const std::vector<uint8_t> v2 = t.serialize(/*legacyV2=*/true);
-    EXPECT_LT(v2.size(), t.serialize().size());
-
-    const Trace back = Trace::deserialize(v2);
-    EXPECT_FALSE(back.hasOutcomes);
-    EXPECT_TRUE(back.outcomes.empty());
-    EXPECT_EQ(back.serialize(/*legacyV2=*/true), v2);
-    // The replay streams survive the downgrade.
-    EXPECT_EQ(back.fetchCount(), t.fetchCount());
-    EXPECT_EQ(back.accesses.size(), t.accesses.size());
-}
-
-TEST(Replay, PredictorReplayFromLegacyTraceIsFatal)
-{
-    const Trace legacy = Trace::deserialize(
-        captureProgram(CompileOptions::d16()).serialize(true));
-
-    sim::UarchConfig bimodal;
-    bimodal.branch = sim::BranchPolicy::Bimodal;
-    EXPECT_THROW(replay::branchStatsFor(legacy, bimodal), FatalError);
-    sim::UarchConfig staticNt;
-    staticNt.branch = sim::BranchPolicy::StaticNotTaken;
-    EXPECT_THROW(replay::branchStatsFor(legacy, staticNt), FatalError);
-    // Delay-slot accounting needs no outcome stream and stays usable.
-    EXPECT_EQ(replay::branchStatsFor(legacy, sim::UarchConfig{})
-                  .branchStalls,
-              0u);
+    // The pre-outcome v2 layout is no longer read: a trace whose
+    // version field says 2 fails the format-version input check.
+    std::vector<uint8_t> bytes =
+        captureProgram(CompileOptions::d16()).serialize();
+    bytes[4] = 2;
+    try {
+        Trace::deserialize(bytes);
+        ADD_FAILURE() << "a version-2 trace deserialized";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported format version 2"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Replay, BranchStatsRejectCaptureSliceMismatch)

@@ -16,7 +16,8 @@
  * block-compiled threaded-code engine (a hand-built BlockTable claiming
  * the whole text), which must all behave identically — the block replay
  * additionally requires bit-equal stats and architectural state against
- * the predecoded step replay.
+ * the predecoded step replay, on the paper's machine and on the
+ * forwarding + bimodal + depth-7 one.
  */
 
 #include <gtest/gtest.h>
@@ -97,12 +98,20 @@ struct Outcome
     }
 };
 
+/** The paper's machine, or with `uarchRules` every axis off the
+ *  baseline (fwd=on,bp=bimodal6,depth=7). */
 sim::MachineConfig
-replayConfig()
+replayConfig(bool uarchRules = false)
 {
     sim::MachineConfig cfg;
     cfg.memBytes = 1u << 16;
     cfg.maxInstructions = 16;
+    if (uarchRules) {
+        cfg.uarch.forward = true;
+        cfg.uarch.branch = sim::BranchPolicy::Bimodal;
+        cfg.uarch.bhtLog2 = 6;
+        cfg.uarch.depth = 7;
+    }
     return cfg;
 }
 
@@ -117,10 +126,11 @@ snapshot(const sim::Machine &m, Outcome *out)
 }
 
 Verdict
-replay(const assem::Image &img, std::string *why, Outcome *out = nullptr)
+replay(const assem::Image &img, std::string *why, Outcome *out = nullptr,
+       const sim::MachineConfig &config = replayConfig())
 {
     try {
-        sim::Machine m(img, replayConfig());
+        sim::Machine m(img, config);
         try {
             m.run();
         } catch (...) {
@@ -146,7 +156,8 @@ replay(const assem::Image &img, std::string *why, Outcome *out = nullptr)
  *  step() for the rest — the outcome must match step dispatch bit for
  *  bit. */
 Verdict
-replayBlocks(const assem::Image &img, std::string *why, Outcome *out)
+replayBlocks(const assem::Image &img, std::string *why, Outcome *out,
+             const sim::MachineConfig &config)
 {
     try {
         auto text = std::make_shared<const sim::DecodedText>(img);
@@ -155,7 +166,7 @@ replayBlocks(const assem::Image &img, std::string *why, Outcome *out)
             {img.textBase, static_cast<uint32_t>(img.insnSites.size())});
         auto blocks = std::make_shared<const sim::BlockProgram>(
             img, *text, table);
-        sim::Machine m(img, replayConfig(), text);
+        sim::Machine m(img, config, text);
         m.setBlockProgram(std::move(blocks));
         try {
             m.run();
@@ -188,28 +199,34 @@ checkWord(const isa::TargetInfo &target, uint32_t word, int &panics,
         return;
     }
     const assem::Image sited = sitedImage(target, word, 4);
-    Outcome step, block;
-    step.verdict = replay(sited, &why, &step);
-    if (step.verdict == Verdict::Panic) {
-        if (++panics <= 10)
-            report << "  sited word " << std::hex << word << std::dec
-                   << ": " << why << "\n";
-        return;
-    }
-    block.verdict = replayBlocks(sited, &why, &block);
-    if (block.verdict == Verdict::Panic) {
-        if (++panics <= 10)
-            report << "  block word " << std::hex << word << std::dec
-                   << ": " << why << "\n";
-        return;
-    }
-    if (!(step == block)) {
-        if (++panics <= 10)
-            report << "  word " << std::hex << word << std::dec
-                   << ": step/block divergence (insns "
-                   << step.stats.instructions << " vs "
-                   << block.stats.instructions << ", pc " << std::hex
-                   << step.pc << " vs " << block.pc << std::dec << ")\n";
+    for (const bool uarchRules : {false, true}) {
+        const sim::MachineConfig config = replayConfig(uarchRules);
+        const char *const machine = uarchRules ? " (uarch)" : "";
+        Outcome step, block;
+        step.verdict = replay(sited, &why, &step, config);
+        if (step.verdict == Verdict::Panic) {
+            if (++panics <= 10)
+                report << "  sited word " << std::hex << word << std::dec
+                       << machine << ": " << why << "\n";
+            return;
+        }
+        block.verdict = replayBlocks(sited, &why, &block, config);
+        if (block.verdict == Verdict::Panic) {
+            if (++panics <= 10)
+                report << "  block word " << std::hex << word << std::dec
+                       << machine << ": " << why << "\n";
+            return;
+        }
+        if (!(step == block)) {
+            if (++panics <= 10)
+                report << "  word " << std::hex << word << std::dec
+                       << machine << ": step/block divergence (insns "
+                       << step.stats.instructions << " vs "
+                       << block.stats.instructions << ", pc " << std::hex
+                       << step.pc << " vs " << block.pc << std::dec
+                       << ")\n";
+            return;
+        }
     }
 }
 

@@ -7,8 +7,9 @@
  * machine over three workloads x two encodings) against the golden
  * file tests/golden/sweep_uarch_golden.json, and the engine-level
  * identities behind it: trace replay vs. direct simulation and
- * per-instruction step vs. block-compiled dispatch must emit
- * byte-identical canonical documents for every configuration. Plus
+ * per-instruction step vs. block-compiled dispatch (which runs under
+ * every configuration) must emit byte-identical canonical documents
+ * for every configuration. Plus
  * unit coverage of the axes themselves: the uarch key round-trip, the
  * 2-bit bimodal predictor, the store-data forwarding ledger, and the
  * depth-derived penalties.
@@ -113,15 +114,34 @@ TEST(Uarch, ReplayMatchesDirectSimulation)
 
 TEST(Uarch, StepMatchesBlockEngine)
 {
-    // Non-default configs demote block dispatch to step() inside the
-    // machine; the engine-level toggle must not change a single byte
-    // either way (and default-uarch jobs in the same batch exercise
-    // the real block path).
+    // Both dispatch paths run every config; the engine-level toggle
+    // must not change a single byte, and under each non-default config
+    // the block side must really be the block engine.
+    const std::vector<const char *> keys = {
+        "", "fwd=on", "bp=bimodal6", "fwd=on,bp=bimodal6,depth=7"};
+    const std::vector<const char *> names = {"bubblesort", "queens"};
     std::vector<sweep::JobSpec> jobs;
-    for (const char *key : {"", "fwd=on", "bp=bimodal6",
-                            "fwd=on,bp=bimodal6,depth=7"})
-        for (const char *w : {"bubblesort", "queens"})
+    for (const char *key : keys)
+        for (const char *w : names)
             jobs.push_back(uarchJob(w, mc::CompileOptions::d16(), key));
+
+    for (const char *w : names) {
+        const assem::Image image =
+            build(workload(w).source, mc::CompileOptions::d16());
+        const auto blocks = buildBlockProgram(image);
+        for (const char *key : keys) {
+            if (*key == '\0')
+                continue;
+            sim::MachineConfig cfg;
+            cfg.uarch = sweep::parseUarch(key);
+            sim::Machine m(image, cfg);
+            m.setBlockProgram(blocks);
+            m.run();
+            EXPECT_GE(m.blockInstructions(),
+                      m.stats().instructions * 9 / 10)
+                << w << " [" << key << "]";
+        }
+    }
 
     sweep::ResultStore blocks, steps;
     {
