@@ -5,6 +5,8 @@
  * (Not a paper artifact — tooling health for the repository.)
  */
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "asm/assembler.hh"
@@ -123,8 +125,9 @@ BENCHMARK(BM_TraceCaptureQueens)->Unit(benchmark::kMillisecond);
 static void
 BM_ReplayCacheQueens(benchmark::State &state)
 {
-    // One full cache evaluation from a recorded trace — the unit of
-    // work d16sweep does per cache variant instead of re-simulating.
+    // One cache configuration evaluated from a recorded trace: the
+    // single-config path (replayCache), a one-size inclusive I-side
+    // walk plus one generic D-cache.
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
     const auto trace = core::replay::capture(img);
@@ -140,5 +143,35 @@ BM_ReplayCacheQueens(benchmark::State &state)
                             static_cast<int64_t>(1639487));
 }
 BENCHMARK(BM_ReplayCacheQueens)->Unit(benchmark::kMillisecond);
+
+static void
+BM_ReplayCachesPaperMatrix(benchmark::State &state)
+{
+    // The unit of work d16sweep does per §4.1 build node: all 20 paper
+    // cache configurations (1K-16K x 8-64 B blocks) in one
+    // replayCaches() call — four inclusive I-side walks (one per block
+    // size) plus 20 generic D-caches.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe());
+    const auto trace = core::replay::capture(img);
+    std::vector<core::replay::CacheEval> evals;
+    for (uint32_t kb : {1u, 2u, 4u, 8u, 16u}) {
+        for (uint32_t block : {8u, 16u, 32u, 64u}) {
+            core::replay::CacheEval e;
+            e.icache.sizeBytes = kb * 1024;
+            e.icache.blockBytes = block;
+            e.icache.subBlockBytes = std::min(block, 8u);
+            e.dcache = e.icache;
+            evals.push_back(e);
+        }
+    }
+    for (auto _ : state) {
+        core::replay::replayCaches(trace, evals);
+        benchmark::DoNotOptimize(evals.front().icacheStats.misses());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(1639487));
+}
+BENCHMARK(BM_ReplayCachesPaperMatrix)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -28,8 +28,12 @@
 # execute zero builds and zero runs (enforced with --assert-warm), and
 # served replays it through d16sweepd over a Unix socket;
 # sweep.wallSeconds / sweepStoreWarm.wallSeconds is the measured
-# warm-store speedup. Entries in this format are appended to the
-# committed BENCH_sweep.json history. Requires jq.
+# warm-store speedup. "host" records where the entry was measured:
+# core count, CPU model, the C++ compiler and its version, the CMake
+# build type, and the git revision ("-dirty" when the tree has
+# uncommitted changes), so two entries can be told apart as same-host
+# or not. Entries in this format are appended to the committed
+# BENCH_sweep.json history. Requires jq.
 #
 # Run from the repository root. Exits non-zero on the first failure.
 set -eu
@@ -112,6 +116,19 @@ sleep 1
 wait "$SWEEPD_PID"
 trap - EXIT
 
+HOST_NPROC=$(nproc 2>/dev/null || echo 0)
+HOST_CPU=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null |
+    head -n 1)
+HOST_CXX=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' build/CMakeCache.txt)
+HOST_COMPILER=$("$HOST_CXX" --version 2>/dev/null | head -n 1)
+# An empty cached build type is CMakeLists.txt's RelWithDebInfo default.
+HOST_BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)
+HOST_BUILD_TYPE=${HOST_BUILD_TYPE:-RelWithDebInfo}
+HOST_REV=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    HOST_REV="$HOST_REV-dirty"
+fi
+
 echo "== bench_micro =="
 ./build/bench/bench_micro --benchmark_format=console \
     --benchmark_out_format=json --benchmark_out=build/bench_micro.json
@@ -120,6 +137,11 @@ jq -n \
     --arg lbl "$LABEL" \
     --arg matrix "$MATRIX" \
     --argjson jobs "$JOBS" \
+    --argjson nproc "$HOST_NPROC" \
+    --arg cpu "${HOST_CPU:-unknown}" \
+    --arg compiler "${HOST_COMPILER:-unknown}" \
+    --arg buildType "$HOST_BUILD_TYPE" \
+    --arg rev "$HOST_REV" \
     --slurpfile replay build/bench_replay.json \
     --slurpfile noreplay build/bench_noreplay.json \
     --slurpfile noblocks build/bench_noblocks.json \
@@ -133,6 +155,8 @@ jq -n \
         "label": $lbl,
         "matrix": $matrix,
         "jobs": $jobs,
+        "host": {"nproc": $nproc, "cpu": $cpu, "compiler": $compiler,
+                 "buildType": $buildType, "gitRev": $rev},
         "sweep": $replay[0].timing,
         "sweepNoReplay": $noreplay[0].timing,
         "sweepNoBlocks": $noblocks[0].timing,

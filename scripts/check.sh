@@ -1,6 +1,11 @@
 #!/bin/sh
 # CI gate: tier-1 build + tests, sanitizer build + tests, and the
 # toolchain verification layer over every workload on both targets.
+# Replay on vs --no-replay is compared twice: on the smoke matrix
+# against its golden, and on the full matrix restricted to the §4.1
+# cache benchmarks ("cache matrix, replay on vs --no-replay"), where
+# every build node carries the 20 cache siblings one replay pass
+# evaluates together.
 #
 #   scripts/check.sh            run everything
 #   SKIP_SANITIZE=1 ...         skip the ASan/UBSan and TSan builds
@@ -49,6 +54,18 @@ echo "== d16sweep: smoke matrix vs golden, --no-replay (A/B) =="
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-replay \
     --json build/sweep_noreplay.json \
     --golden tests/golden/sweep_golden.json
+
+echo "== d16sweep: cache matrix, replay on vs --no-replay (A/B) =="
+# d16sweep's default full matrix over the cache benchmarks only: each
+# build node's 20 §4.1 cache siblings replay in one pass (inclusive
+# I-side evaluator), and must match re-simulating every job byte for
+# byte.
+./build/tools/d16sweep --workloads assem,ipl,latex --jobs "$JOBS" \
+    --no-timing --json build/sweep_cache.json
+./build/tools/d16sweep --workloads assem,ipl,latex --jobs "$JOBS" \
+    --no-timing --no-replay --json build/sweep_cache_noreplay.json
+cmp build/sweep_cache.json build/sweep_cache_noreplay.json
+echo "   cache matrix replay on/off byte-identical"
 
 echo "== d16sweep: smoke matrix vs golden, --no-block-engine (A/B) =="
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-block-engine \

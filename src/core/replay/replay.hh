@@ -10,9 +10,14 @@
  * live simulation, at a fraction of the cost (no decode, no execute,
  * no scoreboard).
  *
- * replayCaches() is the single-pass form: each recorded reference is
- * fed to every configuration in turn, so evaluating the paper's whole
- * 5-size x 4-block matrix touches the trace once.
+ * replayCaches() evaluates any number of split-cache configurations
+ * in one call. On the I-side, direct-mapped configurations with
+ * wrap-around prefetch (the paper's whole 5-size x 4-block matrix) go
+ * through an inclusive multi-size evaluator: one walk of the fetch
+ * runs per block size, one tag check per block visit shared by every
+ * size. Set-associative or prefetch-off I-configs and every D-cache
+ * run the generic mem::Cache. The sweep engine hands each build
+ * node's cache siblings to one call (sweep::replayJobs).
  */
 
 #ifndef D16SIM_CORE_REPLAY_REPLAY_HH
@@ -38,10 +43,10 @@ struct CacheEval
 };
 
 /**
- * Evaluate every configuration in `evals` over the trace in a single
- * pass: each fetch goes to every I-cache, each data access to every
- * D-cache, in recorded order. Results are exactly what a CacheProbe
- * with the same configuration would have measured on the traced run.
+ * Evaluate every configuration in `evals` over the trace. Results are
+ * exactly what a CacheProbe with the same configuration would have
+ * measured on the traced run, whichever evaluator serves it, and each
+ * configuration is held to mem::CacheGeometry's checks (FatalError).
  */
 void replayCaches(const Trace &trace, std::vector<CacheEval> &evals);
 

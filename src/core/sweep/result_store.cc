@@ -160,42 +160,63 @@ replayable(const JobSpec &spec)
            spec.probe == ProbeKind::CacheSim;
 }
 
+std::vector<JobResult>
+replayJobs(const std::vector<const JobSpec *> &specs,
+           const replay::Trace &trace)
+{
+    std::vector<JobResult> out(specs.size());
+    std::vector<replay::CacheEval> evals;
+    std::vector<size_t> cacheJobs;  //!< out index of each eval
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const JobSpec &spec = *specs[i];
+        panicIf(!replayable(spec), "job kind cannot be replayed");
+        JobResult &r = out[i];
+        r.probe = spec.probe;
+        r.uarch = spec.uarch;
+        r.run = trace.base;
+        // The capture runs the spec's capture slice (forwarding/depth)
+        // at bp=DelaySlot; the branch-policy statistics are recomputed
+        // per sibling from the taken-branch count or the outcome
+        // stream (branchStatsFor also validates the capture-slice
+        // match).
+        const replay::BranchReplayStats bs =
+            replay::branchStatsFor(trace, spec.uarch);
+        r.run.stats.branchStalls = bs.branchStalls;
+        r.run.stats.mispredicts = bs.mispredicts;
+        switch (spec.probe) {
+          case ProbeKind::None:
+          case ProbeKind::ImmClass:
+            break;
+          case ProbeKind::FetchBuffer:
+            r.fetch.busBytes = spec.busBytes;
+            r.fetch.requests =
+                replay::replayFetchRequests(trace, spec.busBytes);
+            r.fetch.words = r.fetch.requests * (spec.busBytes / 4);
+            break;
+          case ProbeKind::CacheSim: {
+            r.icacheCfg = spec.icache;
+            r.dcacheCfg = spec.dcache;
+            replay::CacheEval e;
+            e.icache = spec.icache;
+            e.dcache = spec.dcache;
+            evals.push_back(e);
+            cacheJobs.push_back(i);
+            break;
+          }
+        }
+    }
+    replay::replayCaches(trace, evals);
+    for (size_t k = 0; k < evals.size(); ++k) {
+        out[cacheJobs[k]].icache = evals[k].icacheStats;
+        out[cacheJobs[k]].dcache = evals[k].dcacheStats;
+    }
+    return out;
+}
+
 JobResult
 replayJob(const JobSpec &spec, const replay::Trace &trace)
 {
-    panicIf(!replayable(spec), "job kind cannot be replayed");
-    JobResult r;
-    r.probe = spec.probe;
-    r.uarch = spec.uarch;
-    r.run = trace.base;
-    // The capture runs the spec's capture slice (forwarding/depth) at
-    // bp=DelaySlot; the branch-policy statistics are recomputed per
-    // sibling from the taken-branch count or the outcome stream
-    // (branchStatsFor also validates the capture-slice match).
-    const replay::BranchReplayStats bs =
-        replay::branchStatsFor(trace, spec.uarch);
-    r.run.stats.branchStalls = bs.branchStalls;
-    r.run.stats.mispredicts = bs.mispredicts;
-    switch (spec.probe) {
-      case ProbeKind::None:
-        break;
-      case ProbeKind::FetchBuffer:
-        r.fetch.busBytes = spec.busBytes;
-        r.fetch.requests = replay::replayFetchRequests(trace, spec.busBytes);
-        r.fetch.words = r.fetch.requests * (spec.busBytes / 4);
-        break;
-      case ProbeKind::CacheSim: {
-        r.icacheCfg = spec.icache;
-        r.dcacheCfg = spec.dcache;
-        auto stats = replay::replayCache(trace, spec.icache, spec.dcache);
-        r.icache = stats.first;
-        r.dcache = stats.second;
-        break;
-      }
-      case ProbeKind::ImmClass:
-        break;
-    }
-    return r;
+    return std::move(replayJobs({&spec}, trace).front());
 }
 
 namespace

@@ -127,9 +127,16 @@ JobResult executeJob(const JobSpec &spec, const assem::Image &image,
  *  which traces do not record). */
 bool replayable(const JobSpec &spec);
 
-/** Evaluate one replayable job from a recorded trace. The run section
- *  is the trace's capture measurement; probe sections are computed by
- *  the replay evaluators — bit-identical to direct simulation. */
+/** Evaluate replayable jobs of one build node from its recorded
+ *  trace. Each run section is the trace's capture measurement; probe
+ *  sections are computed by the replay evaluators — bit-identical to
+ *  direct simulation. Every cache job's configuration goes through one
+ *  replay::replayCaches() call, so the node's cache siblings share the
+ *  inclusive I-side pass. */
+std::vector<JobResult> replayJobs(const std::vector<const JobSpec *> &specs,
+                                  const replay::Trace &trace);
+
+/** replayJobs() of one job. */
 JobResult replayJob(const JobSpec &spec, const replay::Trace &trace);
 
 /**

@@ -462,30 +462,51 @@ SweepEngine::run()
 
                 auto submitReplay =
                     [this, &pool, &timingMutex](
-                        const JobSpec *s,
+                        std::vector<const JobSpec *> specs,
                         std::shared_ptr<const replay::Trace> t) {
-                        pool.submit([this, s, t, &timingMutex] {
+                        pool.submit([this, specs = std::move(specs), t,
+                                     &timingMutex] {
                             const auto replayStart = Clock::now();
-                            JobResult r = replayJob(*s, *t);
+                            std::vector<JobResult> rs = replayJobs(specs, *t);
                             const double rt = secondsSince(replayStart);
-                            commit(jobKey(*s), *s, std::move(r));
+                            for (size_t i = 0; i < specs.size(); ++i)
+                                commit(jobKey(*specs[i]), *specs[i],
+                                       std::move(rs[i]));
                             std::lock_guard<std::mutex> lock(timingMutex);
-                            ++timing_.executedRuns;
-                            ++timing_.replayedRuns;
+                            const int count = static_cast<int>(specs.size());
+                            timing_.executedRuns += count;
+                            timing_.replayedRuns += count;
                             timing_.replaySeconds += rt;
                         });
                     };
 
-                if (trace) {
-                    // Stored-trace path: replay everything replayable,
-                    // simulate the rest against the (reloaded) image.
+                // Settle the node's jobs from a trace, all but `skip`:
+                // one replay task per replayable job, except the cache
+                // siblings, which share one task and one replayCaches()
+                // pass; non-replayable jobs (imm classification)
+                // simulate against the shared image.
+                auto fanOut = [n, submitDirect, submitReplay](
+                                  std::shared_ptr<const replay::Trace> t,
+                                  const JobSpec *skip) {
+                    std::vector<const JobSpec *> caches;
                     for (const JobSpec &spec : n->runs) {
-                        if (spec.probe == ProbeKind::None ||
-                            replayable(spec))
-                            submitReplay(&spec, trace);
+                        if (&spec == skip)
+                            continue;
+                        if (spec.probe == ProbeKind::CacheSim)
+                            caches.push_back(&spec);
+                        else if (replayable(spec))
+                            submitReplay({&spec}, t);
                         else
                             submitDirect(&spec);
                     }
+                    if (!caches.empty())
+                        submitReplay(std::move(caches), t);
+                };
+
+                if (trace) {
+                    // Stored-trace path: replay everything replayable,
+                    // simulate the rest against the (reloaded) image.
+                    fanOut(trace, nullptr);
                     return;
                 }
 
@@ -498,13 +519,9 @@ SweepEngine::run()
                 // Simulate once under the trace probe; the capture IS
                 // the first base job's run. The capture machine is the
                 // node's capture slice (forwarding/depth at
-                // bp=DelaySlot); branch-policy siblings and the
-                // cache/fetch-buffer keys each fan out one cheap
-                // replay. Non-replayable jobs (imm classification)
-                // still simulate against the shared image.
+                // bp=DelaySlot); the other jobs fan out from it.
                 pool.submit([this, n, image, predecoded, blocks,
-                             baseSpec, submitDirect, submitReplay,
-                             contentKey, &timingMutex] {
+                             baseSpec, fanOut, contentKey, &timingMutex] {
                     sim::MachineConfig captureCfg;
                     captureCfg.uarch =
                         n->runs.front().uarch.captureConfig();
@@ -528,14 +545,7 @@ SweepEngine::run()
                         if (baseSpec)
                             ++timing_.executedRuns;
                     }
-                    for (const JobSpec &spec : n->runs) {
-                        if (&spec == baseSpec)
-                            continue;
-                        if (replayable(spec))
-                            submitReplay(&spec, captured);
-                        else
-                            submitDirect(&spec);
-                    }
+                    fanOut(captured, baseSpec);
                 });
             });
         }

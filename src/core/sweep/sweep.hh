@@ -118,7 +118,8 @@ class SweepEngine
      * Trace-replay mode (default on): a build node with more than one
      * replayable job simulates its image once under a TraceProbe and
      * evaluates the cache/fetch-buffer variants from the recorded
-     * streams. Results are bit-identical either way (the golden gate
+     * streams (the node's cache variants in one replayJobs() pass).
+     * Results are bit-identical either way (the golden gate
      * runs both); off re-simulates every job as a correctness
      * cross-check and for A/B timing.
      */

@@ -8,9 +8,10 @@
  * on read misses, no prefetch on writes, write-allocate, write-back.
  *
  * Each frame holds one tag plus per-sub-block valid and dirty bits
- * (a "sector cache"): a read that hits the tag but misses its
- * sub-block counts as a miss and fills the invalid sub-blocks of the
- * block; a write miss fetches only the written sub-block.
+ * (a "sector cache"), kept as 64-bit masks, so a block has at most 64
+ * sub-blocks: a read that hits the tag but misses its sub-block counts
+ * as a miss and fills the invalid sub-blocks of the block; a write
+ * miss fetches only the written sub-block.
  *
  * Traffic is counted in 32-bit words: wordsIn (memory -> cache fills
  * and prefetches) and wordsOut (dirty write-backs), the quantities
@@ -76,6 +77,30 @@ struct CacheStats
     uint64_t wordsTransferred() const { return wordsIn + wordsOut; }
 };
 
+/**
+ * The shift/mask form of a CacheConfig's geometry. of() holds the
+ * model's structural checks — every dimension a power of two,
+ * sub-blocks of 4..blockBytes bytes, at most 64 sub-blocks per block
+ * (the width of a frame's sector masks), at least one set — and is
+ * FatalError on a geometry that fails them. Every evaluator of a
+ * CacheConfig (Cache, and the trace-replay fast path) derives its
+ * indexing here, so they accept exactly the same configurations.
+ */
+struct CacheGeometry
+{
+    uint32_t numSets = 0;
+    uint32_t subPerBlock = 0;
+    uint32_t wordsPerSub = 0;
+    uint32_t blockShift = 0;  //!< log2(blockBytes)
+    uint32_t subShift = 0;    //!< log2(subBlockBytes)
+    uint32_t setShift = 0;    //!< log2(numSets)
+    uint32_t setMask = 0;     //!< numSets - 1
+    uint32_t blockMask = 0;   //!< blockBytes - 1
+    uint64_t fullMask = 0;    //!< one bit per sub-block
+
+    static CacheGeometry of(const CacheConfig &config);
+};
+
 class Cache
 {
   public:
@@ -96,10 +121,13 @@ class Cache
     /**
      * `count` sequential reads of `size` bytes each, starting at
      * `addr` and advancing by `size` — exactly equivalent to calling
-     * read() `count` times, but references after the first to one
-     * sub-block are folded into the counters (they are guaranteed
-     * hits: nothing can evict the sub-block between them). This is the
-     * trace-replay fast path for instruction streams.
+     * read() `count` times, but only the first reference to a
+     * sub-block goes through access(). The rest are guaranteed hits
+     * (nothing can evict between them) and are folded into the
+     * counters: to the end of the sub-block, or to the end of the
+     * whole block once every sub-block of the frame is valid (as
+     * wrap-around prefetch leaves it after a read miss). This is the
+     * generic trace-replay path for instruction streams.
      */
     void readSeq(uint32_t addr, int size, uint32_t count);
 
@@ -109,36 +137,21 @@ class Cache
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
 
-    uint32_t numSets() const { return numSets_; }
-    uint32_t subBlocksPerBlock() const { return subPerBlock_; }
-
   private:
     struct Frame
     {
         uint32_t tag = 0;
-        bool anyValid = false;
+        uint64_t valid = 0;  //!< one bit per sub-block; 0 = empty frame
+        uint64_t dirty = 0;  //!< subset of valid
         uint64_t lastUse = 0;
-        std::vector<bool> valid;
-        std::vector<bool> dirty;
     };
 
+    Frame *find(uint32_t set, uint32_t tag);
     Frame &findVictim(uint32_t set);
     void evict(Frame &frame);
 
     CacheConfig config_;
-    uint32_t numSets_ = 0;
-    uint32_t subPerBlock_ = 0;
-    uint32_t wordsPerSub_ = 0;
-
-    // Shift/mask forms of the geometry divisors. Every dimension is a
-    // power of two (asserted in the constructor), so set indexing and
-    // sub-block selection are single-cycle bit operations on the
-    // access hot path.
-    uint32_t blockShift_ = 0;  //!< log2(blockBytes)
-    uint32_t subShift_ = 0;    //!< log2(subBlockBytes)
-    uint32_t setShift_ = 0;    //!< log2(numSets)
-    uint32_t setMask_ = 0;     //!< numSets - 1
-    uint32_t blockMask_ = 0;   //!< blockBytes - 1
+    CacheGeometry geom_;
     uint64_t useClock_ = 0;
     std::vector<Frame> frames_;  //!< numSets x assoc
     CacheStats stats_;

@@ -12,13 +12,22 @@
  * hit/miss, and every stream must end with identical traffic
  * classification (reads/writes/read-misses/write-misses/words-in/
  * words-out), including after a flush.
+ *
+ * A second leg holds replay::replayCaches() — whose I-side serves
+ * direct-mapped prefetching configurations with the inclusive
+ * multi-size evaluator and the rest with mem::Cache::readSeq — to the
+ * same reference driven one fetch at a time, over seeded random
+ * fetch-run streams at both instruction widths.
  */
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/replay/replay.hh"
 #include "mem/cache.hh"
 
 using namespace d16sim;
@@ -259,4 +268,118 @@ TEST(CacheDifferential, RandomStreamsMatchReferenceModel)
     }
     EXPECT_EQ(totalAccesses,
               static_cast<uint64_t>(streams) * accessesPerStream);
+}
+
+namespace
+{
+
+/** `count` random fetch runs: sequential stretches joined by jumps,
+ *  half of them short (loops and nearby calls, so blocks are reused)
+ *  and half anywhere in a 64 KiB text (conflicts across every size up
+ *  to 16 KiB). */
+std::vector<core::replay::FetchRun>
+randomFetchRuns(std::mt19937 &rng, uint32_t insnBytes, int count)
+{
+    std::uniform_int_distribution<uint32_t> lenDist(1, 48);
+    std::uniform_int_distribution<uint32_t> farDist(0, 0xffff);
+    std::uniform_int_distribution<int> nearDist(-96, 32);
+    std::bernoulli_distribution far(0.5);
+    std::vector<core::replay::FetchRun> runs;
+    uint32_t pc = 0x1000;
+    for (int i = 0; i < count; ++i) {
+        const uint32_t len = lenDist(rng);
+        runs.push_back({pc, len});
+        const uint32_t next = pc + len * insnBytes;
+        pc = far(rng) ? farDist(rng)
+                      : next + static_cast<uint32_t>(nearDist(rng)) *
+                                   insnBytes;
+        pc &= 0xffff & ~(insnBytes - 1);
+    }
+    return runs;
+}
+
+/** The I-configs one replayCaches() call evaluates: the paper's 20
+ *  (1K-16K x 8-64 B blocks, sub-block min(block, 8)), their
+ *  sub-block-4 variants, a 64-sub-block geometry, and configurations
+ *  the inclusive evaluator must leave to the generic model
+ *  (set-associative, prefetch off). */
+std::vector<mem::CacheConfig>
+fetchConfigs()
+{
+    std::vector<mem::CacheConfig> out;
+    for (uint32_t sub : {8u, 4u}) {
+        for (uint32_t kb : {1u, 2u, 4u, 8u, 16u}) {
+            for (uint32_t block : {8u, 16u, 32u, 64u}) {
+                mem::CacheConfig cfg;
+                cfg.sizeBytes = kb * 1024;
+                cfg.blockBytes = block;
+                cfg.subBlockBytes = std::min(block, sub);
+                out.push_back(cfg);
+            }
+        }
+    }
+    mem::CacheConfig wide;
+    wide.sizeBytes = 16384;
+    wide.blockBytes = 256;
+    wide.subBlockBytes = 4;
+    out.push_back(wide);
+    wide.assoc = 2;
+    out.push_back(wide);
+    for (uint32_t assoc : {2u, 4u}) {
+        mem::CacheConfig cfg;
+        cfg.sizeBytes = 2048;
+        cfg.blockBytes = 16;
+        cfg.subBlockBytes = 4;
+        cfg.assoc = assoc;
+        out.push_back(cfg);
+    }
+    for (uint32_t block : {16u, 32u}) {
+        mem::CacheConfig cfg;
+        cfg.sizeBytes = 4096;
+        cfg.blockBytes = block;
+        cfg.prefetchWrapAround = false;
+        out.push_back(cfg);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CacheDifferential, ReplayedFetchRunsMatchReferenceModel)
+{
+    const std::vector<mem::CacheConfig> cfgs = fetchConfigs();
+    int checked = 0;
+    for (uint32_t insnBytes : {2u, 4u}) {
+        for (int stream = 0; stream < 8; ++stream) {
+            std::mt19937 rng(0xfe7c4 + stream * 2 + insnBytes);
+            core::replay::Trace trace;
+            trace.insnBytes = insnBytes;
+            trace.runs = randomFetchRuns(rng, insnBytes, 3000);
+
+            std::vector<core::replay::CacheEval> evals(cfgs.size());
+            for (size_t i = 0; i < cfgs.size(); ++i)
+                evals[i].icache = cfgs[i];
+            core::replay::replayCaches(trace, evals);
+
+            for (size_t i = 0; i < cfgs.size(); ++i) {
+                ReferenceCache ref(cfgs[i]);
+                for (const core::replay::FetchRun &r : trace.runs)
+                    for (uint32_t j = 0; j < r.count; ++j)
+                        ref.access(r.startPc + j * insnBytes,
+                                   static_cast<int>(insnBytes), false);
+                const mem::CacheConfig &c = cfgs[i];
+                expectStatsEqual(
+                    evals[i].icacheStats, ref.stats(),
+                    "insnBytes " + std::to_string(insnBytes) +
+                        " stream " + std::to_string(stream) + " config " +
+                        std::to_string(c.sizeBytes) + ":" +
+                        std::to_string(c.blockBytes) + ":" +
+                        std::to_string(c.subBlockBytes) + ":" +
+                        std::to_string(c.assoc) +
+                        (c.prefetchWrapAround ? "" : " no-prefetch"));
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * 8 * static_cast<int>(cfgs.size()));
 }

@@ -196,6 +196,15 @@ TEST(Cache, GeometryValidation)
     bad = smallConfig();
     bad.subBlockBytes = 64;  // bigger than block
     EXPECT_THROW(Cache{bad}, FatalError);
+    // A frame's sector state is a 64-bit mask: 128 sub-blocks per
+    // block is rejected, 64 is the largest accepted.
+    bad = smallConfig();
+    bad.sizeBytes = 4096;
+    bad.blockBytes = 512;
+    bad.subBlockBytes = 4;
+    EXPECT_THROW(Cache{bad}, FatalError);
+    bad.subBlockBytes = 8;
+    EXPECT_NO_THROW(Cache{bad});
 }
 
 TEST(Cache, AccessValidation)

@@ -151,29 +151,102 @@ TEST(Replay, FetchRequestsMatchDirectSimulation)
     }
 }
 
+/** The full matrix's 20 §4.1 cache configurations (1K-16K x 8-64 B
+ *  blocks), in key order. */
+std::vector<mem::CacheConfig>
+paperCacheConfigs()
+{
+    std::map<std::string, mem::CacheConfig> unique;
+    for (const sweep::JobSpec &j : sweep::fullMatrix())
+        if (j.probe == sweep::ProbeKind::CacheSim)
+            unique.emplace(sweep::cacheKey(j.icache), j.icache);
+    std::vector<mem::CacheConfig> out;
+    for (const auto &[key, cfg] : unique)
+        out.push_back(cfg);
+    return out;
+}
+
+void
+expectStatsEqual(const mem::CacheStats &got, const mem::CacheStats &want,
+                 const std::string &where)
+{
+    EXPECT_EQ(got.reads, want.reads) << where;
+    EXPECT_EQ(got.writes, want.writes) << where;
+    EXPECT_EQ(got.readMisses, want.readMisses) << where;
+    EXPECT_EQ(got.writeMisses, want.writeMisses) << where;
+    EXPECT_EQ(got.wordsIn, want.wordsIn) << where;
+    EXPECT_EQ(got.wordsOut, want.wordsOut) << where;
+}
+
 TEST(Replay, SinglePassMatchesIndependentPasses)
 {
-    const assem::Image image = build(kProgram, CompileOptions::d16());
-    const Trace trace = replay::capture(image);
+    // One replayCaches() call over the paper's 20 configurations (the
+    // inclusive I-side evaluator) plus a 2-way one (the generic
+    // model) must match one independent pass per configuration, and
+    // direct simulation under a CacheProbe.
+    for (const CompileOptions &opts :
+         {CompileOptions::d16(), CompileOptions::dlxe()}) {
+        const assem::Image image = build(kProgram, opts);
+        const Trace trace = replay::capture(image);
 
-    std::vector<replay::CacheEval> evals(3);
-    for (size_t i = 0; i < evals.size(); ++i) {
-        evals[i].icache.sizeBytes = 256u << i;
-        evals[i].icache.blockBytes = 16;
-        evals[i].dcache = evals[i].icache;
-    }
-    replay::replayCaches(trace, evals);
+        std::vector<mem::CacheConfig> cfgs = paperCacheConfigs();
+        ASSERT_EQ(cfgs.size(), 20u);
+        mem::CacheConfig twoWay = cfgs.front();
+        twoWay.assoc = 2;
+        cfgs.push_back(twoWay);
 
-    for (const replay::CacheEval &e : evals) {
-        const auto [istats, dstats] =
-            replay::replayCache(trace, e.icache, e.dcache);
-        EXPECT_EQ(e.icacheStats.misses(), istats.misses());
-        EXPECT_EQ(e.icacheStats.wordsTransferred(),
-                  istats.wordsTransferred());
-        EXPECT_EQ(e.dcacheStats.misses(), dstats.misses());
-        EXPECT_EQ(e.dcacheStats.wordsTransferred(),
-                  dstats.wordsTransferred());
+        std::vector<replay::CacheEval> evals(cfgs.size());
+        for (size_t i = 0; i < cfgs.size(); ++i)
+            evals[i].icache = evals[i].dcache = cfgs[i];
+        replay::replayCaches(trace, evals);
+
+        for (const replay::CacheEval &e : evals) {
+            const std::string where = sweep::cacheKey(e.icache);
+            const auto [istats, dstats] =
+                replay::replayCache(trace, e.icache, e.dcache);
+            expectStatsEqual(e.icacheStats, istats, where);
+            expectStatsEqual(e.dcacheStats, dstats, where);
+
+            CacheProbe probe(e.icache, e.dcache);
+            probe.setInsnBytes(static_cast<int>(trace.insnBytes));
+            run(image, {&probe});
+            expectStatsEqual(e.icacheStats, probe.icache().stats(), where);
+            expectStatsEqual(e.dcacheStats, probe.dcache().stats(), where);
+        }
     }
+}
+
+TEST(Replay, EngineCacheMatrixMatchesNoReplay)
+{
+    // Build nodes with 20 cache siblings each: the engine hands them
+    // to one replayJobs() pass per node, and the document must be
+    // byte-identical to re-simulating every job (d16sweep
+    // --no-replay).
+    std::vector<sweep::JobSpec> jobs;
+    for (const char *name : {"solver", "bubblesort"})
+        for (const CompileOptions &opts :
+             {CompileOptions::d16(), CompileOptions::dlxe()})
+            for (const mem::CacheConfig &cfg : paperCacheConfigs())
+                jobs.push_back(sweep::JobSpec::cache(name, opts, cfg, cfg));
+    ASSERT_EQ(jobs.size(), 80u);
+
+    auto sweepDoc = [&](bool replayOn, sweep::SweepTiming *timing) {
+        sweep::ResultStore store;
+        sweep::SweepEngine engine(store, 2);
+        engine.setReplay(replayOn);
+        engine.add(jobs);
+        engine.run();
+        *timing = engine.timing();
+        return sweep::sweepJson(store, nullptr).dump();
+    };
+    sweep::SweepTiming on, off;
+    const std::string replayed = sweepDoc(true, &on);
+    const std::string direct = sweepDoc(false, &off);
+    EXPECT_EQ(replayed, direct);
+    EXPECT_EQ(on.capturedTraces, 4);
+    EXPECT_EQ(on.replayedRuns, 80);
+    EXPECT_EQ(off.replayedRuns, 0);
+    EXPECT_EQ(off.executedRuns, 80);
 }
 
 TEST(Replay, SmokeMatrixJobsMatchDirectExecution)
