@@ -92,13 +92,16 @@ BENCHMARK(BM_SimulateQueens)->Unit(benchmark::kMillisecond);
 static void
 BM_SimulateQueensPredecoded(benchmark::State &state)
 {
-    // The sweep engine's configuration: one decode table built up
-    // front and shared by every run of the image.
+    // The sweep engine's configuration: one decode table and one block
+    // program built up front and shared by every run of the image, so
+    // this times the block engine (BM_SimulateQueens times step()).
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
     const auto text = std::make_shared<const sim::DecodedText>(img);
+    const auto blocks = core::buildBlockProgram(img, text);
     for (auto _ : state) {
         sim::Machine m(img, {}, text);
+        m.setBlockProgram(blocks);
         m.run();
         benchmark::DoNotOptimize(m.stats().instructions);
     }
@@ -121,6 +124,29 @@ BM_TraceCaptureQueens(benchmark::State &state)
                             static_cast<int64_t>(1639487));
 }
 BENCHMARK(BM_TraceCaptureQueens)->Unit(benchmark::kMillisecond);
+
+static void
+BM_ReplayTimingQueens(benchmark::State &state)
+{
+    // One non-default capture slice (fwd=on, depth=7) retimed from the
+    // default machine's trace: the scoreboard-only walk the sweep
+    // engine runs instead of a capture at that slice.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe());
+    const sim::DecodedText text(img);
+    const auto trace = core::replay::capture(img);
+    const core::replay::TimingTable table(img, text);
+    sim::UarchConfig slice;
+    slice.forward = true;
+    slice.depth = 7;
+    for (auto _ : state) {
+        const auto timed = core::replay::replayTiming(trace, table, slice);
+        benchmark::DoNotOptimize(timed.loadInterlocks);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(1639487));
+}
+BENCHMARK(BM_ReplayTimingQueens)->Unit(benchmark::kMillisecond);
 
 static void
 BM_ReplayCacheQueens(benchmark::State &state)

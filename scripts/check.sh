@@ -1,11 +1,12 @@
 #!/bin/sh
 # CI gate: tier-1 build + tests, sanitizer build + tests, and the
 # toolchain verification layer over every workload on both targets.
-# Replay on vs --no-replay is compared twice: on the smoke matrix
-# against its golden, and on the full matrix restricted to the §4.1
+# Replay on vs --no-replay is compared three times: on the smoke
+# matrix against its golden, on the full matrix restricted to the §4.1
 # cache benchmarks ("cache matrix, replay on vs --no-replay"), where
 # every build node carries the 20 cache siblings one replay pass
-# evaluates together.
+# evaluates together, and on the uarch matrix, where every non-default
+# forwarding/depth slice is retimed from the default machine's trace.
 #
 #   scripts/check.sh            run everything
 #   SKIP_SANITIZE=1 ...         skip the ASan/UBSan and TSan builds
@@ -76,6 +77,15 @@ echo "== d16sweep: uarch matrix vs golden (fwd/bp/depth axes) =="
 ./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" --no-timing \
     --json build/sweep_uarch.json \
     --golden tests/golden/sweep_uarch_golden.json
+
+echo "== d16sweep: uarch matrix, replay on vs --no-replay (A/B) =="
+# Replay on, every image is captured once on the default machine and
+# each other forwarding/depth slice is retimed from that trace (timing
+# replay); --no-replay simulates every job on its own machine.
+./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" --no-timing \
+    --no-replay --json build/sweep_uarch_noreplay.json
+cmp build/sweep_uarch.json build/sweep_uarch_noreplay.json
+echo "   uarch matrix replay on/off byte-identical"
 
 echo "== d16sweep: uarch matrix, --no-block-engine (A/B) =="
 # Block dispatch runs under every uarch config, so this A/B compares
@@ -148,7 +158,8 @@ echo "== d16tv: translation validation, full workload x variant x opt matrix =="
 echo "== d16fuzz: corpus replay + 200-seed differential fuzz =="
 # Each seed is a three-way differential: oracle vs step dispatch vs
 # the block-compiled threaded-code engine (output, exit status, and
-# every SimStats counter).  Every compile also runs per-pass
+# every SimStats counter), plus the default trace retimed to the
+# fwd=on,bp=bimodal6,depth=7 machine against its step run.  Every compile also runs per-pass
 # translation validation (validateEach), so each seed is a static
 # equivalence check on top of the execution differential.
 ./build/tools/d16fuzz --corpus tests/corpus --seeds 200 --jobs "$JOBS"
@@ -179,6 +190,13 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     ./build-tsan/tools/d16sweep --smoke --jobs 8 \
         --json build-tsan/sweep.json \
         --golden tests/golden/sweep_golden.json
+
+    # Every non-default slice is retimed on its own worker from the
+    # one shared trace and timing table per image.
+    echo "== sanitizers: TSan d16sweep uarch matrix, 8 workers =="
+    ./build-tsan/tools/d16sweep --uarch-matrix --jobs 8 \
+        --json build-tsan/sweep_uarch.json \
+        --golden tests/golden/sweep_uarch_golden.json
 
     echo "== sanitizers: TSan d16fuzz 24-seed burst =="
     ./build-tsan/tools/d16fuzz --seeds 24 --jobs 8

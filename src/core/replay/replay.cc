@@ -166,16 +166,26 @@ replayFetchRequests(const Trace &trace, uint32_t busBytes)
     return requests;
 }
 
+namespace
+{
+
+/** FatalError unless `uarch` shares the capture slice `timed` (the
+ *  slice whose scoreboard counters the caller holds). */
+void
+checkSlice(const sim::UarchConfig &timed, const sim::UarchConfig &uarch)
+{
+    if (!(timed.captureConfig() == uarch.captureConfig()))
+        fatal("replay: trace timed at uarch '", timed.captureKey(),
+              "' cannot replay capture slice '", uarch.captureKey(), "'");
+}
+
+/** The branch-policy statistics for `uarch`. Their inputs — the
+ *  taken-branch count and the outcome stream — are the same at every
+ *  capture slice. */
 BranchReplayStats
-branchStatsFor(const Trace &trace, const sim::UarchConfig &uarch)
+branchStats(const Trace &trace, const sim::UarchConfig &uarch)
 {
     using sim::BranchPolicy;
-
-    if (!(trace.capturedUarch.captureConfig() == uarch.captureConfig()))
-        fatal("replay: trace captured at uarch '",
-              trace.capturedUarch.captureKey(),
-              "' cannot replay branch stats for capture slice '",
-              uarch.captureKey(), "'");
 
     sim::BranchModel model(uarch, trace.insnBytes == 2 ? 1 : 2);
     BranchReplayStats out;
@@ -197,6 +207,32 @@ branchStatsFor(const Trace &trace, const sim::UarchConfig &uarch)
         out.mispredicts += mispredicted ? 1 : 0;
     }
     return out;
+}
+
+} // namespace
+
+BranchReplayStats
+branchStatsFor(const Trace &trace, const sim::UarchConfig &uarch)
+{
+    checkSlice(trace.capturedUarch, uarch);
+    return branchStats(trace, uarch);
+}
+
+RunMeasurement
+replayRun(const Trace &trace, const sim::UarchConfig &uarch,
+          const TimingReplayStats *retimed)
+{
+    checkSlice(retimed ? retimed->slice : trace.capturedUarch, uarch);
+    RunMeasurement run = trace.base;
+    if (retimed) {
+        run.stats.loadInterlocks = retimed->loadInterlocks;
+        run.stats.fpInterlocks = retimed->fpInterlocks;
+        run.stats.fwdSavedStalls = retimed->fwdSavedStalls;
+    }
+    const BranchReplayStats bs = branchStats(trace, uarch);
+    run.stats.branchStalls = bs.branchStalls;
+    run.stats.mispredicts = bs.mispredicts;
+    return run;
 }
 
 } // namespace d16sim::core::replay

@@ -18,6 +18,16 @@
  * size. Set-associative or prefetch-off I-configs and every D-cache
  * run the generic mem::Cache. The sweep engine hands each build
  * node's cache siblings to one call (sweep::replayJobs).
+ *
+ * The pipeline's own counters replay too. Branch penalties are
+ * additive accounting over the branch-outcome stream
+ * (branchStatsFor), and the issue-time scoreboard reads nothing but
+ * each instruction's op and register numbers, so the interlock
+ * counters of any forwarding/depth slice are a function of the
+ * dynamic pc sequence — the trace's fetch runs. replayTiming() walks
+ * them through a per-image TimingTable; the sweep engine captures
+ * each image once, on the default machine, and retimes every other
+ * slice from that trace.
  */
 
 #ifndef D16SIM_CORE_REPLAY_REPLAY_HH
@@ -28,6 +38,7 @@
 
 #include "core/replay/trace.hh"
 #include "mem/cache.hh"
+#include "sim/machine.hh"
 
 namespace d16sim::core::replay
 {
@@ -81,6 +92,97 @@ struct BranchReplayStats
  */
 BranchReplayStats branchStatsFor(const Trace &trace,
                                  const sim::UarchConfig &uarch);
+
+/**
+ * The issue-time scoreboard's view of an image's text section: one
+ * slot per instruction word, built once per image and shared by every
+ * slice's replayTiming(). A slot holds what Machine::execute() feeds
+ * the scoreboard — the GPR/FPR/status sources in the order it reads
+ * them and the destination with its latency (t+1, the load delay, or
+ * an FP latency). Emitted instructions come from the predecoded table,
+ * every other word (in-text pools) is decoded from the image, as the
+ * machine decodes it from memory; a word that does not decode, or an
+ * op the machine cannot execute, gets an empty slot (a capture that
+ * reached one would have failed).
+ */
+class TimingTable
+{
+  public:
+    TimingTable(const assem::Image &image, const sim::DecodedText &text,
+                const sim::FpLatencies &fpu = {});
+
+    /** Scoreboard entries: GPRs, FPRs, the FP status flag, an entry
+     *  that is never written (an absent source) and one that is never
+     *  read (an absent or discarded destination). */
+    static constexpr uint8_t FprBase = 32;
+    static constexpr uint8_t Status = 64;
+    static constexpr uint8_t None = 65;
+    static constexpr uint8_t Sink = 66;
+    static constexpr size_t Entries = 67;
+
+    /** Slot latencies that are not cycle counts: the machine's load
+     *  delay (uarch-dependent), and a store, whose second source is the
+     *  data operand the forwarding bypass serves. */
+    static constexpr uint8_t LoadLatency = 0;
+    static constexpr uint8_t StoreData = 0xff;
+
+    struct Slot
+    {
+        uint8_t src0 = None;
+        uint8_t src1 = None;
+        uint8_t dst = Sink;
+        uint8_t lat = 1;
+    };
+
+    uint32_t base() const { return base_; }
+    uint32_t end() const { return end_; }
+    unsigned insnShift() const { return shift_; }
+    const std::vector<Slot> &slots() const { return slots_; }
+
+  private:
+    uint32_t base_ = 0;
+    uint32_t end_ = 0;
+    unsigned shift_ = 2;
+    std::vector<Slot> slots_;
+};
+
+/** The scoreboard counters of one capture slice, recomputed from a
+ *  trace by replayTiming(). */
+struct TimingReplayStats
+{
+    sim::UarchConfig slice;  //!< the capture slice they hold for
+    uint64_t loadInterlocks = 0;
+    uint64_t fpInterlocks = 0;
+    uint64_t fwdSavedStalls = 0;
+};
+
+/**
+ * True when replayTiming() is exact for `trace` on `table`'s image:
+ * every fetch run is instruction-aligned inside the text section, and
+ * no data write lands in it. (A store into the text section can change
+ * what a later fetch of a pool word decodes to in the live machine,
+ * which the table, decoded from the image, would not see.)
+ */
+bool timingReplayable(const Trace &trace, const TimingTable &table);
+
+/**
+ * Recompute loadInterlocks, fpInterlocks and fwdSavedStalls for
+ * `uarch`'s capture slice from a trace of the same image captured at
+ * any slice — exactly what a capture at that slice records. FatalError
+ * unless timingReplayable(trace, table).
+ */
+TimingReplayStats replayTiming(const Trace &trace, const TimingTable &table,
+                               const sim::UarchConfig &uarch);
+
+/**
+ * The measurement a run on `uarch` reports, from a trace: the capture's
+ * run, with the branch-policy statistics recomputed for `uarch` and,
+ * given `retimed` (replayTiming() of the same trace), its scoreboard
+ * counters in place of the capture's. FatalError if `uarch`'s capture
+ * slice differs from the trace's (or from `retimed`'s).
+ */
+RunMeasurement replayRun(const Trace &trace, const sim::UarchConfig &uarch,
+                         const TimingReplayStats *retimed = nullptr);
 
 } // namespace d16sim::core::replay
 

@@ -23,20 +23,6 @@ namespace d16sim::core::service
 namespace
 {
 
-/** Deterministic shard assignment (FNV-1a over the build key): jobs
- *  sharing a build node always land in the same lane, preserving the
- *  engine's build deduplication. */
-uint32_t
-fnv1a(const std::string &s)
-{
-    uint32_t h = 2166136261u;
-    for (char c : s) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 16777619u;
-    }
-    return h;
-}
-
 Json
 okReply()
 {
@@ -161,6 +147,19 @@ SweepServer::handleClient(int fd)
     return true;
 }
 
+size_t
+SweepServer::laneOf(const sweep::JobSpec &spec, int shards)
+{
+    // FNV-1a over the image key: deterministic, and jobs sharing a
+    // build node never split across lanes.
+    uint32_t h = 2166136261u;
+    for (char c : sweep::imageKey(spec)) {
+        h ^= static_cast<uint8_t>(c);
+        h *= 16777619u;
+    }
+    return h % static_cast<uint32_t>(shards);
+}
+
 void
 SweepServer::handleSweep(int fd, const Json &request)
 {
@@ -197,7 +196,8 @@ SweepServer::handleSweep(int fd, const Json &request)
     };
 
     // Rows the memory cache already holds stream immediately; the
-    // remainder is partitioned by build key across the shard lanes.
+    // remainder is partitioned by image across the shard lanes, so
+    // every slice of an image shares one lane's build node.
     std::vector<std::vector<sweep::JobSpec>> lanes(
         static_cast<size_t>(cfg_.shards));
     size_t fresh = 0;
@@ -209,9 +209,7 @@ SweepServer::handleSweep(int fd, const Json &request)
             continue;
         }
         ++fresh;
-        lanes[fnv1a(sweep::buildKey(spec)) %
-              static_cast<uint32_t>(cfg_.shards)]
-            .push_back(std::move(spec));
+        lanes[laneOf(spec, cfg_.shards)].push_back(std::move(spec));
     }
 
     sweep::SweepTiming total;
@@ -233,28 +231,10 @@ SweepServer::handleSweep(int fd, const Json &request)
                     engine.setResultCallback(send);
                     engine.add(std::move(lane));
                     engine.run();
-                    const sweep::SweepTiming &t = engine.timing();
-                    std::lock_guard<std::mutex> guard(aggMutex);
-                    total.threads += t.threads;
-                    total.executedRuns += t.executedRuns;
-                    total.executedBuilds += t.executedBuilds;
-                    total.dedupedRuns += t.dedupedRuns;
-                    total.cachedRuns += t.cachedRuns;
-                    total.replayedRuns += t.replayedRuns;
-                    total.capturedTraces += t.capturedTraces;
-                    total.storeResultHits += t.storeResultHits;
-                    total.storeImageHits += t.storeImageHits;
-                    total.storeTraceHits += t.storeTraceHits;
-                    total.storeMisses += t.storeMisses;
-                    total.simulatedInstructions +=
-                        t.simulatedInstructions;
                     // Lanes run concurrently: wall is the slowest lane,
-                    // busy time sums.
-                    total.wallSeconds =
-                        std::max(total.wallSeconds, t.wallSeconds);
-                    total.buildSeconds += t.buildSeconds;
-                    total.simulateSeconds += t.simulateSeconds;
-                    total.replaySeconds += t.replaySeconds;
+                    // counts and busy time sum.
+                    std::lock_guard<std::mutex> guard(aggMutex);
+                    total.merge(engine.timing());
                 } catch (const Error &e) {
                     std::lock_guard<std::mutex> guard(aggMutex);
                     if (firstError.empty())

@@ -7,7 +7,7 @@
  * overlapping matrices amortize: the first request fills the stores,
  * later ones stream straight from memory (no build, no simulation, no
  * disk read). A cold request is sharded: its jobs are partitioned by
- * build key across `shards` concurrent SweepEngine lanes (each a
+ * image across `shards` concurrent SweepEngine lanes (each a
  * `jobs`-thread engine) sharing the store, and every result row is
  * streamed to the client the moment it lands.
  *
@@ -54,6 +54,10 @@ class SweepServer
     void serve();
 
     const std::string &socketPath() const { return cfg_.socketPath; }
+
+    /** The shard lane (of `shards`) a request's fresh job runs on:
+     *  every job of one image shares a lane, and so its build node. */
+    static size_t laneOf(const sweep::JobSpec &spec, int shards);
 
   private:
     /** One connection: handle requests until EOF. Returns false when

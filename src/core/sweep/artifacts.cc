@@ -450,7 +450,10 @@ liveKeys(const std::vector<JobSpec> &jobs)
     std::map<store::Kind, std::set<std::string>> live;
     for (const JobSpec &spec : jobs) {
         live[store::Kind::Result].insert(jobContentKey(spec));
-        const std::string bkey = buildContentKey(spec);
+        // The engine keeps every slice's artifacts under the image's
+        // default-slice build key.
+        const std::string bkey =
+            buildContentKey(JobSpec::base(spec.workload, spec.opts));
         live[store::Kind::Image].insert(bkey);
         live[store::Kind::Trace].insert(bkey);
         live[store::Kind::Meta].insert(bkey);

@@ -17,10 +17,12 @@
  * (one line per component, '\n'-terminated; the exact preimage is
  * assembled in jobContentKey()). The build-level key is the same
  * preimage with "probe:base" and the uarch *capture* slice
- * (UarchConfig::captureKey(): forwarding/depth only) — images,
- * traces, and block tables are per-build artifacts shared by every
- * probe job and branch-policy sibling of the pair. v2 added the uarch
- * line (and, in the result payload, the branch-policy counters).
+ * (UarchConfig::captureKey(): forwarding/depth only). The sweep engine
+ * stores every per-image artifact — image, block table, and the one
+ * default-machine trace every slice replays from — under the default
+ * slice's build key, shared by every probe job and uarch sibling of
+ * the pair. v2 added the uarch line (and, in the result payload, the
+ * branch-policy counters).
  *
  * The toolchain fingerprint is a *declared* version, bumped by hand
  * whenever a compiler/assembler/simulator change can alter any
@@ -110,8 +112,7 @@ void saveResult(store::ArtifactStore &store, const JobSpec &spec,
                 const JobResult &result);
 
 /** The live key set of a job list, for ArtifactStore::gc(): result
- *  keys for every job plus image/trace/meta keys for every build
- *  node. */
+ *  keys for every job plus image/trace/meta keys for every image. */
 std::map<store::Kind, std::set<std::string>>
 liveKeys(const std::vector<JobSpec> &jobs);
 

@@ -1,5 +1,7 @@
 #include "core/sweep/result_store.hh"
 
+#include <chrono>
+
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
 #include "core/workloads.hh"
@@ -65,9 +67,15 @@ cacheKey(const mem::CacheConfig &cfg)
 }
 
 std::string
+imageKey(const JobSpec &spec)
+{
+    return spec.workload + "|" + variantKey(spec.opts);
+}
+
+std::string
 buildKey(const JobSpec &spec)
 {
-    std::string key = spec.workload + "|" + variantKey(spec.opts);
+    std::string key = imageKey(spec);
     const std::string u = spec.uarch.captureKey();
     if (!u.empty())
         key += "|uarch:" + u;
@@ -77,7 +85,7 @@ buildKey(const JobSpec &spec)
 std::string
 jobKey(const JobSpec &spec)
 {
-    std::string key = spec.workload + "|" + variantKey(spec.opts);
+    std::string key = imageKey(spec);
     const std::string u = spec.uarch.key();
     if (!u.empty())
         key += "|uarch:" + u;
@@ -162,7 +170,8 @@ replayable(const JobSpec &spec)
 
 std::vector<JobResult>
 replayJobs(const std::vector<const JobSpec *> &specs,
-           const replay::Trace &trace)
+           const replay::Trace &trace,
+           const replay::TimingReplayStats *retimed)
 {
     std::vector<JobResult> out(specs.size());
     std::vector<replay::CacheEval> evals;
@@ -173,16 +182,9 @@ replayJobs(const std::vector<const JobSpec *> &specs,
         JobResult &r = out[i];
         r.probe = spec.probe;
         r.uarch = spec.uarch;
-        r.run = trace.base;
-        // The capture runs the spec's capture slice (forwarding/depth)
-        // at bp=DelaySlot; the branch-policy statistics are recomputed
-        // per sibling from the taken-branch count or the outcome
-        // stream (branchStatsFor also validates the capture-slice
-        // match).
-        const replay::BranchReplayStats bs =
-            replay::branchStatsFor(trace, spec.uarch);
-        r.run.stats.branchStalls = bs.branchStalls;
-        r.run.stats.mispredicts = bs.mispredicts;
+        // The branch-policy statistics are recomputed per sibling;
+        // replayRun also validates the capture-slice match.
+        r.run = replay::replayRun(trace, spec.uarch, retimed);
         switch (spec.probe) {
           case ProbeKind::None:
           case ProbeKind::ImmClass:
@@ -210,6 +212,41 @@ replayJobs(const std::vector<const JobSpec *> &specs,
         out[cacheJobs[k]].icache = evals[k].icacheStats;
         out[cacheJobs[k]].dcache = evals[k].dcacheStats;
     }
+    return out;
+}
+
+std::vector<JobResult>
+replaySlice(const std::vector<const JobSpec *> &specs,
+            const replay::Trace &trace, const replay::TimingTable &table,
+            const assem::Image &image,
+            std::shared_ptr<const sim::DecodedText> predecoded,
+            std::shared_ptr<const sim::BlockProgram> blocks, SliceCost *cost)
+{
+    using Clock = std::chrono::steady_clock;
+    auto since = [](Clock::time_point t) {
+        return std::chrono::duration<double>(Clock::now() - t).count();
+    };
+    SliceCost spent;
+    const sim::UarchConfig slice = specs.front()->uarch.captureConfig();
+    std::vector<JobResult> out;
+    const auto start = Clock::now();
+    if (replay::timingReplayable(trace, table)) {
+        const replay::TimingReplayStats timed =
+            replay::replayTiming(trace, table, slice);
+        out = replayJobs(specs, trace, &timed);
+    } else {
+        sim::MachineConfig cfg;
+        cfg.uarch = slice;
+        const replay::Trace own = replay::capture(
+            image, std::move(predecoded), cfg, std::move(blocks));
+        spent.captured = true;
+        spent.capturedInstructions = own.base.stats.instructions;
+        spent.captureSeconds = since(start);
+        out = replayJobs(specs, own);
+    }
+    spent.replaySeconds = since(start) - spent.captureSeconds;
+    if (cost)
+        *cost = spent;
     return out;
 }
 

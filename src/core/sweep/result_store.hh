@@ -25,6 +25,8 @@
 namespace d16sim::core::replay
 {
 struct Trace;
+struct TimingReplayStats;
+class TimingTable;
 }
 
 namespace d16sim::core::sweep
@@ -59,9 +61,15 @@ std::string variantKey(const mc::CompileOptions &opts);
 /** "size:block:sub:assoc", e.g. "4096:32:8:1". */
 std::string cacheKey(const mem::CacheConfig &cfg);
 
-/** Build-node key: "<workload>|<variant>" plus a "|uarch:..." segment
- *  for a non-default *capture slice* (forwarding/depth only — branch
- *  -policy siblings share one build node and one captured trace). */
+/** Image key: "<workload>|<variant>". Every job of one image — any
+ *  probe, any microarchitecture — shares the sweep engine's build
+ *  node, its compile and its default-machine capture. */
+std::string imageKey(const JobSpec &spec);
+
+/** Capture-slice key: imageKey() plus a "|uarch:..." segment for a
+ *  non-default *capture slice* (forwarding/depth only — branch-policy
+ *  siblings share it): the jobs one capture on that slice's machine
+ *  settles. */
 std::string buildKey(const JobSpec &spec);
 
 /** Full job key: "<workload>|<variant>" plus a "|uarch:..." segment
@@ -127,14 +135,45 @@ JobResult executeJob(const JobSpec &spec, const assem::Image &image,
  *  which traces do not record). */
 bool replayable(const JobSpec &spec);
 
-/** Evaluate replayable jobs of one build node from its recorded
- *  trace. Each run section is the trace's capture measurement; probe
- *  sections are computed by the replay evaluators — bit-identical to
- *  direct simulation. Every cache job's configuration goes through one
- *  replay::replayCaches() call, so the node's cache siblings share the
- *  inclusive I-side pass. */
-std::vector<JobResult> replayJobs(const std::vector<const JobSpec *> &specs,
-                                  const replay::Trace &trace);
+/** Evaluate replayable jobs of one capture slice from a recorded
+ *  trace of their image. Each run section is replay::replayRun(): the
+ *  capture measurement with the job's branch statistics and, given
+ *  `retimed` (the slice's replay::replayTiming() of a trace captured
+ *  at another slice), the slice's scoreboard counters. Probe sections
+ *  are computed by the replay evaluators — bit-identical to direct
+ *  simulation. Every cache job's configuration goes through one
+ *  replay::replayCaches() call, so the slice's cache siblings share
+ *  the inclusive I-side pass. */
+std::vector<JobResult>
+replayJobs(const std::vector<const JobSpec *> &specs,
+           const replay::Trace &trace,
+           const replay::TimingReplayStats *retimed = nullptr);
+
+/** What replaySlice() spent, for the sweep engine's phase accounting:
+ *  a fallback capture is simulate time, the rest replay time. */
+struct SliceCost
+{
+    bool captured = false;     //!< the slice was captured on its machine
+    uint64_t capturedInstructions = 0;
+    double captureSeconds = 0;
+    double replaySeconds = 0;  //!< timing walk and job replays
+};
+
+/**
+ * Evaluate replayable jobs of one capture slice from `trace`, a
+ * capture of their image at another slice: retimed through `table`
+ * (replay::replayTiming) where that is exact, and otherwise — the
+ * trace writes its text section (replay::timingReplayable) — from a
+ * capture of `image` on the slice's own machine. Bit-identical to
+ * direct simulation either way.
+ */
+std::vector<JobResult>
+replaySlice(const std::vector<const JobSpec *> &specs,
+            const replay::Trace &trace, const replay::TimingTable &table,
+            const assem::Image &image,
+            std::shared_ptr<const sim::DecodedText> predecoded,
+            std::shared_ptr<const sim::BlockProgram> blocks,
+            SliceCost *cost = nullptr);
 
 /** replayJobs() of one job. */
 JobResult replayJob(const JobSpec &spec, const replay::Trace &trace);

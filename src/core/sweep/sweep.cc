@@ -223,6 +223,7 @@ SweepTiming::json() const
     j["cachedRuns"] = Json(cachedRuns);
     j["replayedRuns"] = Json(replayedRuns);
     j["capturedTraces"] = Json(capturedTraces);
+    j["retimedSlices"] = Json(retimedSlices);
     j["storeResultHits"] = Json(storeResultHits);
     j["storeImageHits"] = Json(storeImageHits);
     j["storeTraceHits"] = Json(storeTraceHits);
@@ -236,6 +237,28 @@ SweepTiming::json() const
     j["speedup"] = Json(speedup());
     j["simMips"] = Json(simMips());
     return j;
+}
+
+void
+SweepTiming::merge(const SweepTiming &o)
+{
+    threads += o.threads;
+    executedRuns += o.executedRuns;
+    executedBuilds += o.executedBuilds;
+    dedupedRuns += o.dedupedRuns;
+    cachedRuns += o.cachedRuns;
+    replayedRuns += o.replayedRuns;
+    capturedTraces += o.capturedTraces;
+    retimedSlices += o.retimedSlices;
+    storeResultHits += o.storeResultHits;
+    storeImageHits += o.storeImageHits;
+    storeTraceHits += o.storeTraceHits;
+    storeMisses += o.storeMisses;
+    simulatedInstructions += o.simulatedInstructions;
+    wallSeconds = std::max(wallSeconds, o.wallSeconds);
+    buildSeconds += o.buildSeconds;
+    simulateSeconds += o.simulateSeconds;
+    replaySeconds += o.replaySeconds;
 }
 
 SweepEngine::SweepEngine(ResultStore &store, int threads)
@@ -308,14 +331,19 @@ SweepEngine::run()
         }
     }
 
-    // Group runs under their build node.
+    // Group runs under their image: one build node per (workload,
+    // variant), whatever capture slices its jobs run on.
     struct BuildNode
     {
         std::vector<JobSpec> runs;
+        /** Replayable runs by capture-slice key ("" is the default
+         *  machine's), and the rest (imm classification). */
+        std::map<std::string, std::vector<const JobSpec *>> slices;
+        std::vector<const JobSpec *> direct;
     };
     std::map<std::string, BuildNode> graph;
     for (auto &[key, spec] : unique)
-        graph[buildKey(spec)].runs.push_back(std::move(spec));
+        graph[imageKey(spec)].runs.push_back(std::move(spec));
 
     std::mutex timingMutex;
     {
@@ -324,24 +352,32 @@ SweepEngine::run()
             BuildNode *n = &node;
             pool.submit([this, n, &pool, &timingMutex] {
                 // Classify the node's jobs up front: the artifact and
-                // trace decisions depend on the mix. Branch-policy
-                // uarch siblings share this node (buildKey folds the
-                // branch axis away), so several base specs can appear;
-                // the first one rides the capture, the rest replay.
+                // trace decisions depend on the mix. Replayable jobs
+                // group by capture slice (forwarding/depth); the first
+                // default-slice base job rides the capture.
                 const JobSpec *baseSpec = nullptr;
                 int totalReplayable = 0;
-                bool anyDirectProbe = false; //!< non-replayable (imm)
                 for (const JobSpec &spec : n->runs) {
-                    if (spec.probe == ProbeKind::None && !baseSpec)
+                    if (!replayable(spec)) {
+                        n->direct.push_back(&spec);
+                        continue;
+                    }
+                    ++totalReplayable;
+                    const std::string slice = spec.uarch.captureKey();
+                    n->slices[slice].push_back(&spec);
+                    if (!baseSpec && spec.probe == ProbeKind::None &&
+                        slice.empty())
                         baseSpec = &spec;
-                    if (replayable(spec))
-                        ++totalReplayable;
-                    else
-                        anyDirectProbe = true;
                 }
+                const bool anyRetimed =
+                    n->slices.size() > n->slices.count("");
 
+                // Every artifact is the image's, stored under its
+                // default-slice build key.
                 const std::string contentKey =
-                    artifacts_ ? buildContentKey(n->runs.front())
+                    artifacts_ ? buildContentKey(JobSpec::base(
+                                     n->runs.front().workload,
+                                     n->runs.front().opts))
                                : std::string();
 
                 // A stored trace settles every replayable job of the
@@ -368,13 +404,16 @@ SweepEngine::run()
                 const bool capture =
                     !trace && replay_ && totalReplayable >= 2;
 
-                // The image (and its decode/block companions) is only
-                // needed for jobs the trace cannot serve.
-                const bool needImage = !trace || anyDirectProbe;
+                // The image (and its decode/block companions) is needed
+                // by every simulation, and by the timing table that
+                // retimes the non-default slices.
+                const bool simulates = !trace || !n->direct.empty();
+                const bool retime = (trace || capture) && anyRetimed;
                 std::shared_ptr<const assem::Image> image;
                 std::shared_ptr<const sim::DecodedText> predecoded;
                 std::shared_ptr<const sim::BlockProgram> blocks;
-                if (needImage) {
+                std::shared_ptr<const replay::TimingTable> table;
+                if (simulates || retime) {
                     const auto buildStart = Clock::now();
                     bool compiled = false;
                     if (artifacts_) {
@@ -407,30 +446,33 @@ SweepEngine::run()
                     // once per image, shared by every dependent run.
                     // A reloaded image reuses its stored block table
                     // instead of re-running CFG recovery.
-                    if (blockEngine_) {
-                        sim::BlockTable table;
+                    if (blockEngine_ && simulates) {
+                        sim::BlockTable blockTable;
                         bool haveTable = false;
                         if (artifacts_ && !compiled) {
                             std::vector<uint8_t> bytes;
                             if (artifacts_->get(store::Kind::Meta,
                                                 contentKey, &bytes)) {
                                 try {
-                                    table = blockTableFromBytes(bytes);
+                                    blockTable = blockTableFromBytes(bytes);
                                     haveTable = true;
                                 } catch (const Error &) {
                                 }
                             }
                         }
                         if (!haveTable) {
-                            table = recoverBlockTable(*image);
+                            blockTable = recoverBlockTable(*image);
                             if (artifacts_)
                                 artifacts_->put(store::Kind::Meta,
                                                 contentKey,
-                                                blockTableBytes(table));
+                                                blockTableBytes(blockTable));
                         }
-                        blocks =
-                            makeBlockProgram(*image, predecoded, table);
+                        blocks = makeBlockProgram(*image, predecoded,
+                                                  blockTable);
                     }
+                    if (retime)
+                        table = std::make_shared<const replay::TimingTable>(
+                            *image, *predecoded);
                     const double bt = secondsSince(buildStart);
                     {
                         std::lock_guard<std::mutex> lock(timingMutex);
@@ -460,6 +502,7 @@ SweepEngine::run()
                     });
                 };
 
+                // Settle `specs` from the default-slice trace `t`.
                 auto submitReplay =
                     [this, &pool, &timingMutex](
                         std::vector<const JobSpec *> specs,
@@ -480,27 +523,67 @@ SweepEngine::run()
                         });
                     };
 
-                // Settle the node's jobs from a trace, all but `skip`:
-                // one replay task per replayable job, except the cache
-                // siblings, which share one task and one replayCaches()
-                // pass; non-replayable jobs (imm classification)
+                // Settle a non-default slice's jobs from `t`: one task
+                // retimes the trace once and replays them all.
+                auto submitSlice = [this, image, predecoded, blocks, table,
+                                    &pool, &timingMutex](
+                                       std::vector<const JobSpec *> specs,
+                                       std::shared_ptr<const replay::Trace> t) {
+                    pool.submit([this, image, predecoded, blocks, table,
+                                 specs = std::move(specs), t,
+                                 &timingMutex] {
+                        SliceCost cost;
+                        std::vector<JobResult> rs =
+                            replaySlice(specs, *t, *table, *image,
+                                        predecoded, blocks, &cost);
+                        for (size_t i = 0; i < specs.size(); ++i)
+                            commit(jobKey(*specs[i]), *specs[i],
+                                   std::move(rs[i]));
+                        std::lock_guard<std::mutex> lock(timingMutex);
+                        const int count = static_cast<int>(specs.size());
+                        timing_.executedRuns += count;
+                        timing_.replayedRuns += count;
+                        timing_.replaySeconds += cost.replaySeconds;
+                        timing_.simulateSeconds += cost.captureSeconds;
+                        if (cost.captured) {
+                            ++timing_.capturedTraces;
+                            timing_.simulatedInstructions +=
+                                cost.capturedInstructions;
+                        } else {
+                            ++timing_.retimedSlices;
+                        }
+                    });
+                };
+
+                // Settle the node's jobs from the default-slice trace,
+                // all but `skip`: on the default slice, one replay task
+                // per job, except the cache siblings, which share one
+                // task and one replayCaches() pass; one task per other
+                // slice; non-replayable jobs (imm classification)
                 // simulate against the shared image.
-                auto fanOut = [n, submitDirect, submitReplay](
+                auto fanOut = [n, submitDirect, submitReplay,
+                               submitSlice](
                                   std::shared_ptr<const replay::Trace> t,
                                   const JobSpec *skip) {
-                    std::vector<const JobSpec *> caches;
-                    for (const JobSpec &spec : n->runs) {
-                        if (&spec == skip)
+                    for (const JobSpec *s : n->direct)
+                        submitDirect(s);
+                    for (const auto &[slice, specs] : n->slices) {
+                        if (!slice.empty()) {
+                            submitSlice(specs, t);
                             continue;
-                        if (spec.probe == ProbeKind::CacheSim)
-                            caches.push_back(&spec);
-                        else if (replayable(spec))
-                            submitReplay({&spec}, t);
-                        else
-                            submitDirect(&spec);
+                        }
+                        std::vector<const JobSpec *> caches;
+                        for (const JobSpec *spec : specs) {
+                            if (spec == skip)
+                                continue;
+                            if (spec->probe == ProbeKind::CacheSim)
+                                caches.push_back(spec);
+                            else
+                                submitReplay({spec}, t);
+                        }
+                        if (!caches.empty())
+                            submitReplay(std::move(caches), t);
                     }
-                    if (!caches.empty())
-                        submitReplay(std::move(caches), t);
                 };
 
                 if (trace) {
@@ -516,19 +599,14 @@ SweepEngine::run()
                     return;
                 }
 
-                // Simulate once under the trace probe; the capture IS
-                // the first base job's run. The capture machine is the
-                // node's capture slice (forwarding/depth at
-                // bp=DelaySlot); the other jobs fan out from it.
-                pool.submit([this, n, image, predecoded, blocks,
-                             baseSpec, fanOut, contentKey, &timingMutex] {
-                    sim::MachineConfig captureCfg;
-                    captureCfg.uarch =
-                        n->runs.front().uarch.captureConfig();
+                // Simulate once, on the default machine, under the
+                // trace probe; the capture IS the first default-slice
+                // base job's run. The other jobs fan out from it.
+                pool.submit([this, image, predecoded, blocks, baseSpec,
+                             fanOut, contentKey, &timingMutex] {
                     const auto simStart = Clock::now();
                     auto captured = std::make_shared<const replay::Trace>(
-                        replay::capture(*image, predecoded, captureCfg,
-                                        blocks));
+                        replay::capture(*image, predecoded, {}, blocks));
                     const double st = secondsSince(simStart);
                     if (artifacts_)
                         artifacts_->put(store::Kind::Trace, contentKey,

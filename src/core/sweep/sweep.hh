@@ -10,9 +10,15 @@
  *  - a *job* is one build+run: compile a workload for a variant, then
  *    simulate it, optionally under one measurement probe (fetch-buffer
  *    counter, split I/D cache, immediate classifier);
- *  - jobs sharing a (workload, variant) pair share one *build node*:
- *    the image is compiled once and its dependent runs are released as
- *    soon as it links;
+ *  - jobs sharing a (workload, variant) pair share one *build node*
+ *    (imageKey()), whatever microarchitecture they run on: the image
+ *    is compiled once and its dependent runs are released as soon as
+ *    it links;
+ *  - with trace replay on, a node captures its image once, on the
+ *    default machine: the cache, fetch-buffer and branch-policy jobs
+ *    replay from that trace, and each non-default forwarding/depth
+ *    slice is retimed from it by one scoreboard walk
+ *    (replay::replayTiming) instead of being re-captured;
  *  - results land in a thread-safe ResultStore keyed by the canonical
  *    job key, so result identity and ordering are independent of the
  *    schedule (determinism contract: same matrix => byte-identical
@@ -67,6 +73,7 @@ struct SweepTiming
     int cachedRuns = 0;     //!< jobs already present in the store
     int replayedRuns = 0;   //!< jobs evaluated from a recorded trace
     int capturedTraces = 0; //!< trace-capture simulations
+    int retimedSlices = 0;  //!< capture slices timed from another's trace
     int storeResultHits = 0; //!< jobs settled by a stored result row
     int storeImageHits = 0;  //!< compiles skipped via a stored image
     int storeTraceHits = 0;  //!< captures skipped via a stored trace
@@ -98,6 +105,10 @@ struct SweepTiming
                    : 0.0;
     }
     Json json() const;
+
+    /** Fold in the accounting of a sweep that ran concurrently with
+     *  this one: counts and busy time add, wall time is the longer. */
+    void merge(const SweepTiming &other);
 };
 
 /**
@@ -116,12 +127,14 @@ class SweepEngine
 
     /**
      * Trace-replay mode (default on): a build node with more than one
-     * replayable job simulates its image once under a TraceProbe and
-     * evaluates the cache/fetch-buffer variants from the recorded
-     * streams (the node's cache variants in one replayJobs() pass).
-     * Results are bit-identical either way (the golden gate
-     * runs both); off re-simulates every job as a correctness
-     * cross-check and for A/B timing.
+     * replayable job simulates its image once, on the default machine,
+     * under a TraceProbe and evaluates every replayable job from the
+     * recorded streams: the default slice's cache variants in one
+     * replayJobs() pass, each other capture slice in one replaySlice()
+     * task that retimes the trace first. Results are bit-identical
+     * either way (the golden gates run both); off re-simulates every
+     * job on its own machine as a correctness cross-check and for A/B
+     * timing.
      */
     void setReplay(bool enabled) { replay_ = enabled; }
     bool replayEnabled() const { return replay_; }

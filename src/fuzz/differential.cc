@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "core/replay/replay.hh"
 #include "core/toolchain.hh"
 #include "oracle/interp.hh"
 #include "support/error.hh"
@@ -91,18 +92,26 @@ runDifferential(const std::string &source)
             // interpreter, step dispatch, and the block-compiled
             // threaded-code engine must all agree; step vs block
             // additionally compares every SimStats counter, on the
-            // paper's machine and with every uarch axis off it.
+            // paper's machine and with every uarch axis off it. A
+            // fourth leg retimes the default run's trace to the uarch
+            // machine (timing replay), which must match its step run.
             core::RunMeasurement run;
             core::RunMeasurement blockRun;
             core::RunMeasurement uarchRun;
             core::RunMeasurement uarchBlockRun;
+            core::RunMeasurement uarchReplay;
+            bool retimed = false;
             try {
                 const assem::Image image = core::build(source, opts);
                 const auto predecoded =
                     std::make_shared<const sim::DecodedText>(image);
                 const auto blocks =
                     core::buildBlockProgram(image, predecoded);
-                run = core::run(image, {}, {}, predecoded);
+                // Step dispatch under the trace probe: the capture's
+                // measurement is the plain step run's.
+                const core::replay::Trace trace =
+                    core::replay::capture(image, predecoded);
+                run = trace.base;
                 blockRun = core::run(image, {}, {}, predecoded, blocks);
                 sim::MachineConfig uarch;
                 uarch.uarch.forward = true;
@@ -111,6 +120,15 @@ runDifferential(const std::string &source)
                 uarchRun = core::run(image, {}, uarch, predecoded);
                 uarchBlockRun =
                     core::run(image, {}, uarch, predecoded, blocks);
+                const core::replay::TimingTable table(image, *predecoded);
+                retimed = core::replay::timingReplayable(trace, table);
+                if (retimed) {
+                    const core::replay::TimingReplayStats timed =
+                        core::replay::replayTiming(trace, table,
+                                                   uarch.uarch);
+                    uarchReplay = core::replay::replayRun(
+                        trace, uarch.uarch, &timed);
+                }
             } catch (const PanicError &e) {
                 out.kind = DiffKind::Divergence;
                 out.variant = v.name;
@@ -149,31 +167,35 @@ runDifferential(const std::string &source)
             }
 
             const auto diverged = [&](const core::RunMeasurement &step,
-                                      const core::RunMeasurement &block,
-                                      const char *machine) {
-                if (block.output == step.output &&
-                    block.exitStatus == step.exitStatus &&
-                    block.stats == step.stats)
+                                      const core::RunMeasurement &other,
+                                      const char *machine,
+                                      const char *path) {
+                if (other.output == step.output &&
+                    other.exitStatus == step.exitStatus &&
+                    other.stats == step.stats)
                     return false;
                 out.kind = DiffKind::Divergence;
                 out.variant = v.name;
                 out.optLevel = opt;
                 out.detail =
-                    where + machine + ": block engine diverged from "
+                    where + machine + ": " + path + " diverged from "
                     "step dispatch\n  step:  [" + excerpt(step.output) +
                     "] exit " + std::to_string(step.exitStatus) + ", " +
                     std::to_string(step.stats.instructions) +
                     " insns, " + std::to_string(step.stats.baseCycles()) +
-                    " cycles\n  block: [" + excerpt(block.output) +
-                    "] exit " + std::to_string(block.exitStatus) + ", " +
-                    std::to_string(block.stats.instructions) +
+                    " cycles\n  " + path + ": [" + excerpt(other.output) +
+                    "] exit " + std::to_string(other.exitStatus) + ", " +
+                    std::to_string(other.stats.instructions) +
                     " insns, " +
-                    std::to_string(block.stats.baseCycles()) + " cycles";
+                    std::to_string(other.stats.baseCycles()) + " cycles";
                 return true;
             };
-            if (diverged(run, blockRun, "") ||
-                diverged(uarchRun, uarchBlockRun,
-                         " (fwd=on,bp=bimodal6,depth=7)"))
+            const char *uarchName = " (fwd=on,bp=bimodal6,depth=7)";
+            if (diverged(run, blockRun, "", "block engine") ||
+                diverged(uarchRun, uarchBlockRun, uarchName,
+                         "block engine") ||
+                (retimed && diverged(uarchRun, uarchReplay, uarchName,
+                                     "timing replay")))
                 return out;
         }
     }

@@ -23,6 +23,7 @@ Machine::Machine(const assem::Image &image, MachineConfig config,
       memory_(config.memBytes)
 {
     panicIf(!target_, "image has no target");
+    r0IsZero_ = target_->r0IsZero();
     memory_.loadImage(image);
     pc_ = image.entry;
     textBase_ = image.textBase;
@@ -76,60 +77,6 @@ Machine::decoded(uint32_t pc)
                                                     : memory_.read32(pc);
     scratch_ = isa::decode(*target_, word);
     return scratch_;
-}
-
-void
-Machine::writeGpr(int r, uint32_t v)
-{
-    if (r == 0 && target_->r0IsZero())
-        return;
-    gpr_[r] = v;
-}
-
-void
-Machine::useGpr(int r)
-{
-    const uint64_t ready = gprReady_[r];
-    const uint64_t issue = cycle_ + 1;
-    if (ready > issue && ready - issue > stallThisInsn_) {
-        stallThisInsn_ = ready - issue;
-        stallIsFp_ = false;
-    }
-}
-
-void
-Machine::useFpr(int r)
-{
-    const uint64_t ready = fprReady_[r];
-    const uint64_t issue = cycle_ + 1;
-    if (ready > issue && ready - issue > stallThisInsn_) {
-        stallThisInsn_ = ready - issue;
-        stallIsFp_ = true;
-    }
-}
-
-void
-Machine::useStatus()
-{
-    const uint64_t issue = cycle_ + 1;
-    if (statusReady_ > issue && statusReady_ - issue > stallThisInsn_) {
-        stallThisInsn_ = statusReady_ - issue;
-        stallIsFp_ = true;
-    }
-}
-
-void
-Machine::setGprReady(int r, uint64_t when)
-{
-    if (r == 0 && target_->r0IsZero())
-        return;
-    gprReady_[r] = when;
-}
-
-void
-Machine::setFprReady(int r, uint64_t when)
-{
-    fprReady_[r] = when;
 }
 
 int

@@ -129,8 +129,15 @@ class Machine
   private:
     const isa::DecodedInst &decoded(uint32_t pc);
     void execute(const isa::DecodedInst &inst);
-    void writeGpr(int r, uint32_t v);
     void doTrap(int code);
+
+    void
+    writeGpr(int r, uint32_t v)
+    {
+        if (r == 0 && r0IsZero_)
+            return;
+        gpr_[r] = v;
+    }
 
     /** Block-engine dispatch (defined in block_engine.cc). */
     bool runBlocks();
@@ -246,12 +253,23 @@ class Machine
     static double asDouble(uint64_t raw) { return std::bit_cast<double>(raw); }
     static uint64_t fromDouble(double d) { return std::bit_cast<uint64_t>(d); }
 
-    /** Issue-time scoreboard helpers. finishIssue() commits the
-     *  stall the useX() calls accumulated (stallThisInsn_, reset per
+    /** Issue-time scoreboard helpers, inline because both dispatch
+     *  paths call them on every instruction. The useX() calls
+     *  accumulate the largest pending stall (and whether an FP result
+     *  caused it); finishIssue() commits it (stallThisInsn_, reset per
      *  instruction) and returns the instruction's issue cycle. */
-    void useGpr(int r);
-    void useFpr(int r);
-    void useStatus();
+    void
+    useReady(uint64_t ready, bool fp)
+    {
+        const uint64_t issue = cycle_ + 1;
+        if (ready > issue && ready - issue > stallThisInsn_) {
+            stallThisInsn_ = ready - issue;
+            stallIsFp_ = fp;
+        }
+    }
+    void useGpr(int r) { useReady(gprReady_[r], false); }
+    void useFpr(int r) { useReady(fprReady_[r], true); }
+    void useStatus() { useReady(statusReady_, true); }
     uint64_t
     finishIssue()
     {
@@ -264,10 +282,17 @@ class Machine
         cycle_ += 1 + stallThisInsn_;
         return cycle_;
     }
-    void setGprReady(int r, uint64_t when);
-    void setFprReady(int r, uint64_t when);
+    void
+    setGprReady(int r, uint64_t when)
+    {
+        if (r == 0 && r0IsZero_)
+            return;
+        gprReady_[r] = when;
+    }
+    void setFprReady(int r, uint64_t when) { fprReady_[r] = when; }
 
     const isa::TargetInfo *target_;
+    bool r0IsZero_ = false;  //!< target_->r0IsZero(), read per write
     MachineConfig config_;
     mem::Memory memory_;
 

@@ -114,12 +114,14 @@ struct UarchConfig
         return k;
     }
 
-    /** The slice of the config that shapes a captured trace: the
-     *  forwarding and depth axes change the scoreboard (and so the
-     *  recorded interlock counts), while the branch policy is pure
-     *  additive accounting replayed from the outcome stream. Traces
-     *  are captured once per capture config at bp=DelaySlot and
-     *  shared by every branch-policy sibling. */
+    /** The slice of the config that shapes a capture's measurement:
+     *  the forwarding and depth axes change the scoreboard (and so
+     *  the recorded interlock counts), while the branch policy is pure
+     *  additive accounting replayed from the outcome stream. The
+     *  recorded streams themselves are the same at every slice, so
+     *  the sweep engine captures each image once, on the default
+     *  machine, and retimes every other slice from that trace
+     *  (core::replay::replayTiming). */
     UarchConfig
     captureConfig() const
     {

@@ -1,18 +1,25 @@
 /**
  * @file
  * Trace-replay tests: replay-vs-direct equivalence over the smoke
- * matrix (exact CacheStats and CPI for every cache variant), binary
- * round-trip of the D16T format, and the truncated/corrupt-trace
- * error paths.
+ * matrix (exact CacheStats and CPI for every cache variant), timing
+ * replay of every non-default forwarding/depth slice from the default
+ * machine's trace (and its refusal of a trace that writes its text),
+ * binary round-trip of the D16T format, and the truncated/corrupt-
+ * trace error paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "asm/assembler.hh"
+#include "asm/parser.hh"
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
 #include "core/sweep/sweep.hh"
@@ -394,6 +401,191 @@ TEST(Replay, BranchStatsMatchDirectSimulation)
             EXPECT_EQ(rs.branchStalls, direct.stats.branchStalls) << key;
         }
     }
+}
+
+// ----- timing replay --------------------------------------------------
+
+/** The five non-default capture slices: forwarding x depth 5..7. */
+std::vector<sim::UarchConfig>
+nonDefaultSlices()
+{
+    std::vector<sim::UarchConfig> out;
+    for (const char *key : {"fwd=on", "depth=6", "fwd=on,depth=6",
+                            "depth=7", "fwd=on,depth=7"})
+        out.push_back(sweep::parseUarch(key));
+    return out;
+}
+
+TEST(Replay, TimingReplayMatchesCaptureAtEverySlice)
+{
+    // Every suite workload x paper variant, captured once on the
+    // default machine and retimed to each non-default slice, must
+    // report exactly the SimStats of a run at that slice. Four
+    // workers split the 75 images.
+    struct Image
+    {
+        std::string workload;
+        CompileOptions opts;
+    };
+    std::vector<Image> images;
+    for (const Workload &w : workloadSuite())
+        for (const auto &[label, opts] : sweep::paperVariants())
+            images.push_back({w.name, opts});
+    ASSERT_EQ(images.size(), 75u);
+
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::vector<std::string> mismatches;
+    int compared = 0;
+    auto worker = [&] {
+        for (size_t i = next++; i < images.size(); i = next++) {
+            const assem::Image image =
+                build(workload(images[i].workload).source, images[i].opts);
+            const auto predecoded =
+                std::make_shared<const sim::DecodedText>(image);
+            const auto blocks = buildBlockProgram(image, predecoded);
+            const Trace trace =
+                replay::capture(image, predecoded, {}, blocks);
+            const replay::TimingTable table(image, *predecoded);
+            ASSERT_TRUE(replay::timingReplayable(trace, table));
+            for (const sim::UarchConfig &slice : nonDefaultSlices()) {
+                sim::MachineConfig cfg;
+                cfg.uarch = slice;
+                const RunMeasurement direct =
+                    run(image, {}, cfg, predecoded, blocks);
+                const replay::TimingReplayStats timed =
+                    replay::replayTiming(trace, table, slice);
+                const RunMeasurement replayed =
+                    replay::replayRun(trace, slice, &timed);
+                std::lock_guard<std::mutex> lock(mutex);
+                ++compared;
+                if (!(replayed.stats == direct.stats) ||
+                    replayed.output != direct.output)
+                    mismatches.push_back(images[i].workload + "|" +
+                                         sweep::variantKey(images[i].opts) +
+                                         "|" + slice.key());
+            }
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back(worker);
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(compared, 375);
+    EXPECT_TRUE(mismatches.empty())
+        << mismatches.size() << " mismatches, first " << mismatches.front();
+}
+
+TEST(Replay, TimingReplayRejectsSliceMismatch)
+{
+    // A retimed run is the retimed slice's: replaying another slice's
+    // jobs from it would mix two scoreboards.
+    const assem::Image image = build(kProgram, CompileOptions::d16());
+    const sim::DecodedText text(image);
+    const Trace t = replay::capture(image);
+    const replay::TimingTable table(image, text);
+    const replay::TimingReplayStats fwd =
+        replay::replayTiming(t, table, sweep::parseUarch("fwd=on"));
+    EXPECT_NO_THROW(
+        replay::replayRun(t, sweep::parseUarch("fwd=on,bp=static"), &fwd));
+    EXPECT_THROW(replay::replayRun(t, sweep::parseUarch("depth=7"), &fwd),
+                 FatalError);
+    EXPECT_THROW(replay::replayRun(t, sweep::parseUarch("bp=static"), &fwd),
+                 FatalError);
+}
+
+/** Assemble hand-written source for `target`. */
+assem::Image
+assembleProgram(const isa::TargetInfo &target, const std::string &src)
+{
+    assem::Assembler as(target);
+    as.add(assem::parseAsm(target, src));
+    return as.link();
+}
+
+/** The little-endian instruction word at `addr` of `image`. */
+uint32_t
+wordAt(const assem::Image &image, uint32_t addr)
+{
+    const uint32_t off = addr - image.textBase;
+    uint32_t w = 0;
+    for (uint32_t k = 0; k < 4; ++k)
+        w |= static_cast<uint32_t>(image.bytes[off + k]) << (8 * k);
+    return w;
+}
+
+TEST(Replay, TextWritingTraceFallsBackToCapture)
+{
+    // A DLXe program that patches an in-text pool word before falling
+    // into it: the image holds a nop there, the live machine executes
+    // the stored `add r6, r5, r5`, which interlocks on the load just
+    // before it. A table decoded from the image cannot see that, so
+    // the trace is refused for timing replay and a slice's jobs are
+    // settled from a capture on the slice's own machine.
+    const isa::TargetInfo &t = isa::TargetInfo::dlxe();
+    const assem::Image donor =
+        assembleProgram(t, "main:\n    add r6, r5, r5\n    nop\n");
+    const std::string src =
+        "main:\n"
+        "    mvhi r4, hi(patch)\n"
+        "    ori r4, r4, lo(patch)\n"
+        "    ld r3, 0(gp)\n"
+        "    st r3, 0(r4)\n"
+        "    ld r5, 4(gp)\n"
+        "patch:\n"
+        "    .word " + std::to_string(wordAt(donor, donor.entry + 4)) + "\n"
+        "    ret\n"
+        "    nop\n"
+        "    .data\n"
+        "    .word " + std::to_string(wordAt(donor, donor.entry)) + "\n"
+        "    .word 5\n";
+    const assem::Image image = assembleProgram(t, src);
+    const auto predecoded = std::make_shared<const sim::DecodedText>(image);
+    const replay::TimingTable table(image, *predecoded);
+    const Trace trace = replay::capture(image, predecoded);
+    EXPECT_FALSE(replay::timingReplayable(trace, table));
+    EXPECT_THROW(
+        replay::replayTiming(trace, table, sweep::parseUarch("depth=7")),
+        FatalError);
+
+    std::vector<sweep::JobSpec> specs;
+    for (const char *key : {"depth=7", "depth=7,bp=bimodal4"}) {
+        sweep::JobSpec spec = sweep::JobSpec::base("selfmod", CompileOptions::dlxe());
+        spec.uarch = sweep::parseUarch(key);
+        specs.push_back(spec);
+    }
+    specs.push_back(sweep::JobSpec::fetch("selfmod", CompileOptions::dlxe(), 8));
+    specs.back().uarch = sweep::parseUarch("depth=7");
+    std::vector<const sweep::JobSpec *> ptrs;
+    for (const sweep::JobSpec &spec : specs)
+        ptrs.push_back(&spec);
+
+    sweep::SliceCost cost;
+    const std::vector<sweep::JobResult> got =
+        sweep::replaySlice(ptrs, trace, table, image, predecoded, nullptr,
+                           &cost);
+    EXPECT_TRUE(cost.captured);
+    EXPECT_EQ(cost.capturedInstructions, trace.base.stats.instructions);
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const sweep::JobResult direct = sweep::executeJob(specs[i], image);
+        EXPECT_EQ(got[i].json().dump(), direct.json().dump())
+            << sweep::jobKey(specs[i]);
+        EXPECT_TRUE(got[i].run.stats == direct.run.stats)
+            << sweep::jobKey(specs[i]);
+    }
+    // The captured slice's own scoreboard, not the default trace's.
+    EXPECT_GT(got[0].run.stats.loadInterlocks,
+              trace.base.stats.loadInterlocks);
+
+    // A trace that leaves its text alone is retimed, not captured.
+    const assem::Image clean = build(kProgram, CompileOptions::dlxe());
+    const auto cleanText = std::make_shared<const sim::DecodedText>(clean);
+    const replay::TimingTable cleanTable(clean, *cleanText);
+    sweep::SliceCost cleanCost;
+    sweep::replaySlice({ptrs[0]}, replay::capture(clean, cleanText),
+                       cleanTable, clean, cleanText, nullptr, &cleanCost);
+    EXPECT_FALSE(cleanCost.captured);
 }
 
 // ----- error paths ----------------------------------------------------

@@ -11,6 +11,7 @@
  */
 
 #include <cstring>
+#include <map>
 #include <thread>
 
 #include <dirent.h>
@@ -198,6 +199,58 @@ TEST(Service, ServedSweepMatchesLocalBytes)
     const Json *storeStats = stats.find("store");
     ASSERT_TRUE(storeStats && storeStats->isObject());
     EXPECT_GT(storeStats->find("puts")->asInt(), 0);
+}
+
+TEST(Service, ServedTimingSumsEveryLaneCounter)
+{
+    // The done frame's timing is the lanes' SweepTiming merged: every
+    // SweepTiming::json() key arrives, and each integer counter is the
+    // sum over the lanes' engines. Uarch slices make the retiming
+    // counters nonzero too.
+    std::vector<sweep::JobSpec> matrix = miniMatrix();
+    for (const char *key : {"fwd=on", "depth=7,bp=bimodal4"}) {
+        sweep::JobSpec spec =
+            sweep::JobSpec::base("towers", mc::CompileOptions::d16());
+        spec.uarch = sweep::parseUarch(key);
+        matrix.push_back(spec);
+    }
+    constexpr int Shards = 3;
+
+    // The same lanes, run locally against their own fresh store.
+    std::vector<std::vector<sweep::JobSpec>> lanes(Shards);
+    for (const sweep::JobSpec &spec : matrix)
+        lanes[service::SweepServer::laneOf(spec, Shards)].push_back(spec);
+    TempDir localDir;
+    store::ArtifactStore localStore(localDir.path + "/store");
+    std::map<std::string, int64_t> sums;
+    for (const std::vector<sweep::JobSpec> &lane : lanes) {
+        if (lane.empty())
+            continue;
+        sweep::ResultStore results;
+        sweep::SweepEngine engine(results, 2);
+        engine.setArtifacts(&localStore);
+        engine.add(lane);
+        engine.run();
+        const Json laneTiming = engine.timing().json();
+        for (const auto &[key, value] : laneTiming.members())
+            if (value.isInt())
+                sums[key] += value.asInt();
+    }
+    ASSERT_GT(sums["retimedSlices"], 0);
+
+    ServerFixture fx(Shards);
+    service::SweepClient client(fx.socket());
+    sweep::ResultStore served;
+    const Json timing = client.sweep(matrix, served);
+    const Json keys = sweep::SweepTiming().json();
+    for (const auto &[key, value] : keys.members()) {
+        const Json *got = timing.find(key);
+        ASSERT_TRUE(got) << "served timing lacks " << key;
+        if (value.isInt()) {
+            EXPECT_EQ(got->asInt(), sums[key]) << key;
+        }
+    }
+    EXPECT_EQ(timing.members().size(), keys.members().size());
 }
 
 TEST(Service, RestartedServerWarmsFromSharedStore)

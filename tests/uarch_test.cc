@@ -161,16 +161,36 @@ TEST(Uarch, StepMatchesBlockEngine)
 
 TEST(Uarch, SiblingsShareBuildAndTrace)
 {
-    // Three branch policies of one (workload, variant, capture slice):
-    // one build, one capture, the rest replayed.
+    // Every fwd x depth capture slice x three branch policies of one
+    // (workload, variant): one build, one default-machine capture,
+    // every other slice retimed from it and every job but the
+    // capture's own replayed.
+    std::vector<sweep::JobSpec> jobs;
+    for (const char *slice : {"", "fwd=on", "depth=6", "fwd=on,depth=6",
+                              "depth=7", "fwd=on,depth=7"}) {
+        for (const char *bp : {"bp=delay", "bp=static", "bp=bimodal6"}) {
+            const std::string key =
+                std::string(slice) + (*slice ? "," : "") + bp;
+            jobs.push_back(uarchJob("towers", mc::CompileOptions::d16(), key));
+        }
+    }
     sweep::ResultStore store;
     sweep::SweepEngine engine(store, 4);
-    for (const char *key : {"bp=delay", "bp=static", "bp=bimodal6"})
-        engine.add(uarchJob("towers", mc::CompileOptions::d16(), key));
+    engine.add(jobs);
     engine.run();
     EXPECT_EQ(engine.timing().executedBuilds, 1);
     EXPECT_EQ(engine.timing().capturedTraces, 1);
-    EXPECT_EQ(engine.timing().replayedRuns, 2);
+    EXPECT_EQ(engine.timing().retimedSlices, 5);
+    EXPECT_EQ(engine.timing().replayedRuns, 17);
+
+    // ... and every row is the one direct simulation reports.
+    sweep::ResultStore direct;
+    sweep::SweepEngine reference(direct, 4);
+    reference.setReplay(false);
+    reference.add(jobs);
+    reference.run();
+    EXPECT_EQ(sweep::sweepJson(store, nullptr).dump(),
+              sweep::sweepJson(direct, nullptr).dump());
 }
 
 TEST(Uarch, KeyRoundTrips)

@@ -279,12 +279,14 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "d16sweep: %d runs (%d builds, %d deduped, %d "
-                "replayed from %d traces) on %d threads\n"
+                "replayed from %d traces, %d slices retimed) on %d "
+                "threads\n"
                 "d16sweep: wall %.2fs, busy %.2fs (build %.2fs + "
                 "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
                 "d16sweep: %llu instructions simulated, %.1f MIPS\n",
                 t.executedRuns, t.executedBuilds, t.dedupedRuns,
-                t.replayedRuns, t.capturedTraces, t.threads,
+                t.replayedRuns, t.capturedTraces, t.retimedSlices,
+                t.threads,
                 t.wallSeconds, t.busySeconds(), t.buildSeconds,
                 t.simulateSeconds, t.replaySeconds, t.speedup(),
                 static_cast<unsigned long long>(t.simulatedInstructions),
