@@ -111,6 +111,29 @@ BM_SimulateQueensPredecoded(benchmark::State &state)
 BENCHMARK(BM_SimulateQueensPredecoded)->Unit(benchmark::kMillisecond);
 
 static void
+BM_ImmClassQueens(benchmark::State &state)
+{
+    // A sweep `imm` row: the matrix's DLXe/16/2 variant under the
+    // immediate classifier, which rides block dispatch as the lone
+    // TraceSink.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe(16, false));
+    const auto text = std::make_shared<const sim::DecodedText>(img);
+    const auto blocks = core::buildBlockProgram(img, text);
+    uint64_t insns = 0;
+    for (auto _ : state) {
+        core::ImmediateClassProbe probe(*text);
+        const core::RunMeasurement r =
+            core::run(img, {&probe}, {}, text, blocks);
+        insns = r.stats.instructions;
+        benchmark::DoNotOptimize(probe.aluImmediate());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(insns));
+}
+BENCHMARK(BM_ImmClassQueens)->Unit(benchmark::kMillisecond);
+
+static void
 BM_TraceCaptureQueens(benchmark::State &state)
 {
     const auto img = core::build(core::workload("queens").source,

@@ -7,6 +7,8 @@
 # every build node carries the 20 cache siblings one replay pass
 # evaluates together, and on the uarch matrix, where every non-default
 # forwarding/depth slice is retimed from the default machine's trace.
+# Block dispatch vs --no-block-engine is compared on the smoke matrix
+# (against its golden), the full paper matrix and the uarch matrix.
 #
 #   scripts/check.sh            run everything
 #   SKIP_SANITIZE=1 ...         skip the ASan/UBSan and TSan builds
@@ -72,6 +74,18 @@ echo "== d16sweep: smoke matrix vs golden, --no-block-engine (A/B) =="
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-block-engine \
     --json build/sweep_noblocks.json \
     --golden tests/golden/sweep_golden.json
+
+echo "== d16sweep: full matrix, --no-block-engine (A/B) =="
+# Every base and imm row of the paper matrix (the rows perfbench's
+# paper-cold runs): plain runs, trace captures and imm classification
+# all dispatch compiled blocks, and must match per-instruction step()
+# byte for byte.
+./build/tools/d16sweep --jobs "$JOBS" --no-timing \
+    --json build/sweep_full.json
+./build/tools/d16sweep --jobs "$JOBS" --no-timing --no-block-engine \
+    --json build/sweep_full_noblocks.json
+cmp build/sweep_full.json build/sweep_full_noblocks.json
+echo "   full matrix step/block byte-identical"
 
 echo "== d16sweep: uarch matrix vs golden (fwd/bp/depth axes) =="
 ./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" --no-timing \

@@ -1,6 +1,7 @@
 #include "core/sweep/result_store.hh"
 
 #include <chrono>
+#include <ctime>
 
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
@@ -148,8 +149,11 @@ executeJob(const JobSpec &spec, const assem::Image &image,
         break;
       }
       case ProbeKind::ImmClass: {
-        ImmediateClassProbe ic;
-        r.run = core::run(image, {&ic}, mcfg, std::move(predecoded));
+        if (!predecoded)
+            predecoded = std::make_shared<const sim::DecodedText>(image);
+        ImmediateClassProbe ic(*predecoded);
+        r.run = core::run(image, {&ic}, mcfg, predecoded,
+                          std::move(blocks));
         r.imm.total = ic.total();
         r.imm.cmpImmediate = ic.cmpImmediate();
         r.imm.aluImmediate = ic.aluImmediate();
@@ -222,14 +226,10 @@ replaySlice(const std::vector<const JobSpec *> &specs,
             std::shared_ptr<const sim::DecodedText> predecoded,
             std::shared_ptr<const sim::BlockProgram> blocks, SliceCost *cost)
 {
-    using Clock = std::chrono::steady_clock;
-    auto since = [](Clock::time_point t) {
-        return std::chrono::duration<double>(Clock::now() - t).count();
-    };
     SliceCost spent;
     const sim::UarchConfig slice = specs.front()->uarch.captureConfig();
     std::vector<JobResult> out;
-    const auto start = Clock::now();
+    const Stopwatch clock;
     if (replay::timingReplayable(trace, table)) {
         const replay::TimingReplayStats timed =
             replay::replayTiming(trace, table, slice);
@@ -241,13 +241,47 @@ replaySlice(const std::vector<const JobSpec *> &specs,
             image, std::move(predecoded), cfg, std::move(blocks));
         spent.captured = true;
         spent.capturedInstructions = own.base.stats.instructions;
-        spent.captureSeconds = since(start);
+        spent.captureSeconds = clock.wallSeconds();
+        spent.captureCpuSeconds = clock.cpuSeconds();
         out = replayJobs(specs, own);
     }
-    spent.replaySeconds = since(start) - spent.captureSeconds;
+    spent.replaySeconds = clock.wallSeconds() - spent.captureSeconds;
+    spent.replayCpuSeconds = clock.cpuSeconds() - spent.captureCpuSeconds;
     if (cost)
         *cost = spent;
     return out;
+}
+
+namespace
+{
+
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+} // namespace
+
+Stopwatch::Stopwatch()
+    : wall0_(std::chrono::steady_clock::now()), cpu0_(threadCpuSeconds())
+{}
+
+double
+Stopwatch::wallSeconds() const
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         wall0_)
+        .count();
+}
+
+double
+Stopwatch::cpuSeconds() const
+{
+    return threadCpuSeconds() - cpu0_;
 }
 
 JobResult

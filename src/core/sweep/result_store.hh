@@ -13,6 +13,7 @@
 #ifndef D16SIM_CORE_SWEEP_RESULT_STORE_HH
 #define D16SIM_CORE_SWEEP_RESULT_STORE_HH
 
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <string>
@@ -149,6 +150,22 @@ replayJobs(const std::vector<const JobSpec *> &specs,
            const replay::Trace &trace,
            const replay::TimingReplayStats *retimed = nullptr);
 
+/** Wall seconds and the calling thread's CPU seconds
+ *  (CLOCK_THREAD_CPUTIME_ID) since construction: the sweep engine
+ *  books both per phase, so contention (wall without CPU) shows apart
+ *  from work. */
+class Stopwatch
+{
+  public:
+    Stopwatch();
+    double wallSeconds() const;
+    double cpuSeconds() const;
+
+  private:
+    std::chrono::steady_clock::time_point wall0_;
+    double cpu0_ = 0;
+};
+
 /** What replaySlice() spent, for the sweep engine's phase accounting:
  *  a fallback capture is simulate time, the rest replay time. */
 struct SliceCost
@@ -156,7 +173,9 @@ struct SliceCost
     bool captured = false;     //!< the slice was captured on its machine
     uint64_t capturedInstructions = 0;
     double captureSeconds = 0;
+    double captureCpuSeconds = 0;
     double replaySeconds = 0;  //!< timing walk and job replays
+    double replayCpuSeconds = 0;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "core/sweep/sweep.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -22,14 +21,6 @@ namespace d16sim::core::sweep
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /**
  * Fixed-size worker pool. Tasks may submit further tasks (that is how
@@ -233,6 +224,9 @@ SweepTiming::json() const
     j["buildSeconds"] = Json(buildSeconds);
     j["simulateSeconds"] = Json(simulateSeconds);
     j["replaySeconds"] = Json(replaySeconds);
+    j["buildCpuSeconds"] = Json(buildCpuSeconds);
+    j["simulateCpuSeconds"] = Json(simulateCpuSeconds);
+    j["replayCpuSeconds"] = Json(replayCpuSeconds);
     j["busySeconds"] = Json(busySeconds());
     j["speedup"] = Json(speedup());
     j["simMips"] = Json(simMips());
@@ -259,6 +253,9 @@ SweepTiming::merge(const SweepTiming &o)
     buildSeconds += o.buildSeconds;
     simulateSeconds += o.simulateSeconds;
     replaySeconds += o.replaySeconds;
+    buildCpuSeconds += o.buildCpuSeconds;
+    simulateCpuSeconds += o.simulateCpuSeconds;
+    replayCpuSeconds += o.replayCpuSeconds;
 }
 
 SweepEngine::SweepEngine(ResultStore &store, int threads)
@@ -295,7 +292,7 @@ SweepEngine::commit(const std::string &key, const JobSpec &spec,
 void
 SweepEngine::run()
 {
-    const auto sweepStart = Clock::now();
+    const Stopwatch sweepClock;
 
     // Deduplicate the batch and drop jobs the store already has.
     std::map<std::string, JobSpec> unique;
@@ -414,7 +411,7 @@ SweepEngine::run()
                 std::shared_ptr<const sim::BlockProgram> blocks;
                 std::shared_ptr<const replay::TimingTable> table;
                 if (simulates || retime) {
-                    const auto buildStart = Clock::now();
+                    const Stopwatch buildClock;
                     bool compiled = false;
                     if (artifacts_) {
                         std::vector<uint8_t> bytes;
@@ -473,7 +470,8 @@ SweepEngine::run()
                     if (retime)
                         table = std::make_shared<const replay::TimingTable>(
                             *image, *predecoded);
-                    const double bt = secondsSince(buildStart);
+                    const double bt = buildClock.wallSeconds();
+                    const double bcpu = buildClock.cpuSeconds();
                     {
                         std::lock_guard<std::mutex> lock(timingMutex);
                         if (compiled)
@@ -481,6 +479,7 @@ SweepEngine::run()
                         else
                             ++timing_.storeImageHits;
                         timing_.buildSeconds += bt;
+                        timing_.buildCpuSeconds += bcpu;
                     }
                 }
 
@@ -489,15 +488,17 @@ SweepEngine::run()
                                      &timingMutex](const JobSpec *s) {
                     pool.submit([this, s, image, predecoded, blocks,
                                  &timingMutex] {
-                        const auto simStart = Clock::now();
+                        const Stopwatch simClock;
                         JobResult r =
                             executeJob(*s, *image, predecoded, blocks);
-                        const double st = secondsSince(simStart);
+                        const double st = simClock.wallSeconds();
+                        const double scpu = simClock.cpuSeconds();
                         const uint64_t insns = r.run.stats.instructions;
                         commit(jobKey(*s), *s, std::move(r));
                         std::lock_guard<std::mutex> lock(timingMutex);
                         ++timing_.executedRuns;
                         timing_.simulateSeconds += st;
+                        timing_.simulateCpuSeconds += scpu;
                         timing_.simulatedInstructions += insns;
                     });
                 };
@@ -509,9 +510,10 @@ SweepEngine::run()
                         std::shared_ptr<const replay::Trace> t) {
                         pool.submit([this, specs = std::move(specs), t,
                                      &timingMutex] {
-                            const auto replayStart = Clock::now();
+                            const Stopwatch replayClock;
                             std::vector<JobResult> rs = replayJobs(specs, *t);
-                            const double rt = secondsSince(replayStart);
+                            const double rt = replayClock.wallSeconds();
+                            const double rcpu = replayClock.cpuSeconds();
                             for (size_t i = 0; i < specs.size(); ++i)
                                 commit(jobKey(*specs[i]), *specs[i],
                                        std::move(rs[i]));
@@ -520,6 +522,7 @@ SweepEngine::run()
                             timing_.executedRuns += count;
                             timing_.replayedRuns += count;
                             timing_.replaySeconds += rt;
+                            timing_.replayCpuSeconds += rcpu;
                         });
                     };
 
@@ -544,7 +547,9 @@ SweepEngine::run()
                         timing_.executedRuns += count;
                         timing_.replayedRuns += count;
                         timing_.replaySeconds += cost.replaySeconds;
+                        timing_.replayCpuSeconds += cost.replayCpuSeconds;
                         timing_.simulateSeconds += cost.captureSeconds;
+                        timing_.simulateCpuSeconds += cost.captureCpuSeconds;
                         if (cost.captured) {
                             ++timing_.capturedTraces;
                             timing_.simulatedInstructions +=
@@ -604,10 +609,11 @@ SweepEngine::run()
                 // base job's run. The other jobs fan out from it.
                 pool.submit([this, image, predecoded, blocks, baseSpec,
                              fanOut, contentKey, &timingMutex] {
-                    const auto simStart = Clock::now();
+                    const Stopwatch simClock;
                     auto captured = std::make_shared<const replay::Trace>(
                         replay::capture(*image, predecoded, {}, blocks));
-                    const double st = secondsSince(simStart);
+                    const double st = simClock.wallSeconds();
+                    const double scpu = simClock.cpuSeconds();
                     if (artifacts_)
                         artifacts_->put(store::Kind::Trace, contentKey,
                                         captured->serialize());
@@ -618,6 +624,7 @@ SweepEngine::run()
                         std::lock_guard<std::mutex> lock(timingMutex);
                         ++timing_.capturedTraces;
                         timing_.simulateSeconds += st;
+                        timing_.simulateCpuSeconds += scpu;
                         timing_.simulatedInstructions +=
                             captured->base.stats.instructions;
                         if (baseSpec)
@@ -629,7 +636,7 @@ SweepEngine::run()
         }
         pool.wait();
     }
-    timing_.wallSeconds += secondsSince(sweepStart);
+    timing_.wallSeconds += sweepClock.wallSeconds();
 }
 
 Json

@@ -83,6 +83,11 @@ struct SweepTiming
     double buildSeconds = 0; //!< compile+assemble+link, per build node
     double simulateSeconds = 0;  //!< direct sims + trace captures
     double replaySeconds = 0;    //!< trace replays
+    /** Thread CPU time of the same phases: below the wall seconds
+     *  above by the time their threads waited for a core. */
+    double buildCpuSeconds = 0;
+    double simulateCpuSeconds = 0;
+    double replayCpuSeconds = 0;
     /** CPU work executed / wall time: the observed parallel speedup
      *  (~= min(threads, width of the job graph) when runs dominate). */
     double
@@ -107,7 +112,8 @@ struct SweepTiming
     Json json() const;
 
     /** Fold in the accounting of a sweep that ran concurrently with
-     *  this one: counts and busy time add, wall time is the longer. */
+     *  this one: counts, busy and CPU time add, wall time is the
+     *  longer. */
     void merge(const SweepTiming &other);
 };
 

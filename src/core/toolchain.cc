@@ -2,6 +2,7 @@
 
 #include "analysis/analysis.hh"
 #include "analysis/block_export.hh"
+#include "support/error.hh"
 #include "verify/verify.hh"
 
 namespace d16sim::core
@@ -32,6 +33,53 @@ build(std::string_view source, const mc::CompileOptions &opts)
         analysis::analyzeImageOrThrow(img, opts, std::string(opts.name()));
     }
     return img;
+}
+
+ImmediateClassProbe::Class
+ImmediateClassProbe::classify(const isa::DecodedInst &inst)
+{
+    const auto &d16 = isa::TargetInfo::d16();
+    switch (inst.op) {
+      case isa::Op::CmpI:
+        return Class::CmpImmediate;
+      case isa::Op::AddI: case isa::Op::SubI:
+        if (!d16.aluImmFits(inst.op, inst.imm) &&
+            !d16.aluImmFits(inst.op == isa::Op::AddI ? isa::Op::SubI
+                                                     : isa::Op::AddI,
+                            -static_cast<int64_t>(inst.imm)))
+            return Class::AluImmediate;
+        return Class::Fits;
+      case isa::Op::AndI: case isa::Op::OrI: case isa::Op::XorI:
+      case isa::Op::MvHI:
+        return Class::AluImmediate;  // D16 has no logical/upper immediates
+      case isa::Op::Ld: case isa::Op::St:
+      case isa::Op::Ldh: case isa::Op::Ldhu: case isa::Op::Sth:
+      case isa::Op::Ldb: case isa::Op::Ldbu: case isa::Op::Stb:
+        return d16.memOffsetFits(inst.op, inst.imm) ? Class::Fits
+                                                    : Class::MemDisplacement;
+      default:
+        return Class::Fits;
+    }
+}
+
+ImmediateClassProbe::ImmediateClassProbe(const sim::DecodedText &text)
+    : textBase_(text.base()), insnShift_(text.insnShift()),
+      siteClass_(text.size(), Class::Fits)
+{
+    for (uint32_t i = 0; i < text.size(); ++i)
+        if (text.valid(i))
+            siteClass_[i] = classify(text.at(i));
+}
+
+void
+ImmediateClassProbe::onFetchChunk(uint32_t startPc, uint32_t count)
+{
+    const uint32_t idx = (startPc - textBase_) >> insnShift_;
+    panicIf(idx >= siteClass_.size() || count > siteClass_.size() - idx,
+            "fetch chunk outside the classified text");
+    total_ += count;
+    for (uint32_t i = idx; i < idx + count; ++i)
+        ++counts_[static_cast<size_t>(siteClass_[i])];
 }
 
 sim::BlockTable
@@ -75,8 +123,8 @@ run(const assem::Image &image, std::vector<sim::Probe *> probes,
     }
     if (blocks) {
         machine.setBlockProgram(std::move(blocks));
-        // A lone block-capable probe (the trace capturer) keeps block
-        // dispatch eligible; anything else makes the machine fall
+        // A lone block-capable probe (trace capture or imm
+        // classification) keeps block dispatch eligible; anything else makes the machine fall
         // back to pure step dispatch on its own.
         if (probes.size() == 1)
             if (auto *sink = dynamic_cast<sim::TraceSink *>(probes[0]))

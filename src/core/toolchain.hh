@@ -7,6 +7,7 @@
 #ifndef D16SIM_CORE_TOOLCHAIN_HH
 #define D16SIM_CORE_TOOLCHAIN_HH
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,48 +96,52 @@ class CacheProbe : public sim::Probe
  * restricted-DLXe instruction stream: immediate compares, ALU
  * immediates beyond 5 unsigned bits, and memory displacements D16
  * cannot express.
+ *
+ * The class is a pure function of the decoded instruction
+ * (classify()), so the probe is also a block-capable TraceSink: built
+ * over the image's predecode table it classifies every text site once,
+ * and a block-dispatched fetch chunk counts its sites' classes. Sites
+ * are the original decode, not the block uops (those fold mvhi). A
+ * default-constructed probe counts through onExec only; it must not be
+ * the lone probe of a machine with a block program.
  */
-class ImmediateClassProbe : public sim::Probe
+class ImmediateClassProbe : public sim::Probe, public sim::TraceSink
 {
   public:
+    /** The one counter (if any) an instruction adds to. */
+    enum class Class : uint8_t
+    {
+        Fits,
+        CmpImmediate,
+        AluImmediate,
+        MemDisplacement,
+    };
+
+    static Class classify(const isa::DecodedInst &inst);
+
+    ImmediateClassProbe() = default;
+    explicit ImmediateClassProbe(const sim::DecodedText &text);
+
     void
     onExec(const isa::DecodedInst &inst, uint32_t pc) override
     {
         (void)pc;
         ++total_;
-        const auto &d16 = isa::TargetInfo::d16();
-        switch (inst.op) {
-          case isa::Op::CmpI:
-            ++cmpImmediate_;
-            break;
-          case isa::Op::AddI: case isa::Op::SubI:
-            if (!d16.aluImmFits(inst.op, inst.imm) &&
-                !d16.aluImmFits(inst.op == isa::Op::AddI
-                                    ? isa::Op::SubI
-                                    : isa::Op::AddI,
-                                -static_cast<int64_t>(inst.imm))) {
-                ++aluImmediate_;
-            }
-            break;
-          case isa::Op::AndI: case isa::Op::OrI: case isa::Op::XorI:
-          case isa::Op::MvHI:
-            ++aluImmediate_;  // D16 has no logical/upper immediates
-            break;
-          case isa::Op::Ld: case isa::Op::St:
-          case isa::Op::Ldh: case isa::Op::Ldhu: case isa::Op::Sth:
-          case isa::Op::Ldb: case isa::Op::Ldbu: case isa::Op::Stb:
-            if (!d16.memOffsetFits(inst.op, inst.imm))
-                ++memDisplacement_;
-            break;
-          default:
-            break;
-        }
+        ++counts_[static_cast<size_t>(classify(inst))];
     }
 
+    void onFetchChunk(uint32_t startPc, uint32_t count) override;
+    void onDataRead(uint32_t, int) override {}
+    void onDataWrite(uint32_t, int) override {}
+
     uint64_t total() const { return total_; }
-    uint64_t cmpImmediate() const { return cmpImmediate_; }
-    uint64_t aluImmediate() const { return aluImmediate_; }
-    uint64_t memDisplacement() const { return memDisplacement_; }
+    uint64_t cmpImmediate() const { return counter(Class::CmpImmediate); }
+    uint64_t aluImmediate() const { return counter(Class::AluImmediate); }
+    uint64_t
+    memDisplacement() const
+    {
+        return counter(Class::MemDisplacement);
+    }
 
     double
     pct(uint64_t v) const
@@ -147,10 +152,13 @@ class ImmediateClassProbe : public sim::Probe
     }
 
   private:
+    uint64_t counter(Class c) const { return counts_[static_cast<size_t>(c)]; }
+
+    uint32_t textBase_ = 0;
+    unsigned insnShift_ = 0;
+    std::vector<Class> siteClass_;  //!< per text slot
     uint64_t total_ = 0;
-    uint64_t cmpImmediate_ = 0;
-    uint64_t aluImmediate_ = 0;
-    uint64_t memDisplacement_ = 0;
+    std::array<uint64_t, 4> counts_{};
 };
 
 /** Everything one simulated execution yields. */
@@ -190,8 +198,9 @@ buildBlockProgram(const assem::Image &image,
 /** Run to completion with optional probes (not owned). `predecoded`
  *  optionally shares one decode table across runs of the same image
  *  (see sim::DecodedText); `blocks` optionally enables block-compiled
- *  dispatch (ignored by probe-attached runs except trace capture —
- *  results are bit-identical either way). */
+ *  dispatch (ignored by probe-attached runs except a lone TraceSink:
+ *  trace capture or imm classification — results are bit-identical
+ *  either way). */
 RunMeasurement run(const assem::Image &image,
                    std::vector<sim::Probe *> probes = {},
                    sim::MachineConfig config = {},

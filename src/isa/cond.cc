@@ -69,26 +69,6 @@ negateCond(Cond c)
 }
 
 bool
-evalCond(Cond c, uint32_t a, uint32_t b)
-{
-    const int32_t sa = static_cast<int32_t>(a);
-    const int32_t sb = static_cast<int32_t>(b);
-    switch (c) {
-      case Cond::Lt: return sa < sb;
-      case Cond::Ltu: return a < b;
-      case Cond::Le: return sa <= sb;
-      case Cond::Leu: return a <= b;
-      case Cond::Eq: return a == b;
-      case Cond::Ne: return a != b;
-      case Cond::Gt: return sa > sb;
-      case Cond::Gtu: return a > b;
-      case Cond::Ge: return sa >= sb;
-      case Cond::Geu: return a >= b;
-    }
-    panic("bad cond");
-}
-
-bool
 evalCondFp(Cond c, double a, double b)
 {
     switch (c) {

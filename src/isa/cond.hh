@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "support/error.hh"
+
 namespace d16sim::isa
 {
 
@@ -54,8 +56,27 @@ Cond swapCond(Cond c);
 /** The complementary condition (true ↔ false). */
 Cond negateCond(Cond c);
 
-/** Evaluate an integer condition. */
-bool evalCond(Cond c, uint32_t a, uint32_t b);
+/** Evaluate an integer condition (inline: both dispatch paths of the
+ *  simulator evaluate one per compare). */
+inline bool
+evalCond(Cond c, uint32_t a, uint32_t b)
+{
+    const int32_t sa = static_cast<int32_t>(a);
+    const int32_t sb = static_cast<int32_t>(b);
+    switch (c) {
+      case Cond::Lt: return sa < sb;
+      case Cond::Ltu: return a < b;
+      case Cond::Le: return sa <= sb;
+      case Cond::Leu: return a <= b;
+      case Cond::Eq: return a == b;
+      case Cond::Ne: return a != b;
+      case Cond::Gt: return sa > sb;
+      case Cond::Gtu: return a > b;
+      case Cond::Ge: return sa >= sb;
+      case Cond::Geu: return a >= b;
+    }
+    panic("bad cond");
+}
 
 /** Evaluate a floating-point condition (lt/le/eq/ne/gt/ge meaningful). */
 bool evalCondFp(Cond c, double a, double b);

@@ -203,6 +203,33 @@ BlockProgram::BlockProgram(const assem::Image &image,
     blocks_.reserve(table.spans.size());
     for (const BlockSpan &span : table.spans)
         translate(*image.target, text, span);
+    chain();
+}
+
+void
+BlockProgram::chain()
+{
+    // An edge chains iff it lands on a dispatchable block start; pc 0
+    // (the halt sentinel) and NeedsStep blocks stay with the lookup.
+    const auto chainTo = [this](uint32_t pc) -> int32_t {
+        const int32_t id = pc == 0 ? -1 : blockAt(pc);
+        return id >= 0 && !blocks_[id].needsStep ? id : -1;
+    };
+    for (Block &b : blocks_) {
+        if (b.needsStep)
+            continue;
+        b.fallId = chainTo(b.fallThroughPc);
+        if (!b.hasTerm)
+            continue;
+        switch (b.term.op) {
+          case Op::Br: case Op::J: case Op::Jl:
+          case Op::Bz: case Op::Bnz:
+            b.takenId = chainTo(static_cast<uint32_t>(b.term.imm));
+            break;
+          default:
+            break;  // register targets: looked up at run time
+        }
+    }
 }
 
 void
@@ -280,16 +307,16 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
  *  and maxima resolve identically: both sources attribute to the load
  *  interlock counter), including execute()'s store-data bypass when
  *  `forwardRs2`. The caller adds the base issue cycle. */
-void
+[[gnu::always_inline]] inline void
 Machine::uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2)
 {
     const uint64_t issue = cycle_ + 1;
-    const auto pending = [&](uint8_t chk, int r) -> uint64_t {
-        const uint64_t ready = gprReady_[r];
-        return (flags & chk) && ready > issue ? ready - issue : 0;
-    };
-    uint64_t stall = pending(Uop::ChkRs1, u.rs1);
-    const uint64_t data = pending(Uop::ChkRs2, u.rs2);
+    const uint64_t ready1 = gprReady_[u.rs1];
+    const uint64_t ready2 = gprReady_[u.rs2];
+    uint64_t stall =
+        (flags & Uop::ChkRs1) && ready1 > issue ? ready1 - issue : 0;
+    const uint64_t data =
+        (flags & Uop::ChkRs2) && ready2 > issue ? ready2 - issue : 0;
     if (data > stall) {
         stall = data;
         if (forwardRs2) {
@@ -303,30 +330,46 @@ Machine::uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2)
     }
 }
 
+/** An integer ALU uop, register or immediate form (`b`). */
+template <isa::Op O>
+[[gnu::always_inline]] inline void
+Machine::aluUop(const Uop &u, uint8_t flags, uint32_t b)
+{
+    if (flags & Uop::Chk)
+        uopGprStall(u, flags);
+    ++cycle_;
+    writeGpr(u.rd, alu(O, gpr_[u.rs1], b));
+}
+
 /**
  * Execute one pre-bound body/slot uop (never a terminator). Identical
  * architectural and timing semantics to Machine::execute, minus the
  * work the translator already did: operand binding, hazard-check
- * narrowing (the ChkRs flags of this load delay's set), and the t+1
+ * narrowing (the ChkRs flags of the set at `Shift`), and the t+1
  * ready-time writes of single-cycle producers that no issue can
  * observe (all but the KeepReady ones). Returns true iff the uop
- * halted the machine (Trap halt).
+ * halted the machine; only Trap can, so every other case folds to a
+ * constant once this is inlined into the dispatch loop.
  */
-bool
+template <unsigned Shift, bool Traced>
+[[gnu::always_inline]] inline bool
 Machine::execUop(const Uop &u)
 {
     const FpLatencies &fpu = config_.fpu;
-    const uint8_t f = static_cast<uint8_t>(u.flags >> hazardShift_);
+    const uint8_t f = static_cast<uint8_t>(u.flags >> Shift);
+    const uint32_t imm = static_cast<uint32_t>(u.imm);
 
     switch (u.op) {
-      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
-      case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra: {
-        if (f & Uop::Chk)
-            uopGprStall(u, f);
-        ++cycle_;
-        writeGpr(u.rd, alu(u.op, gpr_[u.rs1], gpr_[u.rs2]));
-        break;
-      }
+      // One case per ALU op: the op is a constant of its case, so
+      // alu() folds instead of dispatching a second time.
+      case Op::Add: aluUop<Op::Add>(u, f, gpr_[u.rs2]); break;
+      case Op::Sub: aluUop<Op::Sub>(u, f, gpr_[u.rs2]); break;
+      case Op::And: aluUop<Op::And>(u, f, gpr_[u.rs2]); break;
+      case Op::Or: aluUop<Op::Or>(u, f, gpr_[u.rs2]); break;
+      case Op::Xor: aluUop<Op::Xor>(u, f, gpr_[u.rs2]); break;
+      case Op::Shl: aluUop<Op::Shl>(u, f, gpr_[u.rs2]); break;
+      case Op::Shr: aluUop<Op::Shr>(u, f, gpr_[u.rs2]); break;
+      case Op::Shra: aluUop<Op::Shra>(u, f, gpr_[u.rs2]); break;
 
       case Op::Neg: case Op::Inv: case Op::Mv: {
         if (f & Uop::Chk)
@@ -338,15 +381,14 @@ Machine::execUop(const Uop &u)
         break;
       }
 
-      case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
-      case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI: {
-        if (f & Uop::Chk)
-            uopGprStall(u, f);
-        ++cycle_;
-        writeGpr(u.rd,
-                 alu(u.op, gpr_[u.rs1], static_cast<uint32_t>(u.imm)));
-        break;
-      }
+      case Op::AddI: aluUop<Op::AddI>(u, f, imm); break;
+      case Op::SubI: aluUop<Op::SubI>(u, f, imm); break;
+      case Op::AndI: aluUop<Op::AndI>(u, f, imm); break;
+      case Op::OrI: aluUop<Op::OrI>(u, f, imm); break;
+      case Op::XorI: aluUop<Op::XorI>(u, f, imm); break;
+      case Op::ShlI: aluUop<Op::ShlI>(u, f, imm); break;
+      case Op::ShrI: aluUop<Op::ShrI>(u, f, imm); break;
+      case Op::ShraI: aluUop<Op::ShraI>(u, f, imm); break;
 
       case Op::MvI:  // MvHI folded in at translation
         ++cycle_;
@@ -378,7 +420,7 @@ Machine::execUop(const Uop &u)
         const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
         const uint32_t v = loadValue(u.op, ea);
         stats_.loads += 1;
-        if (traceSink_)
+        if constexpr (Traced)
             traceSink_->onDataRead(ea, static_cast<int>(u.aux));
         writeGpr(u.rd, v);
         setGprReady(u.rd, t + loadDelta_);  // load delay slot(s)
@@ -392,7 +434,7 @@ Machine::execUop(const Uop &u)
         const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
         storeValue(u.op, ea, gpr_[u.rs2]);
         stats_.stores += 1;
-        if (traceSink_)
+        if constexpr (Traced)
             traceSink_->onDataWrite(ea, static_cast<int>(u.aux));
         break;
       }
@@ -402,7 +444,7 @@ Machine::execUop(const Uop &u)
         const uint32_t ea = static_cast<uint32_t>(u.imm);  // pre-bound
         const uint32_t v = memory_.read32(ea);
         stats_.loads += 1;
-        if (traceSink_)
+        if constexpr (Traced)
             traceSink_->onDataRead(ea, 4);
         writeGpr(0, v);
         setGprReady(0, t + loadDelta_);
@@ -528,7 +570,9 @@ Machine::execUop(const Uop &u)
             uopGprStall(u, f);  // rs1 normalized to r2 at translation
         ++cycle_;
         doTrap(u.imm);
-        break;
+        if (f & Uop::KeepReady)
+            setGprReady(u.rd, cycle_ + 1);
+        return halted_;
 
       case Op::Rdsr:
         stallThisInsn_ = 0;
@@ -546,7 +590,30 @@ Machine::execUop(const Uop &u)
     }
     if (f & Uop::KeepReady)
         setGprReady(u.rd, cycle_ + 1);
-    return halted_;
+    return false;
+}
+
+/** The delay slot: one per terminated block, kept out of line so each
+ *  dispatch loop inlines execUop once, for its body uops. */
+template <unsigned Shift, bool Traced>
+[[gnu::noinline]] bool
+Machine::execSlot(const Uop &u)
+{
+    return execUop<Shift, Traced>(u);
+}
+
+bool
+Machine::runBlocks()
+{
+    static_assert(UarchConfig::MaxLoadDelay == 2,
+                  "one dispatch loop per load delay");
+    constexpr unsigned D1 = Uop::flagShift(1);
+    constexpr unsigned D2 = Uop::flagShift(2);
+    if (traceSink_)
+        return hazardShift_ == D1 ? dispatchBlocks<D1, true>()
+                                  : dispatchBlocks<D2, true>();
+    return hazardShift_ == D1 ? dispatchBlocks<D1, false>()
+                              : dispatchBlocks<D2, false>();
 }
 
 /**
@@ -555,27 +622,34 @@ Machine::execUop(const Uop &u)
  * block, or an instruction-limit crossing (false). Entered only with
  * no delay slot or shadow pending; leaves none pending (every
  * compiled block either ends before its terminator or consumes the
- * shadow with its own slot).
+ * shadow with its own slot). One instance per (hazard flag set,
+ * TraceSink attached): the flag shift is a constant and an untraced
+ * loop carries no sink test.
  */
+template <unsigned Shift, bool Traced>
 bool
-Machine::runBlocks()
+Machine::dispatchBlocks()
 {
     const BlockProgram &bp = *blocks_;
-    TraceSink *const sink = traceSink_;
+    const uint32_t ib = static_cast<uint32_t>(target_->insnBytes());
 
+    // The next block: the chained successor of the edge just taken, or
+    // -1 to look pc_ up (on entry, and after register-target or
+    // unchained edges).
+    int32_t id = -1;
     while (true) {
-        if (pc_ == 0) {
-            // Halt sentinel: the startup return address.
-            halted_ = true;
-            exitStatus_ = static_cast<int>(gpr_[2]);
-            return true;
+        if (id < 0) {
+            if (pc_ == 0) {
+                // Halt sentinel: the startup return address.
+                halted_ = true;
+                exitStatus_ = static_cast<int>(gpr_[2]);
+                return true;
+            }
+            id = bp.blockAt(pc_);
+            if (id < 0 || bp.block(id).needsStep)
+                return false;
         }
-        const int32_t id = bp.blockAt(pc_);
-        if (id < 0)
-            return false;
         const BlockProgram::Block &b = bp.block(id);
-        if (b.needsStep)
-            return false;
 
         const uint64_t n = b.count;
         if (stats_.instructions + n > limitCheckAt_) {
@@ -590,29 +664,30 @@ Machine::runBlocks()
         stats_.instructions += n;
         blockInstructions_ += n;
 
-        // Tracks how many of the block's n instructions have retired
-        // (counting the one in flight), so both a mid-block halt trap
+        // How many of the block's n instructions have retired,
+        // counting the one in flight, so both a mid-block halt trap
         // and a faulting uop (memory error -> FatalError) can back out
         // the unexecuted tail — step() counts the faulting instruction
-        // and the block path must report identical stats.
+        // and the block path must report identical stats. In the body
+        // it follows from the uop pointer, which the fault path reads;
+        // `executed` is set once the body is done.
+        const Uop *const body = bp.uops(b);
+        const Uop *const end = body + b.uopCount;
+        const Uop *u = body;
         uint64_t executed = 0;
         try {
 
-        const Uop *const body = bp.uops(b);
-        const Uop *const end = body + b.uopCount;
-        for (const Uop *u = body; u != end; ++u) {
-            executed = static_cast<uint64_t>(u - body) + 1;
-            if (execUop(*u)) {
+        for (; u != end; ++u) {
+            if (execUop<Shift, Traced>(*u)) {
                 // Halt trap mid-block: back out the unexecuted tail.
+                executed = static_cast<uint64_t>(u - body) + 1;
                 stats_.instructions -= n - executed;
                 blockInstructions_ -= n - executed;
                 // step() leaves pc_ just past a halting instruction.
-                pc_ = b.startPc +
-                      static_cast<uint32_t>(executed) *
-                          static_cast<uint32_t>(target_->insnBytes());
-                if (sink)
-                    sink->onFetchChunk(b.startPc,
-                                       static_cast<uint32_t>(executed));
+                pc_ = b.startPc + static_cast<uint32_t>(executed) * ib;
+                if constexpr (Traced)
+                    traceSink_->onFetchChunk(
+                        b.startPc, static_cast<uint32_t>(executed));
                 return true;
             }
         }
@@ -621,9 +696,11 @@ Machine::runBlocks()
             // Straight-line block: fall through to the next address
             // (which may be pool data — then the next iteration's
             // lookup fails and step() takes over, as in step mode).
+            executed = n;
             pc_ = b.fallThroughPc;
-            if (sink)
-                sink->onFetchChunk(b.startPc, b.count);
+            id = b.fallId;
+            if constexpr (Traced)
+                traceSink_->onFetchChunk(b.startPc, b.count);
             continue;
         }
 
@@ -631,12 +708,10 @@ Machine::runBlocks()
         // slot. takenBranches increments before the slot executes,
         // matching step()'s ordering.
         const Uop &cf = b.term;
-        const uint32_t cfPc =
-            b.startPc +
-            b.uopCount * static_cast<uint32_t>(target_->insnBytes());
+        const uint32_t cfPc = b.startPc + b.uopCount * ib;
         executed = b.uopCount + 1;
         stats_.branches += 1;
-        const uint8_t cff = static_cast<uint8_t>(cf.flags >> hazardShift_);
+        const uint8_t cff = static_cast<uint8_t>(cf.flags >> Shift);
         if (cff & Uop::Chk)
             uopGprStall(cf, cff);
         ++cycle_;
@@ -674,28 +749,28 @@ Machine::runBlocks()
             stats_.takenBranches += 1;
 
         executed = n;
-        const bool slotHalted = execUop(b.slot);
+        const bool slotHalted = execSlot<Shift, Traced>(b.slot);
         if (b.slotBubble)
             stats_.branchBubbles += 1;
-        if (sink)
-            sink->onFetchChunk(b.startPc, b.count);
+        if constexpr (Traced)
+            traceSink_->onFetchChunk(b.startPc, b.count);
         // On a delay-slot halt trap this matches step(), which applies
         // the pending redirect in its epilogue before noticing halted_.
         pc_ = taken ? target : b.fallThroughPc;
         if (slotHalted)
             return true;
+        id = taken ? b.takenId : b.fallId;
 
         } catch (...) {
             // A faulting uop (memory error): restore the exact stats
             // and pc step() would report for the same fault — execute()
             // only advances pc_ in its epilogue, so step() faults with
             // pc_ still at the offending instruction.
+            if (executed == 0)
+                executed = static_cast<uint64_t>(u - body) + 1;
             stats_.instructions -= n - executed;
             blockInstructions_ -= n - executed;
-            if (executed)
-                pc_ = b.startPc +
-                      static_cast<uint32_t>(executed - 1) *
-                          static_cast<uint32_t>(target_->insnBytes());
+            pc_ = b.startPc + static_cast<uint32_t>(executed - 1) * ib;
             throw;
         }
     }

@@ -11,8 +11,11 @@
  * such block ONCE into a contiguous run of pre-bound uops — operands
  * resolved, branch targets and Ldc pool addresses turned into absolute
  * values, link values precomputed, load-use hazard checks narrowed to
- * the only instructions that can actually stall — and the machine then
- * dispatches block-to-block through a pc -> block map.
+ * the only instructions that can actually stall — and links each block
+ * to its static successors. The machine then dispatches block to block
+ * along those chained edges, looking a pc up in the pc -> block map
+ * only after a register-target or unchained edge, in one loop
+ * instantiated per (load-delay flag set, trace sink attached).
  *
  * Exactness contract (the golden sweeps, trace replay and the static
  * timing analyzer all cross-validate against Machine::step):
@@ -45,8 +48,9 @@
  *    slot, control flow in a slot, undecodable sites), and instruction
  *    -limit crossings (so the limit fires at the precise instruction).
  *    Probe-attached runs never enter the engine at all — except a
- *    lone TraceSink, which receives whole-block fetch chunks that
- *    reproduce the per-instruction stream exactly.
+ *    lone TraceSink (trace capture or imm classification), which
+ *    receives whole-block fetch chunks that reproduce the
+ *    per-instruction stream exactly.
  *
  * Layering: this lives in src/sim (the machine executes uops), but the
  * block *discovery* comes from src/analysis, which depends on sim.
@@ -91,7 +95,8 @@ struct BlockTable
  * per-instruction virtual call, but trace capture only needs the
  * run-length-encoded fetch stream — which a block IS: `count`
  * sequential fetches from `startPc`. A probe that also implements
- * this interface (TraceProbe) keeps block dispatch eligible; data
+ * this interface (TraceProbe, ImmediateClassProbe) keeps block
+ * dispatch eligible when it is the machine's only probe; data
  * accesses reuse the Probe callback names so one override serves both.
  * Branch callbacks reach it as a Probe from either dispatch path.
  */
@@ -156,6 +161,13 @@ class BlockProgram
         uint32_t fallThroughPc = 0;  //!< next *address* (may be pool)
         uint32_t uopBegin = 0;       //!< body run in the uop pool
         uint32_t uopCount = 0;       //!< body size (count - 2 if term)
+        /** Chained successors: the dispatchable block (not NeedsStep)
+         *  starting at fallThroughPc, and at the terminator's static
+         *  target (Br/J/Jl/Bz/Bnz), or -1 where dispatch must look the
+         *  pc up (register targets, the halt sentinel pc 0, unclaimed
+         *  pcs) or hand it to step(). */
+        int32_t fallId = -1;
+        int32_t takenId = -1;
         Uop term;                    //!< terminator, valid iff hasTerm
         Uop slot;                    //!< delay slot, valid iff hasTerm
         bool hasTerm = false;
@@ -190,6 +202,8 @@ class BlockProgram
   private:
     void translate(const isa::TargetInfo &t, const DecodedText &text,
                    const BlockSpan &span);
+    /** Fill every block's fallId/takenId once all are translated. */
+    void chain();
 
     uint32_t textBase_ = 0;
     uint32_t textSize_ = 0;

@@ -88,18 +88,20 @@ class Machine
      *  immutable; see BlockProgram). run() then dispatches whole
      *  blocks wherever the static picture holds and falls back to
      *  step() everywhere else. Probe-attached runs ignore it — except
-     *  a lone TraceSink (setTraceSink), which keeps block dispatch
-     *  eligible. Results are bit-identical either way. */
+     *  for the lone block-capable probe (setTraceSink): trace capture
+     *  or imm classification. Results are bit-identical either way. */
     void
     setBlockProgram(std::shared_ptr<const BlockProgram> blocks)
     {
         blocks_ = std::move(blocks);
     }
 
-    /** Declare the single attached probe as block-capable: it receives
-     *  block-granularity fetch chunks and direct data callbacks from
-     *  the engine (and normal per-instruction probe callbacks from any
-     *  step() fallback). `sink` must also be registered via addProbe. */
+    /** Declare the single attached probe as block-capable — the lone
+     *  block-capable probe: trace capture or imm classification. It
+     *  receives block-granularity fetch chunks and direct data
+     *  callbacks from the engine (and normal per-instruction probe
+     *  callbacks from any step() fallback). `sink` must also be
+     *  registered via addProbe. */
     void setTraceSink(TraceSink *sink) { traceSink_ = sink; }
 
     /** Instructions retired through block dispatch (diagnostic; the
@@ -139,10 +141,16 @@ class Machine
         gpr_[r] = v;
     }
 
-    /** Block-engine dispatch (defined in block_engine.cc). */
+    /** Block-engine dispatch (defined in block_engine.cc): runBlocks()
+     *  enters the dispatchBlocks() instance for this machine's hazard
+     *  flag set (hazardShift_) and for whether a TraceSink is attached;
+     *  execUop and uopGprStall are inlined into each instance. */
     bool runBlocks();
-    bool execUop(const Uop &u);
+    template <unsigned Shift, bool Traced> bool dispatchBlocks();
+    template <unsigned Shift, bool Traced> bool execUop(const Uop &u);
+    template <unsigned Shift, bool Traced> bool execSlot(const Uop &u);
     void uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2 = false);
+    template <isa::Op O> void aluUop(const Uop &u, uint8_t flags, uint32_t b);
 
     /** Branch-policy accounting shared by execute() and runBlocks()
      *  (sim/uarch.hh). Penalties are additive (SimStats::branchStalls)
@@ -177,7 +185,7 @@ class Machine
     /** The datapath both dispatch paths share: the integer ALU
      *  (register and immediate forms alike), memory by access width,
      *  and the FP conversions. */
-    static uint32_t
+    [[gnu::always_inline]] static uint32_t
     alu(isa::Op op, uint32_t a, uint32_t b)
     {
         using isa::Op;
@@ -195,7 +203,7 @@ class Machine
         }
     }
 
-    uint32_t
+    [[gnu::always_inline]] uint32_t
     loadValue(isa::Op op, uint32_t ea)
     {
         using isa::Op;
@@ -212,7 +220,7 @@ class Machine
         }
     }
 
-    void
+    [[gnu::always_inline]] void
     storeValue(isa::Op op, uint32_t ea, uint32_t v)
     {
         if (op == isa::Op::St)

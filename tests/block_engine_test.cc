@@ -101,12 +101,15 @@ runBothAndCompare(const assem::Image &img, const std::string &where,
     return blockM;
 }
 
-/** Every workload x {D16, DLXe/32/3}, spread over a few threads: the
- *  matrix is embarrassingly parallel and dominates this binary. */
+/** Every workload x `variants` (default {D16, DLXe/32/3}), spread
+ *  over a few threads: the matrix is embarrassingly parallel and
+ *  dominates this binary. */
 void
 forEachWorkloadVariant(
     const std::function<void(const core::Workload &,
-                             const mc::CompileOptions &)> &body)
+                             const mc::CompileOptions &)> &body,
+    const std::vector<mc::CompileOptions> &variants = {
+        mc::CompileOptions::d16(), mc::CompileOptions::dlxe(32, true)})
 {
     struct Item
     {
@@ -115,8 +118,7 @@ forEachWorkloadVariant(
     };
     std::vector<Item> items;
     for (const core::Workload &w : core::workloadSuite())
-        for (const mc::CompileOptions &opts :
-             {mc::CompileOptions::d16(), mc::CompileOptions::dlxe(32, true)})
+        for (const mc::CompileOptions &opts : variants)
             items.push_back({&w, opts});
 
     std::atomic<size_t> next{0};
@@ -248,6 +250,51 @@ TEST(BlockEngine, UarchSmokeConfigsMatchStep)
                 << where;
         }
     });
+}
+
+TEST(BlockEngine, ImmClassRunsOnBlocks)
+{
+    // The imm probe is a block-capable TraceSink: its runs dispatch
+    // blocks and count each fetch chunk's sites, and must agree with a
+    // step-only run in every counter. DLXe/16/2 is the matrix's imm
+    // variant; D16 and DLXe/32/3 widen the opcode mix.
+    forEachWorkloadVariant(
+        [](const core::Workload &w, const mc::CompileOptions &opts) {
+            const assem::Image img = core::build(w.source, opts);
+            auto predecoded = std::make_shared<const sim::DecodedText>(img);
+            const std::string where =
+                w.name + " " + std::string(opts.name());
+
+            core::ImmediateClassProbe stepProbe;
+            sim::Machine stepM(img, {}, predecoded);
+            stepM.addProbe(&stepProbe);
+            stepM.run();
+
+            core::ImmediateClassProbe blockProbe(*predecoded);
+            sim::Machine blockM(img, {}, predecoded);
+            blockM.setBlockProgram(core::buildBlockProgram(img, predecoded));
+            blockM.addProbe(&blockProbe);
+            blockM.setTraceSink(&blockProbe);
+            blockM.run();
+
+            EXPECT_EQ(stepM.output(), blockM.output()) << where;
+            EXPECT_EQ(stepM.pc(), blockM.pc()) << where;
+            expectStatsEqual(stepM.stats(), blockM.stats(), where);
+            EXPECT_EQ(stepProbe.total(), blockProbe.total()) << where;
+            EXPECT_EQ(stepProbe.total(), stepM.stats().instructions) << where;
+            EXPECT_EQ(stepProbe.cmpImmediate(), blockProbe.cmpImmediate())
+                << where;
+            EXPECT_EQ(stepProbe.aluImmediate(), blockProbe.aluImmediate())
+                << where;
+            EXPECT_EQ(stepProbe.memDisplacement(),
+                      blockProbe.memDisplacement())
+                << where;
+            EXPECT_GE(blockM.blockInstructions(),
+                      blockM.stats().instructions * 9 / 10)
+                << where;
+        },
+        {mc::CompileOptions::dlxe(16, false), mc::CompileOptions::d16(),
+         mc::CompileOptions::dlxe(32, true)});
 }
 
 TEST(BlockEngine, EngineActuallyDispatchesBlocks)
@@ -528,6 +575,164 @@ loop:
 
     expectStatsEqual(stepM.stats(), blockM.stats(), "instruction limit");
     EXPECT_EQ(stepM.reg(2), blockM.reg(2));
+}
+
+// ----- chained-edge exits ----------------------------------------------
+
+/** The block starting at `label`'s address in `img`. */
+const sim::BlockProgram::Block &
+blockAtLabel(const sim::BlockProgram &bp, const assem::Image &img,
+             const std::string &label)
+{
+    const int32_t id = bp.blockAt(img.symbols.at(label));
+    EXPECT_GE(id, 0) << label;
+    return bp.block(id);
+}
+
+TEST(BlockEngineChain, InstructionLimitInsideChainedSelfLoop)
+{
+    // A three-instruction self-loop chains to itself; 10000 is not a
+    // multiple of three, so the limit lands inside a block, after the
+    // runaway guard has re-armed twice on chained dispatch.
+    const isa::TargetInfo &t = isa::TargetInfo::dlxe();
+    const assem::Image img = buildAsm(t, R"(
+main:
+loop:
+    addi r2, r2, 1
+    j loop
+    addi r3, r3, 2
+)");
+    auto blocks = core::buildBlockProgram(img);
+    const auto &loop = blockAtLabel(*blocks, img, "loop");
+    EXPECT_EQ(loop.takenId, blocks->blockAt(img.symbols.at("loop")));
+
+    sim::MachineConfig config;
+    config.maxInstructions = 10000;
+    sim::Machine stepM(img, config);
+    EXPECT_THROW(stepM.run(), FatalError);
+    sim::Machine blockM(img, config);
+    blockM.setBlockProgram(blocks);
+    EXPECT_THROW(blockM.run(), FatalError);
+
+    expectStatsEqual(stepM.stats(), blockM.stats(), "chained limit");
+    EXPECT_EQ(stepM.stats().instructions, 10000u);
+    EXPECT_EQ(stepM.pc(), blockM.pc());
+    EXPECT_EQ(stepM.reg(2), blockM.reg(2));
+    EXPECT_EQ(stepM.reg(3), blockM.reg(3));
+    EXPECT_GT(blockM.blockInstructions(), 9900u);
+}
+
+TEST(BlockEngineChain, FaultInBlockEnteredByChainedEdge)
+{
+    // `bad` is entered through main's chained j edge and faults on its
+    // second uop; the block path must back out to step()'s stats, pc
+    // and message.
+    const isa::TargetInfo &t = isa::TargetInfo::dlxe();
+    const assem::Image img = buildAsm(t, R"(
+main:
+    mvhi r6, 32767
+    j bad
+    mvi r3, 1
+bad:
+    mvi r4, 1
+    ld r5, 0(r6)
+    mvi r2, 0
+    trap 5
+)");
+    auto blocks = core::buildBlockProgram(img);
+    EXPECT_EQ(blockAtLabel(*blocks, img, "main").takenId,
+              blocks->blockAt(img.symbols.at("bad")));
+
+    const auto faultOf = [&](sim::Machine &m) {
+        try {
+            m.run();
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "no fault";
+        return std::string();
+    };
+    sim::Machine stepM(img);
+    sim::Machine blockM(img);
+    blockM.setBlockProgram(blocks);
+    const std::string stepFault = faultOf(stepM);
+    EXPECT_FALSE(stepFault.empty());
+    EXPECT_EQ(stepFault, faultOf(blockM));
+    expectStatsEqual(stepM.stats(), blockM.stats(), "chained fault");
+    EXPECT_EQ(stepM.stats().instructions, 5u);
+    EXPECT_EQ(stepM.pc(), blockM.pc());
+    EXPECT_EQ(blockM.pc(), img.symbols.at("bad") + 4);
+    EXPECT_EQ(blockM.reg(4), 1u);
+    EXPECT_EQ(blockM.blockInstructions(), 5u);
+}
+
+TEST(BlockEngineChain, StaticBranchToNeedsStepBlock)
+{
+    // `tail` ends the text with a transfer that has no delay slot, so
+    // the translator marks it NeedsStep and the j into it stays
+    // unchained: dispatch must hand `tail` to step().
+    const isa::TargetInfo &t = isa::TargetInfo::dlxe();
+    const assem::Image img = buildAsm(t, R"(
+main:
+    mvi r2, 3
+    j tail
+    mvi r3, 4
+tail:
+    mvi r1, 0
+    jr r1
+)");
+    auto blocks = core::buildBlockProgram(img);
+    EXPECT_TRUE(blockAtLabel(*blocks, img, "tail").needsStep);
+    EXPECT_EQ(blockAtLabel(*blocks, img, "main").takenId, -1);
+
+    auto m = runBothAndCompare(img, "j to NeedsStep block", {}, blocks);
+    EXPECT_TRUE(m->halted());
+    EXPECT_EQ(m->reg(2), 3u);
+    EXPECT_EQ(m->reg(3), 4u);
+    EXPECT_EQ(m->blockInstructions(), 3u);
+    EXPECT_EQ(m->stats().instructions, 5u);
+}
+
+TEST(BlockEngineChain, ReturnToHaltSentinel)
+{
+    // Linked at text base 0, so pc 0 — the halt sentinel — is also a
+    // block start. After a chained call and a register return, `j
+    // zero` must halt as in step(), not chain into the block there.
+    const isa::TargetInfo &t = isa::TargetInfo::dlxe();
+    assem::Assembler as(t);
+    as.add(assem::parseAsm(t, R"(
+zero:
+    mvi r9, 1
+    mvi r2, 1
+    trap 5
+main:
+    jl f
+    nop
+back:
+    mvi r2, 7
+    j zero
+    mvi r3, 5
+f:
+    addi r4, r4, 1
+    jr r1
+    nop
+)"));
+    const assem::Image img = as.link(0);
+    auto blocks = core::buildBlockProgram(img);
+    ASSERT_EQ(img.symbols.at("zero"), 0u);
+    EXPECT_GE(blocks->blockAt(0), 0);
+    EXPECT_EQ(blockAtLabel(*blocks, img, "main").takenId,
+              blocks->blockAt(img.symbols.at("f")));
+    EXPECT_EQ(blockAtLabel(*blocks, img, "back").takenId, -1);
+
+    auto m = runBothAndCompare(img, "static branch to pc 0", {}, blocks);
+    EXPECT_TRUE(m->halted());
+    EXPECT_EQ(m->pc(), 0u);
+    EXPECT_EQ(m->reg(2), 7u);
+    EXPECT_EQ(m->reg(3), 5u);
+    EXPECT_EQ(m->reg(4), 1u);
+    EXPECT_EQ(m->reg(9), 0u);
+    EXPECT_EQ(m->blockInstructions(), m->stats().instructions);
 }
 
 } // namespace

@@ -283,12 +283,16 @@ main(int argc, char **argv)
                 "threads\n"
                 "d16sweep: wall %.2fs, busy %.2fs (build %.2fs + "
                 "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
+                "d16sweep: thread cpu: build %.2fs, simulate %.2fs, "
+                "replay %.2fs\n"
                 "d16sweep: %llu instructions simulated, %.1f MIPS\n",
                 t.executedRuns, t.executedBuilds, t.dedupedRuns,
                 t.replayedRuns, t.capturedTraces, t.retimedSlices,
                 t.threads,
                 t.wallSeconds, t.busySeconds(), t.buildSeconds,
                 t.simulateSeconds, t.replaySeconds, t.speedup(),
+                t.buildCpuSeconds, t.simulateCpuSeconds,
+                t.replayCpuSeconds,
                 static_cast<unsigned long long>(t.simulatedInstructions),
                 t.simMips());
             if (artifacts) {
