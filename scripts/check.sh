@@ -150,7 +150,7 @@ echo "== d16sweep: store gc keeps the live matrix warm =="
 echo "== d16sweepd: served sweep is byte-identical =="
 rm -f build/check.sock
 ./build/tools/d16sweepd --socket build/check.sock \
-    --store build/check-store --shards 4 &
+    --store build/check-store --jobs 4 &
 SWEEPD_PID=$!
 trap 'kill "$SWEEPD_PID" 2>/dev/null || true' EXIT
 sleep 1

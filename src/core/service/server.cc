@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -147,19 +146,6 @@ SweepServer::handleClient(int fd)
     return true;
 }
 
-size_t
-SweepServer::laneOf(const sweep::JobSpec &spec, int shards)
-{
-    // FNV-1a over the image key: deterministic, and jobs sharing a
-    // build node never split across lanes.
-    uint32_t h = 2166136261u;
-    for (char c : sweep::imageKey(spec)) {
-        h ^= static_cast<uint8_t>(c);
-        h *= 16777619u;
-    }
-    return h % static_cast<uint32_t>(shards);
-}
-
 void
 SweepServer::handleSweep(int fd, const Json &request)
 {
@@ -195,12 +181,9 @@ SweepServer::handleSweep(int fd, const Json &request)
         ++jobsServed_;
     };
 
-    // Rows the memory cache already holds stream immediately; the
-    // remainder is partitioned by image across the shard lanes, so
-    // every slice of an image shares one lane's build node.
-    std::vector<std::vector<sweep::JobSpec>> lanes(
-        static_cast<size_t>(cfg_.shards));
-    size_t fresh = 0;
+    // Rows the memory cache already holds stream immediately; one
+    // engine settles the rest, its rows streaming as they land.
+    std::vector<sweep::JobSpec> fresh;
     for (sweep::JobSpec &spec : jobs) {
         const std::string key = sweep::jobKey(spec);
         if (const sweep::JobResult *hit = results_.find(key)) {
@@ -208,54 +191,25 @@ SweepServer::handleSweep(int fd, const Json &request)
             ++jobsFromMemory_;
             continue;
         }
-        ++fresh;
-        lanes[laneOf(spec, cfg_.shards)].push_back(std::move(spec));
+        fresh.push_back(std::move(spec));
     }
 
-    sweep::SweepTiming total;
-    total.threads = 0;
-    std::string firstError;
-    if (fresh) {
-        std::mutex aggMutex;
-        std::vector<std::thread> workers;
-        for (std::vector<sweep::JobSpec> &lane : lanes) {
-            if (lane.empty())
-                continue;
-            workers.emplace_back([this, &lane, &send, &aggMutex, &total,
-                                  &firstError, replay, blockEngine] {
-                try {
-                    sweep::SweepEngine engine(results_, cfg_.jobs);
-                    engine.setReplay(replay);
-                    engine.setBlockEngine(blockEngine);
-                    engine.setArtifacts(artifacts_.get());
-                    engine.setResultCallback(send);
-                    engine.add(std::move(lane));
-                    engine.run();
-                    // Lanes run concurrently: wall is the slowest lane,
-                    // counts and busy time sum.
-                    std::lock_guard<std::mutex> guard(aggMutex);
-                    total.merge(engine.timing());
-                } catch (const Error &e) {
-                    std::lock_guard<std::mutex> guard(aggMutex);
-                    if (firstError.empty())
-                        firstError = e.what();
-                }
-            });
-        }
-        for (std::thread &t : workers)
-            t.join();
-    }
-
+    sweep::SweepEngine engine(results_, threads());
+    engine.setReplay(replay);
+    engine.setBlockEngine(blockEngine);
+    engine.setArtifacts(artifacts_.get());
+    engine.setResultCallback(send);
+    engine.add(std::move(fresh));
     Json frame = Json::object();
-    if (!firstError.empty()) {
+    try {
+        engine.run();
+        frame["frame"] = Json("done");
+        frame["count"] = Json(static_cast<int64_t>(jobs.size()));
+        frame["timing"] = engine.timing().json();
+    } catch (const Error &e) {
         frame["frame"] = Json("error");
-        frame["error"] = Json(firstError);
-        writeFrame(fd, frame);
-        return;
+        frame["error"] = Json(std::string(e.what()));
     }
-    frame["frame"] = Json("done");
-    frame["count"] = Json(static_cast<int64_t>(jobs.size()));
-    frame["timing"] = total.json();
     writeFrame(fd, frame);
 }
 
@@ -269,8 +223,7 @@ SweepServer::statsJson()
     j["jobsServed"] = Json(jobsServed_);
     j["jobsFromMemory"] = Json(jobsFromMemory_);
     j["resultsInMemory"] = Json(static_cast<int64_t>(results_.size()));
-    j["shards"] = Json(cfg_.shards);
-    j["jobsPerShard"] = Json(cfg_.jobs);
+    j["threads"] = Json(threads());
     if (artifacts_) {
         const store::StoreCounters c = artifacts_->counters();
         Json s = Json::object();

@@ -6,14 +6,14 @@
  * ResultStore that persist across requests, so repeated sweeps of
  * overlapping matrices amortize: the first request fills the stores,
  * later ones stream straight from memory (no build, no simulation, no
- * disk read). A cold request is sharded: its jobs are partitioned by
- * image across `shards` concurrent SweepEngine lanes (each a
- * `jobs`-thread engine) sharing the store, and every result row is
- * streamed to the client the moment it lands.
+ * disk read). The rest of a request runs on one SweepEngine over the
+ * shared stores, whose workers settle one build node (image) each at
+ * a time, and every result row is streamed to the client the moment
+ * it lands.
  *
  * Requests are handled one client at a time — the concurrency budget
- * belongs to the sweep lanes, not the accept loop. See protocol.hh
- * for the wire format.
+ * belongs to the engine's workers, not the accept loop. See
+ * protocol.hh for the wire format.
  */
 
 #ifndef D16SIM_CORE_SERVICE_SERVER_HH
@@ -33,8 +33,11 @@ struct ServerConfig
 {
     std::string socketPath;
     std::string storeDir; //!< empty: serve without a persistent store
-    int jobs = 1;         //!< worker threads per shard lane
-    int shards = 1;       //!< concurrent engine lanes per request
+    int jobs = 1;         //!< engine worker threads
+    /** Multiplies `jobs`: the engine runs jobs x shards workers. Kept
+     *  for callers written against the former per-shard engine lanes;
+     *  set `jobs` instead. */
+    int shards = 1;
 };
 
 class SweepServer
@@ -55,16 +58,13 @@ class SweepServer
 
     const std::string &socketPath() const { return cfg_.socketPath; }
 
-    /** The shard lane (of `shards`) a request's fresh job runs on:
-     *  every job of one image shares a lane, and so its build node. */
-    static size_t laneOf(const sweep::JobSpec &spec, int shards);
-
   private:
     /** One connection: handle requests until EOF. Returns false when
      *  a shutdown request was honored. */
     bool handleClient(int fd);
     void handleSweep(int fd, const Json &request);
     Json statsJson();
+    int threads() const { return cfg_.jobs * cfg_.shards; }
 
     ServerConfig cfg_;
     int listenFd_ = -1;

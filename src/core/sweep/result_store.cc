@@ -107,6 +107,22 @@ jobKey(const JobSpec &spec)
     return key;
 }
 
+namespace
+{
+
+ImmMetrics
+immMetrics(const ImmediateClassProbe &ic)
+{
+    ImmMetrics m;
+    m.total = ic.total();
+    m.cmpImmediate = ic.cmpImmediate();
+    m.aluImmediate = ic.aluImmediate();
+    m.memDisplacement = ic.memDisplacement();
+    return m;
+}
+
+} // namespace
+
 JobResult
 executeJob(const JobSpec &spec)
 {
@@ -154,10 +170,7 @@ executeJob(const JobSpec &spec, const assem::Image &image,
         ImmediateClassProbe ic(*predecoded);
         r.run = core::run(image, {&ic}, mcfg, predecoded,
                           std::move(blocks));
-        r.imm.total = ic.total();
-        r.imm.cmpImmediate = ic.cmpImmediate();
-        r.imm.aluImmediate = ic.aluImmediate();
-        r.imm.memDisplacement = ic.memDisplacement();
+        r.imm = immMetrics(ic);
         break;
       }
     }
@@ -174,7 +187,7 @@ replayable(const JobSpec &spec)
 
 std::vector<JobResult>
 replayJobs(const std::vector<const JobSpec *> &specs,
-           const replay::Trace &trace,
+           const replay::Trace &trace, const sim::DecodedText *text,
            const replay::TimingReplayStats *retimed)
 {
     std::vector<JobResult> out(specs.size());
@@ -182,7 +195,6 @@ replayJobs(const std::vector<const JobSpec *> &specs,
     std::vector<size_t> cacheJobs;  //!< out index of each eval
     for (size_t i = 0; i < specs.size(); ++i) {
         const JobSpec &spec = *specs[i];
-        panicIf(!replayable(spec), "job kind cannot be replayed");
         JobResult &r = out[i];
         r.probe = spec.probe;
         r.uarch = spec.uarch;
@@ -191,8 +203,15 @@ replayJobs(const std::vector<const JobSpec *> &specs,
         r.run = replay::replayRun(trace, spec.uarch, retimed);
         switch (spec.probe) {
           case ProbeKind::None:
-          case ProbeKind::ImmClass:
             break;
+          case ProbeKind::ImmClass: {
+            panicIf(!text, "imm replay needs the image's predecode table");
+            ImmediateClassProbe ic(*text);
+            for (const replay::FetchRun &run : trace.runs)
+                ic.onFetchChunk(run.startPc, run.count);
+            r.imm = immMetrics(ic);
+            break;
+          }
           case ProbeKind::FetchBuffer:
             r.fetch.busBytes = spec.busBytes;
             r.fetch.requests =
@@ -228,22 +247,24 @@ replaySlice(const std::vector<const JobSpec *> &specs,
 {
     SliceCost spent;
     const sim::UarchConfig slice = specs.front()->uarch.captureConfig();
+    if (!predecoded)
+        predecoded = std::make_shared<const sim::DecodedText>(image);
     std::vector<JobResult> out;
     const Stopwatch clock;
     if (replay::timingReplayable(trace, table)) {
         const replay::TimingReplayStats timed =
             replay::replayTiming(trace, table, slice);
-        out = replayJobs(specs, trace, &timed);
+        out = replayJobs(specs, trace, predecoded.get(), &timed);
     } else {
         sim::MachineConfig cfg;
         cfg.uarch = slice;
-        const replay::Trace own = replay::capture(
-            image, std::move(predecoded), cfg, std::move(blocks));
+        const replay::Trace own =
+            replay::capture(image, predecoded, cfg, std::move(blocks));
         spent.captured = true;
         spent.capturedInstructions = own.base.stats.instructions;
         spent.captureSeconds = clock.wallSeconds();
         spent.captureCpuSeconds = clock.cpuSeconds();
-        out = replayJobs(specs, own);
+        out = replayJobs(specs, own, predecoded.get());
     }
     spent.replaySeconds = clock.wallSeconds() - spent.captureSeconds;
     spent.replayCpuSeconds = clock.cpuSeconds() - spent.captureCpuSeconds;
@@ -285,9 +306,10 @@ Stopwatch::cpuSeconds() const
 }
 
 JobResult
-replayJob(const JobSpec &spec, const replay::Trace &trace)
+replayJob(const JobSpec &spec, const replay::Trace &trace,
+          const sim::DecodedText *text)
 {
-    return std::move(replayJobs({&spec}, trace).front());
+    return std::move(replayJobs({&spec}, trace, text).front());
 }
 
 namespace

@@ -129,25 +129,28 @@ JobResult executeJob(const JobSpec &spec, const assem::Image &image,
                      std::shared_ptr<const sim::BlockProgram> blocks =
                          nullptr);
 
-/** True when the job's measurement is fully determined by a recorded
- *  trace of its (workload, variant) execution — no re-simulation
- *  needed. Base, cache, and fetch-buffer jobs are; the immediate
- *  classifier is not (it consumes the decoded instruction stream,
- *  which traces do not record). */
+/** True when the job's measurement is determined by a recorded trace
+ *  of its (workload, variant) execution alone. Base, cache and
+ *  fetch-buffer jobs are; the immediate classifier also needs the
+ *  image's predecode table (replayJobs() takes it), so it is false
+ *  for ImmClass. */
 bool replayable(const JobSpec &spec);
 
-/** Evaluate replayable jobs of one capture slice from a recorded
- *  trace of their image. Each run section is replay::replayRun(): the
- *  capture measurement with the job's branch statistics and, given
- *  `retimed` (the slice's replay::replayTiming() of a trace captured
- *  at another slice), the slice's scoreboard counters. Probe sections
- *  are computed by the replay evaluators — bit-identical to direct
+/** Evaluate jobs of one capture slice from a recorded trace of their
+ *  image. Each run section is replay::replayRun(): the capture
+ *  measurement with the job's branch statistics and, given `retimed`
+ *  (the slice's replay::replayTiming() of a trace captured at another
+ *  slice), the slice's scoreboard counters. Probe sections are
+ *  computed by the replay evaluators — bit-identical to direct
  *  simulation. Every cache job's configuration goes through one
  *  replay::replayCaches() call, so the slice's cache siblings share
- *  the inclusive I-side pass. */
+ *  the inclusive I-side pass. An ImmClass job feeds the trace's fetch
+ *  runs through an ImmediateClassProbe over `text`, the image's
+ *  predecode table, which it requires. */
 std::vector<JobResult>
 replayJobs(const std::vector<const JobSpec *> &specs,
            const replay::Trace &trace,
+           const sim::DecodedText *text = nullptr,
            const replay::TimingReplayStats *retimed = nullptr);
 
 /** Wall seconds and the calling thread's CPU seconds
@@ -195,7 +198,8 @@ replaySlice(const std::vector<const JobSpec *> &specs,
             SliceCost *cost = nullptr);
 
 /** replayJobs() of one job. */
-JobResult replayJob(const JobSpec &spec, const replay::Trace &trace);
+JobResult replayJob(const JobSpec &spec, const replay::Trace &trace,
+                    const sim::DecodedText *text = nullptr);
 
 /**
  * Thread-safe key -> JobResult map. References returned by put()/at()

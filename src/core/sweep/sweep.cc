@@ -1,11 +1,11 @@
 #include "core/sweep/sweep.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <functional>
+#include <exception>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "core/replay/replay.hh"
@@ -18,98 +18,6 @@
 
 namespace d16sim::core::sweep
 {
-
-namespace
-{
-
-/**
- * Fixed-size worker pool. Tasks may submit further tasks (that is how
- * run jobs are released when their build node finishes); wait()
- * returns when every transitively submitted task has run. The first
- * exception any task throws is rethrown from wait().
- */
-class Pool
-{
-  public:
-    explicit Pool(int threads)
-    {
-        for (int i = 0; i < std::max(1, threads); ++i)
-            workers_.emplace_back([this] { work(); });
-    }
-
-    ~Pool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done_ = true;
-        }
-        cv_.notify_all();
-        for (std::thread &t : workers_)
-            t.join();
-    }
-
-    void
-    submit(std::function<void()> task)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++outstanding_;
-            queue_.push_back(std::move(task));
-        }
-        cv_.notify_one();
-    }
-
-    void
-    wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_.wait(lock, [this] { return outstanding_ == 0; });
-        if (error_) {
-            std::exception_ptr e = error_;
-            error_ = nullptr;
-            std::rethrow_exception(e);
-        }
-    }
-
-  private:
-    void
-    work()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (true) {
-            cv_.wait(lock, [this] { return done_ || !queue_.empty(); });
-            if (queue_.empty()) {
-                if (done_)
-                    return;
-                continue;
-            }
-            std::function<void()> task = std::move(queue_.front());
-            queue_.pop_front();
-            lock.unlock();
-            try {
-                task();
-            } catch (...) {
-                std::lock_guard<std::mutex> elock(mutex_);
-                if (!error_)
-                    error_ = std::current_exception();
-            }
-            lock.lock();
-            if (--outstanding_ == 0)
-                idle_.notify_all();
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;    //!< work available / shutdown
-    std::condition_variable idle_;  //!< outstanding drained
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::thread> workers_;
-    int outstanding_ = 0;
-    bool done_ = false;
-    std::exception_ptr error_;
-};
-
-} // namespace
 
 std::vector<std::pair<std::string, mc::CompileOptions>>
 paperVariants()
@@ -233,31 +141,6 @@ SweepTiming::json() const
     return j;
 }
 
-void
-SweepTiming::merge(const SweepTiming &o)
-{
-    threads += o.threads;
-    executedRuns += o.executedRuns;
-    executedBuilds += o.executedBuilds;
-    dedupedRuns += o.dedupedRuns;
-    cachedRuns += o.cachedRuns;
-    replayedRuns += o.replayedRuns;
-    capturedTraces += o.capturedTraces;
-    retimedSlices += o.retimedSlices;
-    storeResultHits += o.storeResultHits;
-    storeImageHits += o.storeImageHits;
-    storeTraceHits += o.storeTraceHits;
-    storeMisses += o.storeMisses;
-    simulatedInstructions += o.simulatedInstructions;
-    wallSeconds = std::max(wallSeconds, o.wallSeconds);
-    buildSeconds += o.buildSeconds;
-    simulateSeconds += o.simulateSeconds;
-    replaySeconds += o.replaySeconds;
-    buildCpuSeconds += o.buildCpuSeconds;
-    simulateCpuSeconds += o.simulateCpuSeconds;
-    replayCpuSeconds += o.replayCpuSeconds;
-}
-
 SweepEngine::SweepEngine(ResultStore &store, int threads)
     : store_(store), threads_(std::max(1, threads))
 {
@@ -329,314 +212,249 @@ SweepEngine::run()
     }
 
     // Group runs under their image: one build node per (workload,
-    // variant), whatever capture slices its jobs run on.
-    struct BuildNode
-    {
-        std::vector<JobSpec> runs;
-        /** Replayable runs by capture-slice key ("" is the default
-         *  machine's), and the rest (imm classification). */
-        std::map<std::string, std::vector<const JobSpec *>> slices;
-        std::vector<const JobSpec *> direct;
-    };
-    std::map<std::string, BuildNode> graph;
+    // variant), whatever probe or capture slice its jobs run on.
+    std::map<std::string, std::vector<JobSpec>> graph;
     for (auto &[key, spec] : unique)
-        graph[imageKey(spec)].runs.push_back(std::move(spec));
+        graph[imageKey(spec)].push_back(std::move(spec));
+    std::vector<const std::vector<JobSpec> *> nodes;
+    for (const auto &[ikey, runs] : graph)
+        nodes.push_back(&runs);
 
-    std::mutex timingMutex;
-    {
-        Pool pool(threads_);
-        for (auto &[bkey, node] : graph) {
-            BuildNode *n = &node;
-            pool.submit([this, n, &pool, &timingMutex] {
-                // Classify the node's jobs up front: the artifact and
-                // trace decisions depend on the mix. Replayable jobs
-                // group by capture slice (forwarding/depth); the first
-                // default-slice base job rides the capture.
-                const JobSpec *baseSpec = nullptr;
-                int totalReplayable = 0;
-                for (const JobSpec &spec : n->runs) {
-                    if (!replayable(spec)) {
-                        n->direct.push_back(&spec);
-                        continue;
-                    }
-                    ++totalReplayable;
-                    const std::string slice = spec.uarch.captureKey();
-                    n->slices[slice].push_back(&spec);
-                    if (!baseSpec && spec.probe == ProbeKind::None &&
-                        slice.empty())
-                        baseSpec = &spec;
+    // Each worker settles whole nodes, so a node's image and trace
+    // live only as long as its task. The first error is rethrown once
+    // every node has settled.
+    std::atomic<size_t> next{0};
+    std::mutex errorMutex;
+    std::exception_ptr error;
+    auto work = [&] {
+        for (size_t i = next++; i < nodes.size(); i = next++) {
+            try {
+                settle(*nodes[i]);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMutex);
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+    };
+    std::vector<std::thread> workers;
+    const size_t width =
+        std::min(nodes.size(), static_cast<size_t>(threads_));
+    for (size_t i = 0; i < width; ++i)
+        workers.emplace_back(work);
+    for (std::thread &t : workers)
+        t.join();
+    if (error)
+        std::rethrow_exception(error);
+    timing_.wallSeconds += sweepClock.wallSeconds();
+}
+
+void
+SweepEngine::settle(const std::vector<JobSpec> &runs)
+{
+    auto book = [this](auto &&update) {
+        std::lock_guard<std::mutex> lock(timingMutex_);
+        update(timing_);
+    };
+    auto commitAll = [this](const std::vector<const JobSpec *> &specs,
+                            std::vector<JobResult> results) {
+        for (size_t i = 0; i < specs.size(); ++i)
+            commit(jobKey(*specs[i]), *specs[i], std::move(results[i]));
+    };
+
+    // Every artifact is the image's, stored under its default-slice
+    // build key.
+    const JobSpec &first = runs.front();
+    const std::string contentKey =
+        artifacts_
+            ? buildContentKey(JobSpec::base(first.workload, first.opts))
+            : std::string();
+
+    // A stored trace settles every job of the node without capturing;
+    // otherwise a node with more than one job captures once and a
+    // lone job runs directly.
+    std::optional<replay::Trace> trace;
+    if (artifacts_ && replay_) {
+        std::vector<uint8_t> bytes;
+        if (artifacts_->get(store::Kind::Trace, contentKey, &bytes)) {
+            try {
+                trace = replay::Trace::deserialize(bytes);
+                book([](SweepTiming &t) { ++t.storeTraceHits; });
+            } catch (const Error &) {
+            }
+        }
+    }
+    const bool replays = trace || (replay_ && runs.size() > 1);
+
+    // The jobs by capture-slice key ("" is the default machine's).
+    std::map<std::string, std::vector<const JobSpec *>> slices;
+    bool classifiesImm = false;
+    for (const JobSpec &spec : runs) {
+        slices[spec.uarch.captureKey()].push_back(&spec);
+        classifiesImm |= spec.probe == ProbeKind::ImmClass;
+    }
+    const bool retimes = replays && slices.size() > slices.count("");
+
+    // Every simulation needs the image; a stored trace needs it only
+    // for the imm classifier's predecode table and the timing table
+    // that retimes the non-default slices.
+    std::shared_ptr<const assem::Image> image;
+    std::shared_ptr<const sim::DecodedText> predecoded;
+    std::shared_ptr<const sim::BlockProgram> blocks;
+    std::optional<replay::TimingTable> table;
+    if (!trace || classifiesImm || retimes) {
+        const Stopwatch buildClock;
+        bool compiled = false;
+        if (artifacts_) {
+            std::vector<uint8_t> bytes;
+            if (artifacts_->get(store::Kind::Image, contentKey, &bytes)) {
+                try {
+                    image = std::make_shared<const assem::Image>(
+                        assem::Image::deserialize(bytes));
+                } catch (const Error &) {
+                    image = nullptr;
                 }
-                const bool anyRetimed =
-                    n->slices.size() > n->slices.count("");
-
-                // Every artifact is the image's, stored under its
-                // default-slice build key.
-                const std::string contentKey =
-                    artifacts_ ? buildContentKey(JobSpec::base(
-                                     n->runs.front().workload,
-                                     n->runs.front().opts))
-                               : std::string();
-
-                // A stored trace settles every replayable job of the
-                // node without compiling or capturing anything.
-                std::shared_ptr<const replay::Trace> trace;
-                if (artifacts_ && replay_ && totalReplayable >= 1) {
-                    std::vector<uint8_t> bytes;
-                    if (artifacts_->get(store::Kind::Trace, contentKey,
-                                        &bytes)) {
-                        try {
-                            trace = std::make_shared<const replay::Trace>(
-                                replay::Trace::deserialize(bytes));
-                            std::lock_guard<std::mutex> lock(timingMutex);
-                            ++timing_.storeTraceHits;
-                        } catch (const Error &) {
-                            trace = nullptr;
-                        }
-                    }
-                }
-
-                // Trace-replay is worth a capture when the recorded
-                // streams settle more than one job (the first base run
-                // rides along for free) — otherwise simulate directly.
-                const bool capture =
-                    !trace && replay_ && totalReplayable >= 2;
-
-                // The image (and its decode/block companions) is needed
-                // by every simulation, and by the timing table that
-                // retimes the non-default slices.
-                const bool simulates = !trace || !n->direct.empty();
-                const bool retime = (trace || capture) && anyRetimed;
-                std::shared_ptr<const assem::Image> image;
-                std::shared_ptr<const sim::DecodedText> predecoded;
-                std::shared_ptr<const sim::BlockProgram> blocks;
-                std::shared_ptr<const replay::TimingTable> table;
-                if (simulates || retime) {
-                    const Stopwatch buildClock;
-                    bool compiled = false;
-                    if (artifacts_) {
-                        std::vector<uint8_t> bytes;
-                        if (artifacts_->get(store::Kind::Image,
-                                            contentKey, &bytes)) {
-                            try {
-                                image = std::make_shared<
-                                    const assem::Image>(
-                                    assem::Image::deserialize(bytes));
-                            } catch (const Error &) {
-                                image = nullptr;
-                            }
-                        }
-                    }
-                    if (!image) {
-                        image = std::make_shared<const assem::Image>(
-                            build(workload(n->runs.front().workload)
-                                      .source,
-                                  n->runs.front().opts));
-                        compiled = true;
-                        if (artifacts_)
-                            artifacts_->put(store::Kind::Image,
-                                            contentKey,
-                                            image->serialize());
-                    }
-                    predecoded =
-                        std::make_shared<const sim::DecodedText>(*image);
-                    // Block translation amortizes like predecoding:
-                    // once per image, shared by every dependent run.
-                    // A reloaded image reuses its stored block table
-                    // instead of re-running CFG recovery.
-                    if (blockEngine_ && simulates) {
-                        sim::BlockTable blockTable;
-                        bool haveTable = false;
-                        if (artifacts_ && !compiled) {
-                            std::vector<uint8_t> bytes;
-                            if (artifacts_->get(store::Kind::Meta,
-                                                contentKey, &bytes)) {
-                                try {
-                                    blockTable = blockTableFromBytes(bytes);
-                                    haveTable = true;
-                                } catch (const Error &) {
-                                }
-                            }
-                        }
-                        if (!haveTable) {
-                            blockTable = recoverBlockTable(*image);
-                            if (artifacts_)
-                                artifacts_->put(store::Kind::Meta,
-                                                contentKey,
-                                                blockTableBytes(blockTable));
-                        }
-                        blocks = makeBlockProgram(*image, predecoded,
-                                                  blockTable);
-                    }
-                    if (retime)
-                        table = std::make_shared<const replay::TimingTable>(
-                            *image, *predecoded);
-                    const double bt = buildClock.wallSeconds();
-                    const double bcpu = buildClock.cpuSeconds();
-                    {
-                        std::lock_guard<std::mutex> lock(timingMutex);
-                        if (compiled)
-                            ++timing_.executedBuilds;
-                        else
-                            ++timing_.storeImageHits;
-                        timing_.buildSeconds += bt;
-                        timing_.buildCpuSeconds += bcpu;
+            }
+        }
+        if (!image) {
+            image = std::make_shared<const assem::Image>(
+                build(workload(first.workload).source, first.opts));
+            compiled = true;
+            if (artifacts_)
+                artifacts_->put(store::Kind::Image, contentKey,
+                                image->serialize());
+        }
+        predecoded = std::make_shared<const sim::DecodedText>(*image);
+        // Block translation amortizes like predecoding: once per
+        // image, shared by the direct runs and the capture. A reloaded
+        // image reuses its stored block table instead of re-running
+        // CFG recovery.
+        if (blockEngine_ && !trace) {
+            sim::BlockTable blockTable;
+            bool haveTable = false;
+            if (artifacts_ && !compiled) {
+                std::vector<uint8_t> bytes;
+                if (artifacts_->get(store::Kind::Meta, contentKey,
+                                    &bytes)) {
+                    try {
+                        blockTable = blockTableFromBytes(bytes);
+                        haveTable = true;
+                    } catch (const Error &) {
                     }
                 }
+            }
+            if (!haveTable) {
+                blockTable = recoverBlockTable(*image);
+                if (artifacts_)
+                    artifacts_->put(store::Kind::Meta, contentKey,
+                                    blockTableBytes(blockTable));
+            }
+            blocks = makeBlockProgram(*image, predecoded, blockTable);
+        }
+        if (retimes)
+            table.emplace(*image, *predecoded);
+        const double bt = buildClock.wallSeconds();
+        const double bcpu = buildClock.cpuSeconds();
+        book([&](SweepTiming &t) {
+            if (compiled)
+                ++t.executedBuilds;
+            else
+                ++t.storeImageHits;
+            t.buildSeconds += bt;
+            t.buildCpuSeconds += bcpu;
+        });
+    }
 
-                auto submitDirect = [this, image, predecoded, blocks,
-                                     &pool,
-                                     &timingMutex](const JobSpec *s) {
-                    pool.submit([this, s, image, predecoded, blocks,
-                                 &timingMutex] {
-                        const Stopwatch simClock;
-                        JobResult r =
-                            executeJob(*s, *image, predecoded, blocks);
-                        const double st = simClock.wallSeconds();
-                        const double scpu = simClock.cpuSeconds();
-                        const uint64_t insns = r.run.stats.instructions;
-                        commit(jobKey(*s), *s, std::move(r));
-                        std::lock_guard<std::mutex> lock(timingMutex);
-                        ++timing_.executedRuns;
-                        timing_.simulateSeconds += st;
-                        timing_.simulateCpuSeconds += scpu;
-                        timing_.simulatedInstructions += insns;
-                    });
-                };
-
-                // Settle `specs` from the default-slice trace `t`.
-                auto submitReplay =
-                    [this, &pool, &timingMutex](
-                        std::vector<const JobSpec *> specs,
-                        std::shared_ptr<const replay::Trace> t) {
-                        pool.submit([this, specs = std::move(specs), t,
-                                     &timingMutex] {
-                            const Stopwatch replayClock;
-                            std::vector<JobResult> rs = replayJobs(specs, *t);
-                            const double rt = replayClock.wallSeconds();
-                            const double rcpu = replayClock.cpuSeconds();
-                            for (size_t i = 0; i < specs.size(); ++i)
-                                commit(jobKey(*specs[i]), *specs[i],
-                                       std::move(rs[i]));
-                            std::lock_guard<std::mutex> lock(timingMutex);
-                            const int count = static_cast<int>(specs.size());
-                            timing_.executedRuns += count;
-                            timing_.replayedRuns += count;
-                            timing_.replaySeconds += rt;
-                            timing_.replayCpuSeconds += rcpu;
-                        });
-                    };
-
-                // Settle a non-default slice's jobs from `t`: one task
-                // retimes the trace once and replays them all.
-                auto submitSlice = [this, image, predecoded, blocks, table,
-                                    &pool, &timingMutex](
-                                       std::vector<const JobSpec *> specs,
-                                       std::shared_ptr<const replay::Trace> t) {
-                    pool.submit([this, image, predecoded, blocks, table,
-                                 specs = std::move(specs), t,
-                                 &timingMutex] {
-                        SliceCost cost;
-                        std::vector<JobResult> rs =
-                            replaySlice(specs, *t, *table, *image,
-                                        predecoded, blocks, &cost);
-                        for (size_t i = 0; i < specs.size(); ++i)
-                            commit(jobKey(*specs[i]), *specs[i],
-                                   std::move(rs[i]));
-                        std::lock_guard<std::mutex> lock(timingMutex);
-                        const int count = static_cast<int>(specs.size());
-                        timing_.executedRuns += count;
-                        timing_.replayedRuns += count;
-                        timing_.replaySeconds += cost.replaySeconds;
-                        timing_.replayCpuSeconds += cost.replayCpuSeconds;
-                        timing_.simulateSeconds += cost.captureSeconds;
-                        timing_.simulateCpuSeconds += cost.captureCpuSeconds;
-                        if (cost.captured) {
-                            ++timing_.capturedTraces;
-                            timing_.simulatedInstructions +=
-                                cost.capturedInstructions;
-                        } else {
-                            ++timing_.retimedSlices;
-                        }
-                    });
-                };
-
-                // Settle the node's jobs from the default-slice trace,
-                // all but `skip`: on the default slice, one replay task
-                // per job, except the cache siblings, which share one
-                // task and one replayCaches() pass; one task per other
-                // slice; non-replayable jobs (imm classification)
-                // simulate against the shared image.
-                auto fanOut = [n, submitDirect, submitReplay,
-                               submitSlice](
-                                  std::shared_ptr<const replay::Trace> t,
-                                  const JobSpec *skip) {
-                    for (const JobSpec *s : n->direct)
-                        submitDirect(s);
-                    for (const auto &[slice, specs] : n->slices) {
-                        if (!slice.empty()) {
-                            submitSlice(specs, t);
-                            continue;
-                        }
-                        std::vector<const JobSpec *> caches;
-                        for (const JobSpec *spec : specs) {
-                            if (spec == skip)
-                                continue;
-                            if (spec->probe == ProbeKind::CacheSim)
-                                caches.push_back(spec);
-                            else
-                                submitReplay({spec}, t);
-                        }
-                        if (!caches.empty())
-                            submitReplay(std::move(caches), t);
-                    }
-                };
-
-                if (trace) {
-                    // Stored-trace path: replay everything replayable,
-                    // simulate the rest against the (reloaded) image.
-                    fanOut(trace, nullptr);
-                    return;
-                }
-
-                if (!capture) {
-                    for (const JobSpec &spec : n->runs)
-                        submitDirect(&spec);
-                    return;
-                }
-
-                // Simulate once, on the default machine, under the
-                // trace probe; the capture IS the first default-slice
-                // base job's run. The other jobs fan out from it.
-                pool.submit([this, image, predecoded, blocks, baseSpec,
-                             fanOut, contentKey, &timingMutex] {
-                    const Stopwatch simClock;
-                    auto captured = std::make_shared<const replay::Trace>(
-                        replay::capture(*image, predecoded, {}, blocks));
-                    const double st = simClock.wallSeconds();
-                    const double scpu = simClock.cpuSeconds();
-                    if (artifacts_)
-                        artifacts_->put(store::Kind::Trace, contentKey,
-                                        captured->serialize());
-                    if (baseSpec)
-                        commit(jobKey(*baseSpec), *baseSpec,
-                               replayJob(*baseSpec, *captured));
-                    {
-                        std::lock_guard<std::mutex> lock(timingMutex);
-                        ++timing_.capturedTraces;
-                        timing_.simulateSeconds += st;
-                        timing_.simulateCpuSeconds += scpu;
-                        timing_.simulatedInstructions +=
-                            captured->base.stats.instructions;
-                        if (baseSpec)
-                            ++timing_.executedRuns;
-                    }
-                    fanOut(captured, baseSpec);
-                });
+    if (!replays) {
+        for (const JobSpec &spec : runs) {
+            const Stopwatch simClock;
+            JobResult r = executeJob(spec, *image, predecoded, blocks);
+            const double st = simClock.wallSeconds();
+            const double scpu = simClock.cpuSeconds();
+            const uint64_t insns = r.run.stats.instructions;
+            commit(jobKey(spec), spec, std::move(r));
+            book([&](SweepTiming &t) {
+                ++t.executedRuns;
+                t.simulateSeconds += st;
+                t.simulateCpuSeconds += scpu;
+                t.simulatedInstructions += insns;
             });
         }
-        pool.wait();
+        return;
     }
-    timing_.wallSeconds += sweepClock.wallSeconds();
+
+    if (!trace) {
+        // Simulate once, on the default machine, under the trace
+        // probe; the capture IS the first default-slice base job's
+        // run.
+        const Stopwatch simClock;
+        trace = replay::capture(*image, predecoded, {}, blocks);
+        const double st = simClock.wallSeconds();
+        const double scpu = simClock.cpuSeconds();
+        if (artifacts_)
+            artifacts_->put(store::Kind::Trace, contentKey,
+                            trace->serialize());
+        std::vector<const JobSpec *> &defaults = slices[""];
+        const auto base =
+            std::find_if(defaults.begin(), defaults.end(),
+                         [](const JobSpec *s) {
+                             return s->probe == ProbeKind::None;
+                         });
+        const bool rides = base != defaults.end();
+        if (rides) {
+            commit(jobKey(**base), **base, replayJob(**base, *trace));
+            defaults.erase(base);
+        }
+        book([&](SweepTiming &t) {
+            ++t.capturedTraces;
+            t.simulateSeconds += st;
+            t.simulateCpuSeconds += scpu;
+            t.simulatedInstructions += trace->base.stats.instructions;
+            if (rides)
+                ++t.executedRuns;
+        });
+    }
+
+    // Replay every other job: the default slice in one replayJobs()
+    // call (its cache siblings share one replayCaches() pass), each
+    // other slice retimed from the trace by one replaySlice() call.
+    for (const auto &[slice, specs] : slices) {
+        if (specs.empty())
+            continue;
+        const int count = static_cast<int>(specs.size());
+        if (slice.empty()) {
+            const Stopwatch replayClock;
+            std::vector<JobResult> rs =
+                replayJobs(specs, *trace, predecoded.get());
+            const double rt = replayClock.wallSeconds();
+            const double rcpu = replayClock.cpuSeconds();
+            commitAll(specs, std::move(rs));
+            book([&](SweepTiming &t) {
+                t.executedRuns += count;
+                t.replayedRuns += count;
+                t.replaySeconds += rt;
+                t.replayCpuSeconds += rcpu;
+            });
+            continue;
+        }
+        SliceCost cost;
+        commitAll(specs, replaySlice(specs, *trace, *table, *image,
+                                     predecoded, blocks, &cost));
+        book([&](SweepTiming &t) {
+            t.executedRuns += count;
+            t.replayedRuns += count;
+            t.replaySeconds += cost.replaySeconds;
+            t.replayCpuSeconds += cost.replayCpuSeconds;
+            t.simulateSeconds += cost.captureSeconds;
+            t.simulateCpuSeconds += cost.captureCpuSeconds;
+            if (cost.captured) {
+                ++t.capturedTraces;
+                t.simulatedInstructions += cost.capturedInstructions;
+            } else {
+                ++t.retimedSlices;
+            }
+        });
+    }
 }
 
 Json

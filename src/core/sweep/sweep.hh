@@ -4,20 +4,21 @@
  *
  * The paper's evaluation is a matrix of (workload x machine variant x
  * memory configuration) experiments; every figure consumes a slice of
- * it. The sweep engine executes that matrix as a deduplicated job
- * graph on a fixed-size thread pool:
+ * it. The sweep engine executes that matrix as deduplicated build
+ * nodes settled by a fixed number of worker threads:
  *
  *  - a *job* is one build+run: compile a workload for a variant, then
  *    simulate it, optionally under one measurement probe (fetch-buffer
  *    counter, split I/D cache, immediate classifier);
  *  - jobs sharing a (workload, variant) pair share one *build node*
- *    (imageKey()), whatever microarchitecture they run on: the image
- *    is compiled once and its dependent runs are released as soon as
- *    it links;
+ *    (imageKey()), whatever probe or microarchitecture they run on,
+ *    and one worker settles the whole node in one task: it compiles
+ *    the image once and then runs, or captures and replays, every
+ *    job of the node, so the node's image and trace die with the task;
  *  - with trace replay on, a node captures its image once, on the
- *    default machine: the cache, fetch-buffer and branch-policy jobs
- *    replay from that trace, and each non-default forwarding/depth
- *    slice is retimed from it by one scoreboard walk
+ *    default machine: the cache, fetch-buffer, immediate-class and
+ *    branch-policy jobs replay from that trace, and each non-default
+ *    forwarding/depth slice is retimed from it by one scoreboard walk
  *    (replay::replayTiming) instead of being re-captured;
  *  - results land in a thread-safe ResultStore keyed by the canonical
  *    job key, so result identity and ordering are independent of the
@@ -33,6 +34,7 @@
 #define D16SIM_CORE_SWEEP_SWEEP_HH
 
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -110,18 +112,14 @@ struct SweepTiming
                    : 0.0;
     }
     Json json() const;
-
-    /** Fold in the accounting of a sweep that ran concurrently with
-     *  this one: counts, busy and CPU time add, wall time is the
-     *  longer. */
-    void merge(const SweepTiming &other);
 };
 
 /**
- * Executes a batch of jobs on `threads` workers. Jobs whose key is
- * already present in the store are skipped; duplicate specs in one
- * batch are folded. The first error thrown by any job (build or run)
- * is rethrown from run() after the pool drains.
+ * Executes a batch of jobs on `threads` workers, each settling one
+ * build node at a time. Jobs whose key is already present in the
+ * store are skipped; duplicate specs in one batch are folded. The
+ * first error thrown by any job (build or run) is rethrown from run()
+ * after every node has settled.
  */
 class SweepEngine
 {
@@ -133,14 +131,16 @@ class SweepEngine
 
     /**
      * Trace-replay mode (default on): a build node with more than one
-     * replayable job simulates its image once, on the default machine,
-     * under a TraceProbe and evaluates every replayable job from the
-     * recorded streams: the default slice's cache variants in one
-     * replayJobs() pass, each other capture slice in one replaySlice()
-     * task that retimes the trace first. Results are bit-identical
-     * either way (the golden gates run both); off re-simulates every
-     * job on its own machine as a correctness cross-check and for A/B
-     * timing.
+     * job simulates its image once, on the default machine, under a
+     * TraceProbe (the first default-slice base job rides on that
+     * capture) and evaluates every other job from the recorded
+     * streams: the default slice in one replayJobs() call, whose cache
+     * variants share one replayCaches() pass, each other capture slice
+     * in one replaySlice() call that retimes the trace first. A node
+     * whose trace is in the artifact store replays every job from it.
+     * Results are bit-identical either way (the golden gates run
+     * both); off re-simulates every job on its own machine as a
+     * correctness cross-check and for A/B timing.
      */
     void setReplay(bool enabled) { replay_ = enabled; }
     bool replayEnabled() const { return replay_; }
@@ -192,6 +192,9 @@ class SweepEngine
     const SweepTiming &timing() const { return timing_; }
 
   private:
+    /** Build, run or capture and replay every job of one build node
+     *  (the jobs of one imageKey()), committing each result. */
+    void settle(const std::vector<JobSpec> &runs);
     const JobResult &commit(const std::string &key, const JobSpec &spec,
                             JobResult result);
 
@@ -202,6 +205,7 @@ class SweepEngine
     store::ArtifactStore *artifacts_ = nullptr;
     ResultCallback onResult_;
     std::vector<JobSpec> pending_;
+    std::mutex timingMutex_;  //!< guards timing_ while workers settle
     SweepTiming timing_;
 };
 

@@ -199,8 +199,9 @@ buildBlockProgram(const assem::Image &image,
  *  optionally shares one decode table across runs of the same image
  *  (see sim::DecodedText); `blocks` optionally enables block-compiled
  *  dispatch (ignored by probe-attached runs except a lone TraceSink:
- *  trace capture or imm classification — results are bit-identical
- *  either way). */
+ *  trace capture, or imm classification of a job the sweep engine
+ *  runs directly rather than replaying from its image's trace —
+ *  results are bit-identical either way). */
 RunMeasurement run(const assem::Image &image,
                    std::vector<sim::Probe *> probes = {},
                    sim::MachineConfig config = {},

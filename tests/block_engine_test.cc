@@ -256,8 +256,10 @@ TEST(BlockEngine, ImmClassRunsOnBlocks)
 {
     // The imm probe is a block-capable TraceSink: its runs dispatch
     // blocks and count each fetch chunk's sites, and must agree with a
-    // step-only run in every counter. DLXe/16/2 is the matrix's imm
-    // variant; D16 and DLXe/32/3 widen the opcode mix.
+    // step-only run in every counter. So must the counts the sweep
+    // engine replays from a capture of the same image. DLXe/16/2 is
+    // the matrix's imm variant; D16 and DLXe/32/3 widen the opcode
+    // mix.
     forEachWorkloadVariant(
         [](const core::Workload &w, const mc::CompileOptions &opts) {
             const assem::Image img = core::build(w.source, opts);
@@ -292,6 +294,22 @@ TEST(BlockEngine, ImmClassRunsOnBlocks)
             EXPECT_GE(blockM.blockInstructions(),
                       blockM.stats().instructions * 9 / 10)
                 << where;
+
+            const core::replay::Trace trace = core::replay::capture(
+                img, predecoded, {},
+                core::buildBlockProgram(img, predecoded));
+            const core::sweep::JobResult replayed = core::sweep::replayJob(
+                core::sweep::JobSpec::imm(w.name, opts), trace,
+                predecoded.get());
+            EXPECT_EQ(replayed.imm.total, stepProbe.total()) << where;
+            EXPECT_EQ(replayed.imm.cmpImmediate, stepProbe.cmpImmediate())
+                << where;
+            EXPECT_EQ(replayed.imm.aluImmediate, stepProbe.aluImmediate())
+                << where;
+            EXPECT_EQ(replayed.imm.memDisplacement,
+                      stepProbe.memDisplacement())
+                << where;
+            expectStatsEqual(replayed.run.stats, stepM.stats(), where);
         },
         {mc::CompileOptions::dlxe(16, false), mc::CompileOptions::d16(),
          mc::CompileOptions::dlxe(32, true)});

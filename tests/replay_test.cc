@@ -228,14 +228,20 @@ TEST(Replay, EngineCacheMatrixMatchesNoReplay)
     // Build nodes with 20 cache siblings each: the engine hands them
     // to one replayJobs() pass per node, and the document must be
     // byte-identical to re-simulating every job (d16sweep
-    // --no-replay).
+    // --no-replay). The base + imm DLXe/16/2 nodes capture once: the
+    // base run rides on the capture and the imm job replays.
     std::vector<sweep::JobSpec> jobs;
-    for (const char *name : {"solver", "bubblesort"})
+    for (const char *name : {"solver", "bubblesort"}) {
         for (const CompileOptions &opts :
              {CompileOptions::d16(), CompileOptions::dlxe()})
             for (const mem::CacheConfig &cfg : paperCacheConfigs())
                 jobs.push_back(sweep::JobSpec::cache(name, opts, cfg, cfg));
-    ASSERT_EQ(jobs.size(), 80u);
+        jobs.push_back(
+            sweep::JobSpec::base(name, CompileOptions::dlxe(16, false)));
+        jobs.push_back(
+            sweep::JobSpec::imm(name, CompileOptions::dlxe(16, false)));
+    }
+    ASSERT_EQ(jobs.size(), 84u);
 
     auto sweepDoc = [&](bool replayOn, sweep::SweepTiming *timing) {
         sweep::ResultStore store;
@@ -250,39 +256,39 @@ TEST(Replay, EngineCacheMatrixMatchesNoReplay)
     const std::string replayed = sweepDoc(true, &on);
     const std::string direct = sweepDoc(false, &off);
     EXPECT_EQ(replayed, direct);
-    EXPECT_EQ(on.capturedTraces, 4);
-    EXPECT_EQ(on.replayedRuns, 80);
+    EXPECT_EQ(on.capturedTraces, 6);
+    EXPECT_EQ(on.replayedRuns, 82);
+    EXPECT_EQ(on.executedRuns, 84);
     EXPECT_EQ(off.replayedRuns, 0);
-    EXPECT_EQ(off.executedRuns, 80);
+    EXPECT_EQ(off.executedRuns, 84);
 }
 
 TEST(Replay, SmokeMatrixJobsMatchDirectExecution)
 {
-    // The acceptance check behind the golden gate: every replayable
-    // job of the golden-regression matrix evaluates from a trace to a
-    // result bit-identical to direct simulation — same canonical JSON,
-    // same CacheStats, same CPI.
+    // The acceptance check behind the golden gate: every probe job of
+    // the golden-regression matrix (imm included) evaluates from a
+    // trace to a result bit-identical to direct simulation — same
+    // canonical JSON, same CacheStats, same CPI.
     std::map<std::string, std::vector<sweep::JobSpec>> groups;
     for (sweep::JobSpec &j : sweep::smokeMatrix()) {
-        if (j.probe == sweep::ProbeKind::None ||
-            !sweep::replayable(j)) {
+        if (j.probe == sweep::ProbeKind::None)
             continue;
-        }
         groups[sweep::buildKey(j)].push_back(std::move(j));
     }
     ASSERT_FALSE(groups.empty());
 
-    int checked = 0;
+    int checked = 0, classified = 0;
     for (const auto &[key, specs] : groups) {
         const assem::Image image =
             build(workload(specs.front().workload).source,
                   specs.front().opts);
         const Trace trace = replay::capture(image);
+        const sim::DecodedText text(image);
         for (const sweep::JobSpec &spec : specs) {
             const sweep::JobResult direct =
                 sweep::executeJob(spec, image);
             const sweep::JobResult replayed =
-                sweep::replayJob(spec, trace);
+                sweep::replayJob(spec, trace, &text);
             // Canonical JSON covers the run measurement and every
             // probe metric the sweep document publishes.
             EXPECT_EQ(replayed.json().dump(), direct.json().dump())
@@ -300,9 +306,11 @@ TEST(Replay, SmokeMatrixJobsMatchDirectExecution)
                 }
             }
             ++checked;
+            classified += spec.probe == sweep::ProbeKind::ImmClass;
         }
     }
     EXPECT_GE(checked, 4);
+    EXPECT_EQ(classified, 2);
 }
 
 // ----- binary round-trip ----------------------------------------------

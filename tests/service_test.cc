@@ -11,7 +11,6 @@
  */
 
 #include <cstring>
-#include <map>
 #include <thread>
 
 #include <dirent.h>
@@ -75,7 +74,7 @@ struct TempDir
     }
 };
 
-/** A small matrix exercising every probe kind (and both shard-worthy
+/** A small matrix exercising every probe kind (and both multi-job
  *  and single-job build nodes). */
 std::vector<sweep::JobSpec>
 miniMatrix()
@@ -105,14 +104,13 @@ struct ServerFixture
     std::unique_ptr<service::SweepServer> server;
     std::thread thread;
 
-    explicit ServerFixture(int shards = 3, bool withStore = true)
+    explicit ServerFixture(int threads = 3, bool withStore = true)
     {
         service::ServerConfig cfg;
         cfg.socketPath = dir.path + "/d16.sock";
         if (withStore)
             cfg.storeDir = dir.path + "/store";
-        cfg.jobs = 2;
-        cfg.shards = shards;
+        cfg.jobs = threads;
         server = std::make_unique<service::SweepServer>(cfg);
         thread = std::thread([this] { server->serve(); });
     }
@@ -201,12 +199,13 @@ TEST(Service, ServedSweepMatchesLocalBytes)
     EXPECT_GT(storeStats->find("puts")->asInt(), 0);
 }
 
-TEST(Service, ServedTimingSumsEveryLaneCounter)
+TEST(Service, ServedTimingMatchesOneEngine)
 {
-    // The done frame's timing is the lanes' SweepTiming merged: every
-    // SweepTiming::json() key arrives, and each integer counter is the
-    // sum over the lanes' engines. Uarch slices make the retiming
-    // counters nonzero too.
+    // The done frame's timing is the request's one engine: every
+    // SweepTiming::json() key arrives, and each integer counter equals
+    // that of a local engine with as many threads over the same matrix
+    // and a fresh store. Uarch slices make the retiming counters
+    // nonzero too.
     std::vector<sweep::JobSpec> matrix = miniMatrix();
     for (const char *key : {"fwd=on", "depth=7,bp=bimodal4"}) {
         sweep::JobSpec spec =
@@ -214,43 +213,31 @@ TEST(Service, ServedTimingSumsEveryLaneCounter)
         spec.uarch = sweep::parseUarch(key);
         matrix.push_back(spec);
     }
-    constexpr int Shards = 3;
+    constexpr int Threads = 3;
 
-    // The same lanes, run locally against their own fresh store.
-    std::vector<std::vector<sweep::JobSpec>> lanes(Shards);
-    for (const sweep::JobSpec &spec : matrix)
-        lanes[service::SweepServer::laneOf(spec, Shards)].push_back(spec);
     TempDir localDir;
     store::ArtifactStore localStore(localDir.path + "/store");
-    std::map<std::string, int64_t> sums;
-    for (const std::vector<sweep::JobSpec> &lane : lanes) {
-        if (lane.empty())
-            continue;
-        sweep::ResultStore results;
-        sweep::SweepEngine engine(results, 2);
-        engine.setArtifacts(&localStore);
-        engine.add(lane);
-        engine.run();
-        const Json laneTiming = engine.timing().json();
-        for (const auto &[key, value] : laneTiming.members())
-            if (value.isInt())
-                sums[key] += value.asInt();
-    }
-    ASSERT_GT(sums["retimedSlices"], 0);
+    sweep::ResultStore results;
+    sweep::SweepEngine engine(results, Threads);
+    engine.setArtifacts(&localStore);
+    engine.add(matrix);
+    engine.run();
+    const Json local = engine.timing().json();
+    ASSERT_GT(local.find("retimedSlices")->asInt(), 0);
 
-    ServerFixture fx(Shards);
+    ServerFixture fx(Threads);
     service::SweepClient client(fx.socket());
     sweep::ResultStore served;
     const Json timing = client.sweep(matrix, served);
-    const Json keys = sweep::SweepTiming().json();
-    for (const auto &[key, value] : keys.members()) {
+    for (const auto &[key, value] : local.members()) {
         const Json *got = timing.find(key);
         ASSERT_TRUE(got) << "served timing lacks " << key;
         if (value.isInt()) {
-            EXPECT_EQ(got->asInt(), sums[key]) << key;
+            EXPECT_EQ(got->asInt(), value.asInt()) << key;
         }
     }
-    EXPECT_EQ(timing.members().size(), keys.members().size());
+    EXPECT_EQ(timing.members().size(), local.members().size());
+    EXPECT_EQ(client.stats().find("threads")->asInt(), Threads);
 }
 
 TEST(Service, RestartedServerWarmsFromSharedStore)
@@ -264,8 +251,7 @@ TEST(Service, RestartedServerWarmsFromSharedStore)
         service::ServerConfig cfg;
         cfg.socketPath = dir.path + "/a.sock";
         cfg.storeDir = storeDir;
-        cfg.jobs = 2;
-        cfg.shards = 2;
+        cfg.jobs = 4;
         service::SweepServer server(cfg);
         std::thread t([&server] { server.serve(); });
         service::SweepClient client(cfg.socketPath);
@@ -281,8 +267,7 @@ TEST(Service, RestartedServerWarmsFromSharedStore)
     service::ServerConfig cfg;
     cfg.socketPath = dir.path + "/b.sock";
     cfg.storeDir = storeDir;
-    cfg.jobs = 2;
-    cfg.shards = 2;
+    cfg.jobs = 4;
     service::SweepServer server(cfg);
     std::thread t([&server] { server.serve(); });
     service::SweepClient client(cfg.socketPath);

@@ -27,6 +27,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -130,6 +132,57 @@ TEST(Sweep, DeterministicAcrossThreadCounts)
     const std::string a = sweep::sweepJson(serial, nullptr).dump(2);
     const std::string b = sweep::sweepJson(parallel, nullptr).dump(2);
     EXPECT_EQ(a, b);
+}
+
+TEST(Sweep, OneThreadSettlesEachImageContiguously)
+{
+    // A worker settles a build node start to finish, so on one thread
+    // every image's rows land as one contiguous run: a node's image
+    // and trace are released before the next node starts. The nodes
+    // cover a capture with cache siblings, a base + imm pair, and a
+    // node with non-default capture slices.
+    const mc::CompileOptions d16 = mc::CompileOptions::d16();
+    const mc::CompileOptions dlxe = mc::CompileOptions::dlxe(16, false);
+    std::vector<sweep::JobSpec> jobs;
+    jobs.push_back(sweep::JobSpec::base("bubblesort", d16));
+    for (uint32_t kb : {1u, 4u}) {
+        mem::CacheConfig cfg;
+        cfg.sizeBytes = kb * 1024;
+        cfg.blockBytes = 16;
+        cfg.subBlockBytes = 8;
+        jobs.push_back(sweep::JobSpec::cache("bubblesort", d16, cfg, cfg));
+    }
+    jobs.push_back(sweep::JobSpec::base("queens", dlxe));
+    jobs.push_back(sweep::JobSpec::imm("queens", dlxe));
+    jobs.push_back(sweep::JobSpec::base("towers", d16));
+    for (const char *key : {"fwd=on", "depth=7,bp=static"}) {
+        sweep::JobSpec spec = sweep::JobSpec::fetch("towers", d16, 4);
+        spec.uarch = sweep::parseUarch(key);
+        jobs.push_back(spec);
+    }
+    std::map<std::string, std::string> imageOf;
+    for (const sweep::JobSpec &spec : jobs)
+        imageOf[sweep::jobKey(spec)] = sweep::imageKey(spec);
+
+    sweep::ResultStore store;
+    sweep::SweepEngine engine(store, 1);
+    std::vector<std::string> order;
+    engine.setResultCallback(
+        [&](const std::string &key, const sweep::JobResult &) {
+            order.push_back(imageOf.at(key));
+        });
+    engine.add(jobs);
+    engine.run();
+    ASSERT_EQ(order.size(), jobs.size());
+
+    std::set<std::string> finished;
+    for (size_t i = 0; i < order.size(); ++i) {
+        EXPECT_FALSE(finished.count(order[i]))
+            << order[i] << " resumed at row " << i;
+        if (i + 1 == order.size() || order[i + 1] != order[i])
+            finished.insert(order[i]);
+    }
+    EXPECT_EQ(finished.size(), 3u);
 }
 
 // The exact values the (pre-port, serial) fig04/fig05 drivers printed,

@@ -3,8 +3,9 @@
  * d16sweep — run the experiment matrix on the parallel sweep engine.
  *
  * Executes the deduplicated (workload x variant x memory-config) job
- * graph behind the paper's figures on a fixed-size thread pool and
- * emits every raw metric the §4 formulas consume as canonical JSON.
+ * graph behind the paper's figures, one build node per worker task on
+ * a fixed number of threads, and emits every raw metric the §4
+ * formulas consume as canonical JSON.
  *
  *   d16sweep --jobs 8                      full matrix, 8 workers
  *   d16sweep --smoke                       golden-regression matrix

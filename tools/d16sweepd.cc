@@ -3,19 +3,17 @@
  * d16sweepd — the sweep engine as a persistent service.
  *
  * Listens on a Unix socket for batched sweep requests (protocol.hh),
- * shards each request's job list across a pool of concurrent sweep
- * engines sharing one content-addressed artifact store, and streams
- * result rows back as they land. Because the server process outlives
- * requests, repeated sweeps hit its in-memory result cache; with
- * --store they also survive server restarts.
+ * settles each request's job list on one sweep engine over a
+ * content-addressed artifact store, and streams result rows back as
+ * they land. Because the server process outlives requests, repeated
+ * sweeps hit its in-memory result cache; with --store they also
+ * survive server restarts.
  *
- *   d16sweepd --socket /tmp/d16.sock                 serve, 1 shard
- *   d16sweepd --socket S --store DIR --shards 4      4 lanes + store
- *   d16sweepd --socket S --jobs 2 --shards 4         2 threads per lane
+ *   d16sweepd --socket /tmp/d16.sock                 serve
+ *   d16sweepd --socket S --store DIR --jobs 4        4 workers + store
  *
  * Stop it with `d16sweep --connect SOCK --shutdown` (or SIGTERM).
- * Total worker threads = jobs x shards; the default splits the
- * machine's hardware concurrency across 4 shards.
+ * --jobs defaults to the machine's hardware concurrency.
  *
  * Exit status: 0 after a clean shutdown request, 2 on bad usage or a
  * socket/store setup failure.
@@ -37,21 +35,14 @@ main(int argc, char **argv)
     using namespace d16sim::core;
 
     service::ServerConfig cfg;
-    const int hw = static_cast<int>(
+    cfg.jobs = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
-    cfg.shards = std::min(4, hw);
-    cfg.jobs = std::max(1, hw / cfg.shards);
 
-    cli::Cli parser("d16sweepd",
-                    "--socket PATH [--store DIR] [--jobs N] [--shards N]");
+    cli::Cli parser("d16sweepd", "--socket PATH [--store DIR] [--jobs N]");
     parser.stringValue("--socket", &cfg.socketPath);
     parser.stringValue("--store", &cfg.storeDir);
     parser.value("--jobs", [&](const std::string &v) {
         cfg.jobs = std::max(1, std::atoi(v.c_str()));
-        return true;
-    });
-    parser.value("--shards", [&](const std::string &v) {
-        cfg.shards = std::max(1, std::atoi(v.c_str()));
         return true;
     });
     switch (parser.parse(argc, argv)) {
@@ -67,9 +58,8 @@ main(int argc, char **argv)
     try {
         service::SweepServer server(cfg);
         std::fprintf(stderr,
-                     "d16sweepd: listening on %s (%d shards x %d "
-                     "threads%s%s)\n",
-                     cfg.socketPath.c_str(), cfg.shards, cfg.jobs,
+                     "d16sweepd: listening on %s (%d threads%s%s)\n",
+                     cfg.socketPath.c_str(), cfg.jobs,
                      cfg.storeDir.empty() ? "" : ", store ",
                      cfg.storeDir.c_str());
         server.serve();
