@@ -45,6 +45,16 @@ echo "== d16cfa: static/dynamic cross-validation (smoke matrix) =="
 echo "== d16timing: static timing vs simulator (smoke matrix) =="
 ./build/tools/d16timing --smoke --cross-validate --jobs "$JOBS" > /dev/null
 
+# With the two legs below, the analyzer's reading of the shared issue
+# slots (sim::issueSlot) is checked at all four capture slices.
+echo "== d16timing: cross-validation, forwarding =="
+./build/tools/d16timing --smoke --uarch fwd=on \
+    --cross-validate --jobs "$JOBS" > /dev/null
+
+echo "== d16timing: cross-validation, depth 7 =="
+./build/tools/d16timing --smoke --uarch depth=7 \
+    --cross-validate --jobs "$JOBS" > /dev/null
+
 echo "== d16timing: cross-validation, forwarding + bimodal + depth 7 =="
 ./build/tools/d16timing --smoke --uarch fwd=on,bp=bimodal6,depth=7 \
     --cross-validate --jobs "$JOBS" > /dev/null

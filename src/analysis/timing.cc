@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "analysis/dom.hh"
+#include "sim/issue_slot.hh"
 #include "sim/trap.hh"
 #include "support/error.hh"
 #include "support/strings.hh"
@@ -32,7 +33,6 @@ namespace
 // join converges.
 
 constexpr int NumRes = 65;
-constexpr int StatusRes = 64;
 
 struct Rem
 {
@@ -82,188 +82,18 @@ join(State &into, const State &from)
 
 // ----- per-op timing effects ------------------------------------------
 //
-// Mirrors sim::Machine::execute() exactly: which register resources an
-// op waits on (in the machine's use order) and which one it defines,
-// with the ready-time delta relative to its own issue cycle. This is
-// deliberately NOT regEffects(): the canonical D16 nop really does
-// read and write the at register for timing purposes, and Trap's
-// timing model reads/writes only r2.
+// Each site's scoreboard effect is its sim::issueSlot(), the table the
+// block translator and trace retiming read too; its resources are
+// numbered as the State's. This is deliberately NOT regEffects(): the
+// canonical D16 nop really does read and write the at register for
+// timing purposes, and Trap's timing model reads/writes only r2.
 
-struct Eff
+using Slot = sim::IssueSlot;
+
+bool
+isHaltTrap(const DecodedInst &d)
 {
-    std::array<int, 3> uses{};  //!< resource indices
-    int nUses = 0;
-    int def = -1;       //!< defined resource, -1 = none
-    int defDelta = 0;   //!< ready - issue of the def
-    int lateUse = -1;   //!< use index read a stage late (store-data fwd)
-    bool haltTrap = false;
-};
-
-Eff
-effectsOf(const TargetInfo &t, const DecodedInst &d,
-          const TimingOptions &opts)
-{
-    const sim::FpLatencies &fpu = opts.fpu;
-    Eff e;
-    const bool r0z = t.r0IsZero();
-    auto useG = [&](int r) {
-        if (r == 0 && r0z)
-            return;  // reads of DLXe r0 are always ready
-        e.uses[e.nUses++] = r;
-    };
-    auto useF = [&](int r) { e.uses[e.nUses++] = 32 + r; };
-    auto defG = [&](int r, int delta) {
-        if (r == 0 && r0z)
-            return;  // setGprReady skips r0 on DLXe
-        e.def = r;
-        e.defDelta = delta;
-    };
-    auto defF = [&](int r, int delta) {
-        e.def = 32 + r;
-        e.defDelta = delta;
-    };
-
-    switch (d.op) {
-      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
-      case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra:
-        useG(d.rs1);
-        useG(d.rs2);
-        defG(d.rd, 1);
-        break;
-      case Op::Neg: case Op::Inv: case Op::Mv:
-        useG(d.rs1);
-        defG(d.rd, 1);
-        break;
-      case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
-      case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI:
-        useG(d.rs1);
-        defG(d.rd, 1);
-        break;
-      case Op::MvI: case Op::MvHI:
-        defG(d.rd, 1);
-        break;
-      case Op::Cmp:
-        useG(d.rs1);
-        useG(d.rs2);
-        defG(d.rd, 1);
-        break;
-      case Op::CmpI:
-        useG(d.rs1);
-        defG(d.rd, 1);
-        break;
-      case Op::Ld: case Op::Ldh: case Op::Ldhu:
-      case Op::Ldb: case Op::Ldbu:
-        useG(d.rs1);
-        defG(d.rd, 1 + opts.uarch.loadDelay());
-        break;
-      case Op::St: case Op::Sth: case Op::Stb: {
-        useG(d.rs1);
-        const int before = e.nUses;
-        useG(d.rs2);
-        // With the EX/MEM bypass the store-data operand is consumed a
-        // stage late, so one remaining-delay cycle is hidden.
-        if (opts.uarch.forward && e.nUses > before)
-            e.lateUse = before;
-        break;
-      }
-      case Op::Ldc:
-        // Pool load into at; a real load delay on D16.
-        defG(0, 1 + opts.uarch.loadDelay());
-        break;
-      case Op::Br:
-        break;
-      case Op::Bz: case Op::Bnz:
-        useG(d.rs1);
-        break;
-      case Op::J:
-        break;
-      case Op::Jl:
-        defG(1, 1);
-        break;
-      case Op::Jr:
-        useG(d.rs1);
-        break;
-      case Op::Jlr:
-        useG(d.rs1);
-        defG(1, 1);
-        break;
-      case Op::Jrz: case Op::Jrnz:
-        useG(d.rs1);
-        useG(d.rs2);
-        break;
-      case Op::FAddS: case Op::FSubS:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.addSub);
-        break;
-      case Op::FMulS:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.mul);
-        break;
-      case Op::FDivS:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.divS);
-        break;
-      case Op::FAddD: case Op::FSubD:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.addSub);
-        break;
-      case Op::FMulD:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.mul);
-        break;
-      case Op::FDivD:
-        useF(d.rs1);
-        useF(d.rs2);
-        defF(d.rd, fpu.divD);
-        break;
-      case Op::FNegS: case Op::FNegD:
-        useF(d.rs1);
-        defF(d.rd, fpu.addSub);
-        break;
-      case Op::FMv:
-        useF(d.rs1);
-        defF(d.rd, fpu.move);
-        break;
-      case Op::FCmpS: case Op::FCmpD:
-        useF(d.rs1);
-        useF(d.rs2);
-        e.def = StatusRes;
-        e.defDelta = fpu.compare;
-        break;
-      case Op::CvtSiSf: case Op::CvtSiDf: case Op::CvtSfDf:
-      case Op::CvtDfSf: case Op::CvtSfSi: case Op::CvtDfSi:
-        useF(d.rs1);
-        defF(d.rd, fpu.convert);
-        break;
-      case Op::MifL: case Op::MifH:
-        useG(d.rs1);
-        useF(d.rd);  // partial update reads the other half
-        defF(d.rd, fpu.move);
-        break;
-      case Op::MfiL: case Op::MfiH:
-        useF(d.rs1);
-        defG(d.rd, 1);
-        break;
-      case Op::Trap:
-        useG(2);
-        defG(2, 1);
-        e.haltTrap = d.imm == sim::TrapHalt;
-        break;
-      case Op::Rdsr:
-        e.uses[e.nUses++] = StatusRes;
-        defG(d.rd, 1);
-        break;
-      case Op::Nop:
-        break;  // never decoded, but harmless
-      default:
-        panic("timing: unexecutable op ", opName(d.op));
-    }
-    return e;
+    return d.op == Op::Trap && d.imm == sim::TrapHalt;
 }
 
 struct StallIv
@@ -285,19 +115,23 @@ struct SiteStep
  *  then advances by 1 + stall, and every other resource's remaining
  *  delay decays by exactly that amount. */
 SiteStep
-stepSite(State &s, const Eff &e)
+stepSite(State &s, const Slot &slot, const sim::UarchConfig &uarch)
 {
     SiteStep st;
-    for (int u = 0; u < e.nUses; ++u) {
-        const Rem &r = s.r[e.uses[u]];
+    const uint8_t srcs[2] = {slot.src0, slot.src1};
+    for (int k = 0; k < 2; ++k) {
+        if (srcs[k] == Slot::None)
+            continue;
+        const Rem &r = s.r[srcs[k]];
         uint16_t lo = r.lo;
         uint16_t hi = r.hi;
-        if (u == e.lateUse) {
-            // Late (MEM-stage) read: effective stall is max(0, rem-1).
+        if (k == 1 && slot.lat == Slot::StoreData && uarch.forward) {
+            // With the EX/MEM bypass the store-data operand is read a
+            // stage late: effective stall is max(0, rem-1).
             lo = lo > 0 ? static_cast<uint16_t>(lo - 1) : 0;
             hi = hi > 0 ? static_cast<uint16_t>(hi - 1) : 0;
         }
-        StallIv &cat = e.uses[u] < 32 ? st.gpr : st.fp;
+        StallIv &cat = Slot::isGpr(srcs[k]) ? st.gpr : st.fp;
         cat.lo = std::max(cat.lo, lo);
         cat.hi = std::max(cat.hi, hi);
     }
@@ -311,9 +145,11 @@ stepSite(State &s, const Eff &e)
         r.lo = static_cast<uint16_t>(std::max(0, lo));
         r.hi = static_cast<uint16_t>(std::max(0, hi));
     }
-    if (e.def >= 0) {
-        const auto rem = static_cast<uint16_t>(e.defDelta - 1);
-        s.r[e.def] = {rem, rem};
+    if (slot.dst != Slot::Sink) {
+        // A load's result is ready 1 + loadDelay() cycles after issue.
+        const auto rem = static_cast<uint16_t>(
+            slot.lat == Slot::LoadLatency ? uarch.loadDelay() : slot.lat - 1);
+        s.r[slot.dst] = {rem, rem};
     }
     return st;
 }
@@ -357,11 +193,8 @@ class TimingAnalyzer
     uint16_t
     cap() const
     {
-        int m = 1 + static_cast<int>(opts_.uarch.loadDelay());
-        const sim::FpLatencies &f = opts_.fpu;
-        for (int lat : {f.addSub, f.mul, f.divS, f.divD, f.convert,
-                        f.compare, f.move})
-            m = std::max(m, lat);
+        const int m = std::max(1 + static_cast<int>(opts_.uarch.loadDelay()),
+                               sim::maxFpLatency(opts_.fpu));
         return static_cast<uint16_t>(m - 1);
     }
 
@@ -369,7 +202,7 @@ class TimingAnalyzer
     DiagEngine &diags_;
     const TimingOptions &opts_;
 
-    std::vector<Eff> eff_;               //!< per insn site
+    std::vector<Slot> slots_;            //!< per insn site
     std::vector<State> in_;              //!< per block entry
     std::vector<std::vector<int>> returnPoints_;  //!< per function
     std::vector<int64_t> haltPrefixLo_;  //!< per block, -1 = no halt site
@@ -381,9 +214,12 @@ void
 TimingAnalyzer::computeEffects()
 {
     const TargetInfo &t = *cfg_.image->target;
-    eff_.reserve(cfg_.insns.size());
-    for (const Insn &i : cfg_.insns)
-        eff_.push_back(effectsOf(t, i.d, opts_));
+    slots_.reserve(cfg_.insns.size());
+    for (const Insn &i : cfg_.insns) {
+        panicIf(i.d.op >= Op::NumOps, "timing: unexecutable op ",
+                static_cast<int>(i.d.op));
+        slots_.push_back(sim::issueSlot(t, i.d, opts_.fpu));
+    }
 }
 
 void
@@ -433,7 +269,7 @@ TimingAnalyzer::propagate()
 
         State s = in_[id];
         for (int i = b.first; i <= b.last; ++i)
-            stepSite(s, eff_[i]);
+            stepSite(s, slots_[i], opts_.uarch);
 
         auto push = [&](int t, const State &out) {
             if (join(in_[t], out) && !queued[t]) {
@@ -497,7 +333,7 @@ TimingAnalyzer::finalizeSites(TimingResult &tr)
         int64_t prefixLo = 0;
 
         for (int i = b.first; i <= b.last; ++i) {
-            const SiteStep st = stepSite(s, eff_[i]);
+            const SiteStep st = stepSite(s, slots_[i], opts_.uarch);
             SiteTiming &site = tr.sites[i];
             site.stallLo = st.total.lo;
             site.stallHi = st.total.hi;
@@ -509,7 +345,7 @@ TimingAnalyzer::finalizeSites(TimingResult &tr)
             bt.stallLo += st.total.lo;
             bt.stallHi += st.total.hi;
             prefixLo += 1 + st.total.lo;
-            if (eff_[i].haltTrap && haltPrefixLo_[b.id] < 0)
+            if (isHaltTrap(cfg_.insns[i].d) && haltPrefixLo_[b.id] < 0)
                 haltPrefixLo_[b.id] = prefixLo;
 
             const Insn &insn = cfg_.insns[i];
@@ -663,7 +499,7 @@ TimingAnalyzer::analyzeLoops(TimingResult &tr)
 
     auto lastDefOf = [&](const Block &b, int res) -> int {
         for (int i = b.last; i >= b.first; --i)
-            if (eff_[i].def == res)
+            if (slots_[i].dst == res)
                 return i;
         return -1;
     };
@@ -690,7 +526,7 @@ TimingAnalyzer::analyzeLoops(TimingResult &tr)
         int writeSite = -1;
         int writes = 0;
         for (int i = b.first; i <= b.last; ++i)
-            if (eff_[i].def == counter) {
+            if (slots_[i].dst == counter) {
                 writeSite = i;
                 ++writes;
             }
@@ -1192,21 +1028,17 @@ schedFeedback(const TimingResult &timing, DiagEngine &diags)
     const TargetInfo &t = *cfg.image->target;
     mc::SchedFeedback fb;
 
-    auto effOf = [&](int i) {
-        return effectsOf(t, cfg.insns[i].d, timing.opts);
+    auto slotAt = [&](int i) {
+        return sim::issueSlot(t, cfg.insns[i].d, timing.opts.fpu);
     };
-    const int loadDelta = 1 + timing.opts.uarch.loadDelay();
     auto memClass = [](Op op) {
         const OpClass c = opClass(op);
         return c == OpClass::Load || c == OpClass::Store ||
                c == OpClass::LoadConst;
     };
     auto isStore = [](Op op) { return opClass(op) == OpClass::Store; };
-    auto reads = [](const Eff &e, int res) {
-        for (int i = 0; i < e.nUses; ++i)
-            if (e.uses[i] == res)
-                return true;
-        return false;
+    auto reads = [](const Slot &s, uint8_t res) {
+        return s.src0 == res || s.src1 == res;
     };
 
     for (const Block &b : cfg.blocks) {
@@ -1218,10 +1050,8 @@ schedFeedback(const TimingResult &timing, DiagEngine &diags)
             // The producer must be the load directly before the
             // consumer in this block (a cross-block interlock is not
             // the scheduler's to fix).
-            const Eff le = effOf(u - 1);
-            if (le.defDelta != loadDelta)
-                continue;
-            if (!reads(effOf(u), le.def))
+            const Slot le = slotAt(u - 1);
+            if (le.lat != Slot::LoadLatency || !reads(slotAt(u), le.dst))
                 continue;
             fb.loadUseSites += 1;
 
@@ -1242,14 +1072,14 @@ schedFeedback(const TimingResult &timing, DiagEngine &diags)
                     break;  // syscalls are scheduling barriers
                 if (isa::isCanonicalNop(t, md))
                     continue;  // moving a nop hides nothing
-                const Eff me = effOf(m);
+                const Slot me = slotAt(m);
                 bool ok = true;
                 for (int k = u - 1; k < m && ok; ++k) {
-                    const Eff ke = effOf(k);
-                    if (me.def >= 0 &&
-                        (ke.def == me.def || reads(ke, me.def)))
+                    const Slot ke = slotAt(k);
+                    if (me.dst != Slot::Sink &&
+                        (ke.dst == me.dst || reads(ke, me.dst)))
                         ok = false;
-                    if (ke.def >= 0 && reads(me, ke.def))
+                    if (ke.dst != Slot::Sink && reads(me, ke.dst))
                         ok = false;
                 }
                 if (ok && isStore(md.op)) {

@@ -7,9 +7,11 @@
  * program point into, for every register resource (32 GPRs, 32 FPRs,
  * and the FP status word), an interval of *remaining delay* cycles —
  * how many cycles a consumer issuing next would still stall. The
- * transfer function mirrors Machine::execute() operation by operation
- * (including the D16 quirk that r0 is a real register there, so even a
- * canonical `mv r0, r0` nop can interlock against a pool load), block
+ * transfer function reads each op's scoreboard effect from
+ * sim::issueSlot(), the table the block translator and trace retiming
+ * share (including the D16 quirk that r0 is a real register there, so
+ * even a canonical `mv r0, r0` nop can interlock against a pool load);
+ * crossValidateTiming() checks it against Machine::execute(). Block
  * entry states join by interval hull over all predecessors, and call /
  * return edges propagate states through the supergraph so FP latencies
  * are tracked across block and function boundaries.

@@ -1,7 +1,6 @@
 #include "asm/image.hh"
 
 #include <algorithm>
-#include <cstring>
 
 namespace d16sim::assem
 {
@@ -9,7 +8,8 @@ namespace d16sim::assem
 namespace
 {
 
-constexpr char kImageMagic[4] = {'D', '1', '6', 'I'};
+/** "D16I", as the little-endian word putU32 writes it. */
+constexpr uint32_t kImageMagic = 0x49363144;
 constexpr uint32_t kImageVersion = 1;
 
 void
@@ -85,7 +85,7 @@ Image::serialize() const
     std::vector<uint8_t> out;
     out.reserve(64 + bytes.size() + 16 * symbols.size() +
                 8 * insnSites.size());
-    out.insert(out.end(), kImageMagic, kImageMagic + 4);
+    putU32(out, kImageMagic);
     putU32(out, kImageVersion);
     putU32(out, static_cast<uint32_t>(target->kind()));
     putU32(out, textBase);
@@ -114,10 +114,8 @@ Image
 Image::deserialize(const std::vector<uint8_t> &data)
 {
     Reader r{data};
-    r.need(4);
-    if (std::memcmp(data.data(), kImageMagic, 4) != 0)
+    if (r.u32() != kImageMagic)
         fatal("image deserialize: bad magic");
-    r.pos += 4;
     const uint32_t version = r.u32();
     if (version != kImageVersion)
         fatal("image deserialize: version ", version, ", want ",

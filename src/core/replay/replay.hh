@@ -95,44 +95,20 @@ BranchReplayStats branchStatsFor(const Trace &trace,
 
 /**
  * The issue-time scoreboard's view of an image's text section: one
- * slot per instruction word, built once per image and shared by every
- * slice's replayTiming(). A slot holds what Machine::execute() feeds
- * the scoreboard — the GPR/FPR/status sources in the order it reads
- * them and the destination with its latency (t+1, the load delay, or
- * an FP latency). Emitted instructions come from the predecoded table,
- * every other word (in-text pools) is decoded from the image, as the
- * machine decodes it from memory; a word that does not decode, or an
- * op the machine cannot execute, gets an empty slot (a capture that
- * reached one would have failed).
+ * sim::issueSlot() per instruction word, built once per image and
+ * shared by every slice's replayTiming(). Emitted instructions come
+ * from the predecoded table, every other word (in-text pools) is
+ * decoded from the image, as the machine decodes it from memory; a
+ * word that does not decode gets an empty slot (a capture that reached
+ * one would have failed).
  */
 class TimingTable
 {
   public:
+    using Slot = sim::IssueSlot;
+
     TimingTable(const assem::Image &image, const sim::DecodedText &text,
                 const sim::FpLatencies &fpu = {});
-
-    /** Scoreboard entries: GPRs, FPRs, the FP status flag, an entry
-     *  that is never written (an absent source) and one that is never
-     *  read (an absent or discarded destination). */
-    static constexpr uint8_t FprBase = 32;
-    static constexpr uint8_t Status = 64;
-    static constexpr uint8_t None = 65;
-    static constexpr uint8_t Sink = 66;
-    static constexpr size_t Entries = 67;
-
-    /** Slot latencies that are not cycle counts: the machine's load
-     *  delay (uarch-dependent), and a store, whose second source is the
-     *  data operand the forwarding bypass serves. */
-    static constexpr uint8_t LoadLatency = 0;
-    static constexpr uint8_t StoreData = 0xff;
-
-    struct Slot
-    {
-        uint8_t src0 = None;
-        uint8_t src1 = None;
-        uint8_t dst = Sink;
-        uint8_t lat = 1;
-    };
 
     uint32_t base() const { return base_; }
     uint32_t end() const { return end_; }

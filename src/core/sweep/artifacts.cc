@@ -373,14 +373,13 @@ blockTableBytes(const sim::BlockTable &table)
 {
     std::vector<uint8_t> out;
     out.reserve(12 + 8 * table.spans.size());
-    const char magic[4] = {'D', '1', '6', 'M'};
-    out.insert(out.end(), magic, magic + 4);
     auto putU32 = [&out](uint32_t v) {
         out.push_back(static_cast<uint8_t>(v));
         out.push_back(static_cast<uint8_t>(v >> 8));
         out.push_back(static_cast<uint8_t>(v >> 16));
         out.push_back(static_cast<uint8_t>(v >> 24));
     };
+    putU32(0x4d363144); // "D16M", little-endian
     putU32(1); // version
     putU32(static_cast<uint32_t>(table.spans.size()));
     for (const sim::BlockSpan &span : table.spans) {

@@ -138,18 +138,6 @@ isDLXeOnly(Op op)
 }
 
 bool
-isPlainLoad(Op op)
-{
-    switch (op) {
-      case Op::Ld: case Op::Ldh: case Op::Ldhu:
-      case Op::Ldb: case Op::Ldbu:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isStore(Op op)
 {
     return op == Op::St || op == Op::Sth || op == Op::Stb;

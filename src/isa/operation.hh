@@ -128,9 +128,6 @@ bool isD16Only(Op op);
 /** True iff the op exists only in the DLXe encoding. */
 bool isDLXeOnly(Op op);
 
-/** True for Ld/Ldh/Ldhu/Ldb/Ldbu (not Ldc). */
-bool isPlainLoad(Op op);
-
 /** True for St/Sth/Stb. */
 bool isStore(Op op);
 

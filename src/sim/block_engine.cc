@@ -5,6 +5,7 @@
 #include "isa/codec.hh"
 #include "isa/operation.hh"
 #include "isa/target.hh"
+#include "sim/issue_slot.hh"
 #include "sim/machine.hh"
 #include "support/error.hh"
 
@@ -16,70 +17,6 @@ using isa::Op;
 
 namespace
 {
-
-/** Which register-file reads does `op` issue through the GPR
- *  scoreboard (Machine::execute's useGpr calls)? Reported as "reads
- *  the rs1/rs2 field"; Trap's fixed read of r2 is normalized onto rs1
- *  by makeUop. FPR/status reads are not listed: those latencies span
- *  blocks and always take the full scoreboard path. */
-void
-gprReads(Op op, bool &rs1, bool &rs2)
-{
-    rs1 = false;
-    rs2 = false;
-    switch (op) {
-      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
-      case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra:
-      case Op::Cmp:
-      case Op::St: case Op::Sth: case Op::Stb:
-      case Op::Jrz: case Op::Jrnz:
-        rs1 = true;
-        rs2 = true;
-        break;
-      case Op::Neg: case Op::Inv: case Op::Mv:
-      case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
-      case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI:
-      case Op::CmpI:
-      case Op::Ld: case Op::Ldh: case Op::Ldhu:
-      case Op::Ldb: case Op::Ldbu:
-      case Op::Bz: case Op::Bnz:
-      case Op::Jr: case Op::Jlr:
-      case Op::MifL: case Op::MifH:
-      case Op::Trap:
-        rs1 = true;
-        break;
-      default:
-        break;
-    }
-}
-
-bool
-isLoad(Op op)
-{
-    return isa::isPlainLoad(op) || op == Op::Ldc;
-}
-
-/** The GPR whose ready time `u` sets (Machine::execute's setGprReady
- *  calls; makeUop normalizes the fixed ones onto rd), or -1. */
-int
-gprWritten(const isa::TargetInfo &t, const Uop &u)
-{
-    switch (u.op) {
-      case Op::Add: case Op::Sub: case Op::And: case Op::Or:
-      case Op::Xor: case Op::Shl: case Op::Shr: case Op::Shra:
-      case Op::Neg: case Op::Inv: case Op::Mv:
-      case Op::AddI: case Op::SubI: case Op::AndI: case Op::OrI:
-      case Op::XorI: case Op::ShlI: case Op::ShrI: case Op::ShraI:
-      case Op::MvI: case Op::Cmp: case Op::CmpI:
-      case Op::Ld: case Op::Ldh: case Op::Ldhu:
-      case Op::Ldb: case Op::Ldbu: case Op::Ldc:
-      case Op::MfiL: case Op::MfiH: case Op::Rdsr:
-      case Op::Trap: case Op::Jl: case Op::Jlr:
-        return u.rd == 0 && t.r0IsZero() ? -1 : u.rd;
-      default:
-        return -1;
-    }
-}
 
 /** Pre-bind one instruction (hazard flags are set per block by
  *  setHazardFlags). */
@@ -135,15 +72,17 @@ makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc)
 }
 
 /**
- * Hazard flags for `n` uops of one block in issue order: one set per
- * load delay up to UarchConfig::MaxLoadDelay, so one translation is
- * exact under every config. The step scoreboard can stall a GPR read
- * only while the value's latest writer is a load at most `delay`
- * issues back; every other producer's t+1 is met by the next issue.
- * So, for each delay:
+ * Hazard flags for `n` uops of one block in issue order, from their
+ * issue slots (sim::issueSlot: a GPR-reading slot's sources 0 and 1
+ * are the uop's rs1 and rs2, Trap's fixed r2 normalized onto rs1 by
+ * makeUop): one set per load delay up to UarchConfig::MaxLoadDelay, so
+ * one translation is exact under every config. The step scoreboard can
+ * stall a GPR read only while the value's latest writer is a load at
+ * most `delay` issues back; every other producer's t+1 is met by the
+ * next issue. So, for each delay:
  *
- *  - a source is checked iff, walking back at most `delay` uops, its
- *    nearest writer is a load or the walk reaches block entry;
+ *  - a GPR source is checked iff, walking back at most `delay` uops,
+ *    its nearest writer is a load or the walk reaches block entry;
  *  - a single-cycle producer keeps its t+1 ready write iff the load
  *    delay exceeds one and the uop before it may be a load of the same
  *    register (always at block entry). Up to a delay of two, only then
@@ -152,35 +91,37 @@ makeUop(const isa::TargetInfo &t, const DecodedInst &d, uint32_t pc)
  *    issue can observe as a stall.
  */
 void
-setHazardFlags(const isa::TargetInfo &t, Uop *seq, uint32_t n)
+setHazardFlags(const IssueSlot *slots, Uop *seq, uint32_t n)
 {
+    const auto loads = [](const IssueSlot &s) {
+        return s.lat == IssueSlot::LoadLatency;
+    };
     for (uint32_t i = 0; i < n; ++i) {
-        Uop &u = seq[i];
-        bool r1 = false, r2 = false;
-        gprReads(u.op, r1, r2);
-        const int rd = gprWritten(t, u);
-        const bool mayFollowLoadOfRd =
-            i == 0 ||
-            (isLoad(seq[i - 1].op) && gprWritten(t, seq[i - 1]) == rd);
+        const IssueSlot &s = slots[i];
+        const bool keepable =
+            IssueSlot::isGpr(s.dst) && !loads(s) &&
+            (i == 0 || (loads(slots[i - 1]) && slots[i - 1].dst == s.dst));
         for (uint32_t delay = 1;
              delay <= uint32_t{UarchConfig::MaxLoadDelay}; ++delay) {
-            const auto needsCheck = [&](int r) {
+            const auto needsCheck = [&](uint8_t src) {
+                if (!IssueSlot::isGpr(src))
+                    return false;
                 for (uint32_t k = 1; k <= delay; ++k) {
                     if (k > i)
                         return true;
-                    if (gprWritten(t, seq[i - k]) == r)
-                        return isLoad(seq[i - k].op);
+                    if (slots[i - k].dst == src)
+                        return loads(slots[i - k]);
                 }
                 return false;
             };
             uint8_t f = 0;
-            if (r1 && needsCheck(u.rs1))
+            if (needsCheck(s.src0))
                 f |= Uop::ChkRs1;
-            if (r2 && needsCheck(u.rs2))
+            if (needsCheck(s.src1))
                 f |= Uop::ChkRs2;
-            if (delay > 1 && rd >= 0 && !isLoad(u.op) && mayFollowLoadOfRd)
+            if (delay > 1 && keepable)
                 f |= Uop::KeepReady;
-            u.flags |= static_cast<uint8_t>(
+            seq[i].flags |= static_cast<uint8_t>(
                 f << Uop::flagShift(static_cast<int>(delay)));
         }
     }
@@ -281,10 +222,14 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
     // The block's issue order is its address order: body, then the
     // terminator and its slot.
     std::vector<Uop> seq;
+    std::vector<IssueSlot> slots;
     seq.reserve(span.count);
-    for (uint32_t i = 0; i < span.count; ++i)
+    slots.reserve(span.count);
+    for (uint32_t i = 0; i < span.count; ++i) {
         seq.push_back(makeUop(t, text.at(idx0 + i), span.startPc + i * ib));
-    setHazardFlags(t, seq.data(), span.count);
+        slots.push_back(issueSlot(t, text.at(idx0 + i)));
+    }
+    setHazardFlags(slots.data(), seq.data(), span.count);
 
     const uint32_t body = cf >= 0 ? span.count - 2 : span.count;
     b.uopBegin = static_cast<uint32_t>(uops_.size());

@@ -29,7 +29,8 @@
  *    hazard flags per load delay up to UarchConfig::MaxLoadDelay. In
  *    the set for delay d a source is checked iff, walking back d
  *    uops, its nearest writer is a load or the walk reaches block
- *    entry, and (for d > 1) a single-cycle producer keeps its t+1
+ *    entry (reads, writes and loads as sim::issueSlot() states them),
+ *    and (for d > 1) a single-cycle producer keeps its t+1
  *    ready write (KeepReady) iff the uop before it may be a load of
  *    the same register. The d = 1 set is exactly the paper machine's
  *    one-slot elision, so the default config pays nothing for the

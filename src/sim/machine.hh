@@ -39,6 +39,7 @@
 #include "isa/target.hh"
 #include "mem/memory.hh"
 #include "sim/block_engine.hh"
+#include "sim/issue_slot.hh"
 #include "sim/predecode.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
@@ -46,19 +47,6 @@
 
 namespace d16sim::sim
 {
-
-/** FPU result latencies in cycles (result ready latency-1 cycles after
- *  the consumer would first want it). */
-struct FpLatencies
-{
-    int addSub = 2;
-    int mul = 4;
-    int divS = 10;
-    int divD = 16;
-    int convert = 2;
-    int compare = 2;
-    int move = 1;
-};
 
 struct MachineConfig
 {
