@@ -8,13 +8,9 @@
 namespace d16sim::core::replay
 {
 
-namespace
-{
-
-/**
- * The inclusive multi-size I-side evaluator, for direct-mapped
- * I-configs with wrap-around prefetch that share one block size
- * (`members` indexes `evals`).
+/*
+ * The inclusive multi-size I-side evaluator serves the direct-mapped
+ * I-configs with wrap-around prefetch, grouped by block size.
  *
  * An instruction stream only reads, and a read miss with wrap-around
  * prefetch fills the whole block, so every resident block is fully
@@ -28,109 +24,111 @@ namespace
  * first hit — every larger size hits too and its frame is unchanged;
  * each size that missed takes the block. Results equal running each
  * configuration through mem::Cache::readSeq.
+ *
+ * The rest (set-associative or prefetch-off I-configs) and every
+ * D-cache run the generic model: a D-side write miss allocates a
+ * single sub-block and leaves it dirty, so the inclusion argument does
+ * not hold there.
  */
-void
-replayInclusive(const Trace &trace, std::vector<CacheEval> &evals,
-                std::vector<size_t> members)
+CacheFold::CacheFold(std::vector<CacheEval> &evals, uint32_t insnBytes)
+    : evals_(evals), insnBytes_(insnBytes)
 {
-    std::stable_sort(members.begin(), members.end(),
-                     [&](size_t a, size_t b) {
-                         return evals[a].icache.sizeBytes <
-                                evals[b].icache.sizeBytes;
-                     });
-    // One frame array per size, each holding the resident block number
-    // (not just the tag); ~0 is no block number, so it marks empty.
-    struct Level
-    {
-        std::vector<uint32_t> blocks;
-        uint32_t setMask = 0;
-        uint64_t misses = 0;
-    };
-    std::vector<Level> levels(members.size());
-    uint32_t blockShift = 0;  // the same for every member
-    for (size_t i = 0; i < members.size(); ++i) {
-        const mem::CacheGeometry g =
-            mem::CacheGeometry::of(evals[members[i]].icache);
-        levels[i].blocks.assign(g.numSets, ~uint32_t{0});
-        levels[i].setMask = g.setMask;
-        blockShift = g.blockShift;
-    }
-
-    const uint32_t ib = trace.insnBytes;
-    for (const FetchRun &r : trace.runs) {
-        if (!r.count)
-            continue;
-        panicIf(r.startPc & (ib - 1), "fetch run at pc ", r.startPc,
-                " is not instruction-aligned");
-        const uint32_t first = r.startPc >> blockShift;
-        const uint32_t last = (r.startPc + (r.count - 1) * ib) >> blockShift;
-        for (uint32_t b = first; b <= last; ++b) {
-            for (Level &l : levels) {
-                uint32_t &frame = l.blocks[b & l.setMask];
-                if (frame == b)
-                    break;
-                frame = b;
-                ++l.misses;
-            }
+    std::map<uint32_t, std::vector<size_t>> bySize;
+    dcaches_.reserve(evals.size());
+    for (size_t i = 0; i < evals.size(); ++i) {
+        const mem::CacheConfig &ic = evals[i].icache;
+        if (ic.assoc == 1 && ic.prefetchWrapAround) {
+            bySize[ic.blockBytes].push_back(i);
+        } else {
+            generic_.push_back(i);
+            icaches_.emplace_back(ic);
         }
+        dcaches_.emplace_back(evals[i].dcache);
     }
-
-    const uint64_t fetches = trace.fetchCount();
-    for (size_t i = 0; i < members.size(); ++i) {
-        CacheEval &e = evals[members[i]];
-        e.icacheStats = mem::CacheStats{};
-        e.icacheStats.reads = fetches;
-        e.icacheStats.readMisses = levels[i].misses;
-        e.icacheStats.wordsIn = levels[i].misses * (e.icache.blockBytes / 4);
+    for (auto &[blockBytes, members] : bySize) {
+        Inclusive group;
+        std::stable_sort(members.begin(), members.end(),
+                         [&](size_t a, size_t b) {
+                             return evals[a].icache.sizeBytes <
+                                    evals[b].icache.sizeBytes;
+                         });
+        for (size_t m : members) {
+            const mem::CacheGeometry g =
+                mem::CacheGeometry::of(evals[m].icache);
+            Level level;
+            level.blocks.assign(g.numSets, ~uint32_t{0});
+            level.setMask = g.setMask;
+            group.levels.push_back(std::move(level));
+            group.blockShift = g.blockShift;
+        }
+        group.members = std::move(members);
+        inclusive_.push_back(std::move(group));
     }
 }
 
-} // namespace
+void
+CacheFold::feed(const sim::TraceChunk &chunk)
+{
+    // The caches are independent, so each takes its own pass over the
+    // chunk's stream it models. The fetch side is run-length encoded:
+    // each run feeds a generic icache through the sequential-read fast
+    // path in one call.
+    const uint32_t ib = insnBytes_;
+    for (const FetchRun &r : chunk.runs)
+        fetches_ += r.count;
+    for (Inclusive &group : inclusive_) {
+        for (const FetchRun &r : chunk.runs) {
+            if (!r.count)
+                continue;
+            panicIf(r.startPc & (ib - 1), "fetch run at pc ", r.startPc,
+                    " is not instruction-aligned");
+            const uint32_t first = r.startPc >> group.blockShift;
+            const uint32_t last =
+                (r.startPc + (r.count - 1) * ib) >> group.blockShift;
+            for (uint32_t b = first; b <= last; ++b) {
+                for (Level &l : group.levels) {
+                    uint32_t &frame = l.blocks[b & l.setMask];
+                    if (frame == b)
+                        break;
+                    frame = b;
+                    ++l.misses;
+                }
+            }
+        }
+    }
+    for (mem::Cache &c : icaches_)
+        for (const FetchRun &r : chunk.runs)
+            c.readSeq(r.startPc, static_cast<int>(ib), r.count);
+    for (mem::Cache &c : dcaches_)
+        for (const DataAccess &a : chunk.accesses)
+            c.access(a.addr, a.size, a.write);
+}
+
+void
+CacheFold::finish()
+{
+    for (const Inclusive &group : inclusive_) {
+        for (size_t i = 0; i < group.members.size(); ++i) {
+            CacheEval &e = evals_[group.members[i]];
+            e.icacheStats = mem::CacheStats{};
+            e.icacheStats.reads = fetches_;
+            e.icacheStats.readMisses = group.levels[i].misses;
+            e.icacheStats.wordsIn =
+                group.levels[i].misses * (e.icache.blockBytes / 4);
+        }
+    }
+    for (size_t i = 0; i < generic_.size(); ++i)
+        evals_[generic_[i]].icacheStats = icaches_[i].stats();
+    for (size_t i = 0; i < evals_.size(); ++i)
+        evals_[i].dcacheStats = dcaches_[i].stats();
+}
 
 void
 replayCaches(const Trace &trace, std::vector<CacheEval> &evals)
 {
-    // I-configs the inclusive evaluator serves, by block size; the
-    // rest (set-associative or prefetch-off) and every D-cache run the
-    // generic model. A D-side write miss allocates a single sub-block
-    // and leaves it dirty, so the inclusion argument does not hold
-    // there.
-    std::map<uint32_t, std::vector<size_t>> inclusive;
-    std::vector<size_t> generic;
-    std::vector<mem::Cache> icaches, dcaches;
-    dcaches.reserve(evals.size());
-    for (size_t i = 0; i < evals.size(); ++i) {
-        const mem::CacheConfig &ic = evals[i].icache;
-        if (ic.assoc == 1 && ic.prefetchWrapAround) {
-            inclusive[ic.blockBytes].push_back(i);
-        } else {
-            generic.push_back(i);
-            icaches.emplace_back(ic);
-        }
-        dcaches.emplace_back(evals[i].dcache);
-    }
-
-    for (auto &[blockBytes, members] : inclusive)
-        replayInclusive(trace, evals, std::move(members));
-
-    // The caches are independent, so each takes its own pass over the
-    // stream it models (and a call with no configurations of a side
-    // walks nothing). The fetch side is run-length encoded: each run
-    // feeds a generic icache through the sequential-read fast path in
-    // one call.
-    const int ib = static_cast<int>(trace.insnBytes);
-    for (mem::Cache &c : icaches)
-        for (const FetchRun &r : trace.runs)
-            c.readSeq(r.startPc, ib, r.count);
-
-    for (mem::Cache &c : dcaches)
-        for (const DataAccess &a : trace.accesses)
-            c.access(a.addr, a.size, a.write);
-
-    for (size_t i = 0; i < generic.size(); ++i)
-        evals[generic[i]].icacheStats = icaches[i].stats();
-    for (size_t i = 0; i < evals.size(); ++i)
-        evals[i].dcacheStats = dcaches[i].stats();
+    CacheFold fold(evals, trace.insnBytes);
+    fold.feed(trace.chunk());
+    fold.finish();
 }
 
 std::pair<mem::CacheStats, mem::CacheStats>
@@ -144,26 +142,69 @@ replayCache(const Trace &trace, const mem::CacheConfig &icache,
     return {evals[0].icacheStats, evals[0].dcacheStats};
 }
 
-uint64_t
-replayFetchRequests(const Trace &trace, uint32_t busBytes)
+void
+FetchBufferFold::feed(const sim::TraceChunk &chunk)
 {
     // Mirrors FetchBufferProbe: a request whenever the fetch leaves the
     // currently buffered aligned block. Within a run the pc advances
     // monotonically by insnBytes (which divides busBytes), so the run
     // crosses exactly lastBlock - firstBlock boundaries, plus one
     // request up front if it starts outside the buffered block.
-    uint64_t requests = 0;
-    bool valid = false;
-    uint32_t current = 0;
-    for (const FetchRun &r : trace.runs) {
-        const uint32_t first = r.startPc / busBytes;
+    for (const FetchRun &r : chunk.runs) {
+        const uint32_t first = r.startPc / busBytes_;
         const uint32_t last =
-            (r.startPc + (r.count - 1) * trace.insnBytes) / busBytes;
-        requests += (last - first) + ((!valid || first != current) ? 1 : 0);
-        valid = true;
-        current = last;
+            (r.startPc + (r.count - 1) * insnBytes_) / busBytes_;
+        requests_ += (last - first) +
+                     ((!valid_ || first != current_) ? 1 : 0);
+        valid_ = true;
+        current_ = last;
     }
-    return requests;
+}
+
+uint64_t
+replayFetchRequests(const Trace &trace, uint32_t busBytes)
+{
+    FetchBufferFold fold(busBytes, trace.insnBytes);
+    fold.feed(trace.chunk());
+    return fold.finish();
+}
+
+BranchFold::BranchFold(const sim::UarchConfig &uarch, uint32_t insnBytes)
+    : walks_(uarch.branch != sim::BranchPolicy::DelaySlot),
+      model_(uarch, insnBytes == 2 ? 1 : 2)
+{}
+
+void
+BranchFold::feed(const sim::TraceChunk &chunk)
+{
+    if (!walks_)
+        return;
+    for (const BranchOutcome &o : chunk.outcomes) {
+        bool mispredicted = false;
+        model_.conditional(o.pc, o.taken, mispredicted);
+        mispredicts_ += mispredicted ? 1 : 0;
+    }
+}
+
+BranchReplayStats
+BranchFold::finish(const sim::UarchConfig &uarch,
+                   uint64_t takenBranches) const
+{
+    BranchReplayStats out;
+    if (!walks_) {
+        // The delay-slot policy charges every taken transfer alike
+        // (conditional or not, including the halting jr), and
+        // takenBranches counts exactly those.
+        out.branchStalls =
+            takenBranches * static_cast<uint64_t>(uarch.takenExtra());
+        return out;
+    }
+    // The predictors charge only mispredicted conditionals; their
+    // unconditional transfers cost nothing.
+    out.mispredicts = mispredicts_;
+    out.branchStalls =
+        mispredicts_ * static_cast<uint64_t>(uarch.mispredictPenalty());
+    return out;
 }
 
 namespace
@@ -179,34 +220,15 @@ checkSlice(const sim::UarchConfig &timed, const sim::UarchConfig &uarch)
               "' cannot replay capture slice '", uarch.captureKey(), "'");
 }
 
-/** The branch-policy statistics for `uarch`. Their inputs — the
- *  taken-branch count and the outcome stream — are the same at every
- *  capture slice. */
+/** The branch-policy statistics for `uarch` from a whole trace. Their
+ *  inputs — the taken-branch count and the outcome stream — are the
+ *  same at every capture slice. */
 BranchReplayStats
 branchStats(const Trace &trace, const sim::UarchConfig &uarch)
 {
-    using sim::BranchPolicy;
-
-    sim::BranchModel model(uarch, trace.insnBytes == 2 ? 1 : 2);
-    BranchReplayStats out;
-    if (uarch.branch == BranchPolicy::DelaySlot) {
-        // The delay-slot policy charges every taken transfer alike
-        // (conditional or not, including the halting jr), and
-        // takenBranches counts exactly those.
-        out.branchStalls = trace.base.stats.takenBranches *
-                           static_cast<uint64_t>(model.jump());
-        return out;
-    }
-
-    // The predictors run the machine's model over the outcome stream
-    // in execution order; their unconditional transfers cost nothing.
-    for (const BranchOutcome &o : trace.outcomes) {
-        bool mispredicted = false;
-        out.branchStalls += static_cast<uint64_t>(
-            model.conditional(o.pc, o.taken, mispredicted));
-        out.mispredicts += mispredicted ? 1 : 0;
-    }
-    return out;
+    BranchFold fold(uarch, trace.insnBytes);
+    fold.feed(trace.chunk());
+    return fold.finish(uarch, trace.base.stats.takenBranches);
 }
 
 } // namespace

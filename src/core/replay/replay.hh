@@ -1,38 +1,49 @@
 /**
  * @file
- * Replay — evaluate memory configurations from a recorded Trace.
+ * Replay — evaluate memory configurations and machine slices from a
+ * capture's reference streams.
  *
  * One functional execution, many costed evaluations (the structure the
- * paper's §4 figures share): the evaluators below stream a Trace's
- * fetch and data streams through any number of mem::Cache pairs — and
- * through the cacheless fetch-buffer model — producing CacheStats /
- * IRequests bit-identical to attaching the corresponding probe to a
- * live simulation, at a fraction of the cost (no decode, no execute,
- * no scoreboard).
+ * paper's §4 figures share): the evaluators below stream the fetch and
+ * data streams through any number of mem::Cache pairs — and through
+ * the cacheless fetch-buffer model — producing CacheStats / IRequests
+ * bit-identical to attaching the corresponding probe to a live
+ * simulation, at a fraction of the cost (no decode, no execute, no
+ * scoreboard).
  *
- * replayCaches() evaluates any number of split-cache configurations
- * in one call. On the I-side, direct-mapped configurations with
- * wrap-around prefetch (the paper's whole 5-size x 4-block matrix) go
- * through an inclusive multi-size evaluator: one walk of the fetch
- * runs per block size, one tag check per block visit shared by every
- * size. Set-associative or prefetch-off I-configs and every D-cache
- * run the generic mem::Cache. The sweep engine hands each build
- * node's cache siblings to one call (sweep::replayJobs).
+ * Every evaluator is a fold (sim::TraceFold): it keeps its state
+ * across chunks, takes the streams one chunk at a time through feed(),
+ * and yields its result at finish(). A capture's sim::TraceSink feeds
+ * the folds while the machine runs, so the sweep engine never holds a
+ * whole trace unless it stores one; a recorded Trace feeds them as one
+ * chunk (Trace::chunk()). Results do not depend on where the chunks
+ * break: a sink never splits a fetch run, and each fold carries across
+ * a chunk boundary everything the next run needs. The whole-trace
+ * functions (replayCaches, replayFetchRequests, branchStatsFor,
+ * replayTiming, replayRun) feed one fold the trace in one chunk.
+ *
+ * CacheFold evaluates any number of split-cache configurations at
+ * once. On the I-side, direct-mapped configurations with wrap-around
+ * prefetch (the paper's whole 5-size x 4-block matrix) go through an
+ * inclusive multi-size evaluator: one walk of the fetch runs per block
+ * size, one tag check per block visit shared by every size.
+ * Set-associative or prefetch-off I-configs and every D-cache run the
+ * generic mem::Cache.
  *
  * The pipeline's own counters replay too. Branch penalties are
- * additive accounting over the branch-outcome stream
- * (branchStatsFor), and the issue-time scoreboard reads nothing but
- * each instruction's op and register numbers, so the interlock
- * counters of any forwarding/depth slice are a function of the
- * dynamic pc sequence — the trace's fetch runs. replayTiming() walks
- * them through a per-image TimingTable; the sweep engine captures
- * each image once, on the default machine, and retimes every other
- * slice from that trace.
+ * additive accounting over the branch-outcome stream (BranchFold),
+ * and the issue-time scoreboard reads nothing but each instruction's
+ * op and register numbers, so the interlock counters of any
+ * forwarding/depth slice are a function of the dynamic pc sequence —
+ * the fetch runs. TimingFold walks them through a per-image
+ * TimingTable; the sweep engine captures each image once, on the
+ * default machine, and retimes every other slice from that stream.
  */
 
 #ifndef D16SIM_CORE_REPLAY_REPLAY_HH
 #define D16SIM_CORE_REPLAY_REPLAY_HH
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -44,7 +55,7 @@ namespace d16sim::core::replay
 {
 
 /** One split-cache configuration to evaluate; stats are filled in by
- *  replayCaches(). */
+ *  CacheFold::finish(). */
 struct CacheEval
 {
     mem::CacheConfig icache;
@@ -54,11 +65,49 @@ struct CacheEval
 };
 
 /**
- * Evaluate every configuration in `evals` over the trace. Results are
- * exactly what a CacheProbe with the same configuration would have
- * measured on the traced run, whichever evaluator serves it, and each
- * configuration is held to mem::CacheGeometry's checks (FatalError).
+ * Evaluates every configuration in `evals` (referenced, not copied)
+ * over the streams. Results are exactly what a CacheProbe with the
+ * same configuration would have measured on the traced run, whichever
+ * evaluator serves it, and each configuration is held to
+ * mem::CacheGeometry's checks (FatalError, at construction).
  */
+class CacheFold : public sim::TraceFold
+{
+  public:
+    CacheFold(std::vector<CacheEval> &evals, uint32_t insnBytes);
+
+    void feed(const sim::TraceChunk &chunk) override;
+
+    /** Write every configuration's stats into its CacheEval. */
+    void finish();
+
+  private:
+    /** One size of an inclusive group: the resident block number per
+     *  frame (~0 marks an empty frame). */
+    struct Level
+    {
+        std::vector<uint32_t> blocks;
+        uint32_t setMask = 0;
+        uint64_t misses = 0;
+    };
+    /** The direct-mapped wrap-around I-configs of one block size,
+     *  smallest first (`members` indexes the evals). */
+    struct Inclusive
+    {
+        uint32_t blockShift = 0;
+        std::vector<size_t> members;
+        std::vector<Level> levels;
+    };
+
+    std::vector<CacheEval> &evals_;
+    uint32_t insnBytes_;
+    uint64_t fetches_ = 0;
+    std::vector<Inclusive> inclusive_;
+    std::vector<size_t> generic_;  //!< evals the generic icaches serve
+    std::vector<mem::Cache> icaches_, dcaches_;
+};
+
+/** CacheFold over a whole trace. */
 void replayCaches(const Trace &trace, std::vector<CacheEval> &evals);
 
 /** Single-configuration convenience: returns (icache, dcache) stats. */
@@ -67,10 +116,30 @@ replayCache(const Trace &trace, const mem::CacheConfig &icache,
             const mem::CacheConfig &dcache);
 
 /**
- * The cacheless fetch-buffer model (§4): number of memory requests a
- * `busBytes`-wide fetch path issues over the recorded fetch stream.
- * Exactly FetchBufferProbe::requests() for the traced run.
+ * The cacheless fetch-buffer model (§4): the number of memory requests
+ * a `busBytes`-wide fetch path issues over the fetch stream. Exactly
+ * FetchBufferProbe::requests() for the traced run.
  */
+class FetchBufferFold : public sim::TraceFold
+{
+  public:
+    FetchBufferFold(uint32_t busBytes, uint32_t insnBytes)
+        : busBytes_(busBytes), insnBytes_(insnBytes)
+    {}
+
+    void feed(const sim::TraceChunk &chunk) override;
+
+    uint64_t finish() const { return requests_; }
+
+  private:
+    uint32_t busBytes_;
+    uint32_t insnBytes_;
+    bool valid_ = false;
+    uint32_t current_ = 0;
+    uint64_t requests_ = 0;
+};
+
+/** FetchBufferFold over a whole trace. */
 uint64_t replayFetchRequests(const Trace &trace, uint32_t busBytes);
 
 /** Branch-policy statistics recomputed from a trace (see
@@ -82,12 +151,34 @@ struct BranchReplayStats
 };
 
 /**
+ * The predictor walk: one predictor's (policy and BHT size) mispredict
+ * count over the branch-outcome stream, through the machine's own
+ * sim::BranchModel. The count is the same at every capture slice, so
+ * one walk serves the penalty of every depth. The delay-slot policy
+ * walks nothing: it charges every taken transfer alike.
+ */
+class BranchFold : public sim::TraceFold
+{
+  public:
+    BranchFold(const sim::UarchConfig &uarch, uint32_t insnBytes);
+
+    void feed(const sim::TraceChunk &chunk) override;
+
+    /** The statistics a run on `uarch` (this fold's predictor, any
+     *  depth) with `takenBranches` taken transfers reports. */
+    BranchReplayStats finish(const sim::UarchConfig &uarch,
+                             uint64_t takenBranches) const;
+
+  private:
+    bool walks_;
+    sim::BranchModel model_;
+    uint64_t mispredicts_ = 0;
+};
+
+/**
  * Recompute the branch-policy statistics the machine would report for
- * `uarch` from a recorded trace — branch penalties are additive
- * accounting over the taken-branch count (delay-slot policy) or the
- * branch-outcome stream (predictor policies), so every branch-policy
- * sibling of one capture replays exactly, through the machine's own
- * sim::BranchModel. FatalError if the trace's capture slice
+ * `uarch` from a recorded trace, so every branch-policy sibling of one
+ * capture replays exactly. FatalError if the trace's capture slice
  * (forwarding/depth) does not match `uarch`'s.
  */
 BranchReplayStats branchStatsFor(const Trace &trace,
@@ -96,11 +187,11 @@ BranchReplayStats branchStatsFor(const Trace &trace,
 /**
  * The issue-time scoreboard's view of an image's text section: one
  * sim::issueSlot() per instruction word, built once per image and
- * shared by every slice's replayTiming(). Emitted instructions come
- * from the predecoded table, every other word (in-text pools) is
- * decoded from the image, as the machine decodes it from memory; a
- * word that does not decode gets an empty slot (a capture that reached
- * one would have failed).
+ * shared by every slice's TimingFold. Emitted instructions come from
+ * the predecoded table, every other word (in-text pools) is decoded
+ * from the image, as the machine decodes it from memory; a word that
+ * does not decode gets an empty slot (a capture that reached one would
+ * have failed).
  */
 class TimingTable
 {
@@ -115,6 +206,23 @@ class TimingTable
     unsigned insnShift() const { return shift_; }
     const std::vector<Slot> &slots() const { return slots_; }
 
+    /** True when `r` lies instruction-aligned inside the text. */
+    bool
+    covers(const FetchRun &r) const
+    {
+        const uint32_t off = r.startPc - base_;
+        return (off & ((1u << shift_) - 1)) == 0 &&
+               uint64_t{off >> shift_} + r.count <= slots_.size();
+    }
+
+    /** True when `a` is a write that lands in the text section. */
+    bool
+    writesText(const DataAccess &a) const
+    {
+        return a.write && uint64_t{a.addr} + a.size > base_ &&
+               a.addr < end_;
+    }
+
   private:
     uint32_t base_ = 0;
     uint32_t end_ = 0;
@@ -123,7 +231,7 @@ class TimingTable
 };
 
 /** The scoreboard counters of one capture slice, recomputed from a
- *  trace by replayTiming(). */
+ *  capture's streams by TimingFold. */
 struct TimingReplayStats
 {
     sim::UarchConfig slice;  //!< the capture slice they hold for
@@ -133,19 +241,51 @@ struct TimingReplayStats
 };
 
 /**
- * True when replayTiming() is exact for `trace` on `table`'s image:
- * every fetch run is instruction-aligned inside the text section, and
- * no data write lands in it. (A store into the text section can change
- * what a later fetch of a pool word decodes to in the live machine,
- * which the table, decoded from the image, would not see.)
+ * The scoreboard walk of `uarch`'s capture slice over the fetch runs
+ * of a capture of `table`'s image at any slice. The walk is exact
+ * while every run lies instruction-aligned in the text section and no
+ * data write lands in it (a store into the text can change what a
+ * later fetch of a pool word decodes to in the live machine, which the
+ * table, decoded from the image, would not see). It checks each run
+ * before indexing the table and stops for good at the first run or
+ * write that breaks this; exact() then reads false and the slice must
+ * be captured on its own machine.
  */
+class TimingFold : public sim::TraceFold
+{
+  public:
+    TimingFold(const TimingTable &table, const sim::UarchConfig &uarch,
+               uint32_t insnBytes);
+
+    void feed(const sim::TraceChunk &chunk) override;
+
+    /** False once the stream wrote its text section or left it. */
+    bool exact() const { return exact_; }
+
+    /** The slice's counters; FatalError unless exact(). */
+    TimingReplayStats finish() const;
+
+  private:
+    template <bool Forward> void walk(std::span<const FetchRun> runs);
+
+    const TimingTable &table_;
+    sim::UarchConfig slice_;
+    uint64_t loadDelta_;
+    bool exact_;
+    uint64_t cycle_ = 0;
+    std::array<uint64_t, sim::IssueSlot::Resources> ready_{};
+    TimingReplayStats out_;
+};
+
+/** True when a TimingFold over `trace` on `table`'s image stays exact
+ *  (see TimingFold). */
 bool timingReplayable(const Trace &trace, const TimingTable &table);
 
 /**
- * Recompute loadInterlocks, fpInterlocks and fwdSavedStalls for
- * `uarch`'s capture slice from a trace of the same image captured at
- * any slice — exactly what a capture at that slice records. FatalError
- * unless timingReplayable(trace, table).
+ * TimingFold over a whole trace: loadInterlocks, fpInterlocks and
+ * fwdSavedStalls for `uarch`'s capture slice, exactly what a capture
+ * at that slice records. FatalError unless timingReplayable(trace,
+ * table).
  */
 TimingReplayStats replayTiming(const Trace &trace, const TimingTable &table,
                                const sim::UarchConfig &uarch);

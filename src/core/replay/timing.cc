@@ -7,59 +7,91 @@
 namespace d16sim::core::replay
 {
 
-namespace
-{
-
 using Slot = TimingTable::Slot;
+
+TimingFold::TimingFold(const TimingTable &table,
+                       const sim::UarchConfig &uarch, uint32_t insnBytes)
+    : table_(table), slice_(uarch.captureConfig()),
+      loadDelta_(1 + static_cast<uint64_t>(uarch.loadDelay())),
+      exact_(insnBytes == (1u << table.insnShift()))
+{
+    out_.slice = slice_;
+}
+
+void
+TimingFold::feed(const sim::TraceChunk &chunk)
+{
+    if (!exact_)
+        return;
+    for (const DataAccess &a : chunk.accesses) {
+        if (table_.writesText(a)) {
+            exact_ = false;
+            return;
+        }
+    }
+    if (slice_.forward)
+        walk<true>(chunk.runs);
+    else
+        walk<false>(chunk.runs);
+}
 
 /**
  * The scoreboard walk: Machine::useGpr/useFpr/useStatus and
- * finishIssue over the fetch runs. A source stalls the issue when its
- * ready time is past it; the larger stall wins and names the counter
- * (a tie keeps the earlier source). With `Forward`, a store's data
- * operand arrives a stage late, so a stall it alone raises is one
- * cycle shorter.
+ * finishIssue over the fetch runs, each checked against the table
+ * before it is indexed. A source stalls the issue when its ready time
+ * is past it; the larger stall wins and names the counter (a tie keeps
+ * the earlier source). With `Forward`, a store's data operand arrives
+ * a stage late, so a stall it alone raises is one cycle shorter.
  */
 template <bool Forward>
-TimingReplayStats
-walk(const Trace &trace, const TimingTable &table, uint64_t loadDelta)
+void
+TimingFold::walk(std::span<const FetchRun> runs)
 {
-    std::array<uint64_t, Slot::Resources> ready{};
-    const Slot *slots = table.slots().data();
-    const uint32_t base = table.base();
-    const unsigned shift = table.insnShift();
-    uint64_t cycle = 0;
-    TimingReplayStats out;
-    for (const FetchRun &r : trace.runs) {
+    const Slot *slots = table_.slots().data();
+    const uint32_t base = table_.base();
+    const unsigned shift = table_.insnShift();
+    uint64_t cycle = cycle_;
+    for (const FetchRun &r : runs) {
+        if (!table_.covers(r)) {
+            exact_ = false;
+            return;
+        }
         const Slot *s = slots + ((r.startPc - base) >> shift);
         for (const Slot *e = s + r.count; s != e; ++s) {
             const uint64_t issue = cycle + 1;
             uint64_t stall = 0;
             bool fp = false;
-            const uint64_t a = ready[s->src0];
+            const uint64_t a = ready_[s->src0];
             if (a > issue) {
                 stall = a - issue;
                 fp = s->src0 >= Slot::FprBase;
             }
-            const uint64_t b = ready[s->src1];
+            const uint64_t b = ready_[s->src1];
             if (b > issue && b - issue > stall) {
                 stall = b - issue;
                 fp = s->src1 >= Slot::FprBase;
                 if (Forward && s->lat == Slot::StoreData) {
                     stall -= 1;
-                    out.fwdSavedStalls += 1;
+                    out_.fwdSavedStalls += 1;
                 }
             }
-            (fp ? out.fpInterlocks : out.loadInterlocks) += stall;
+            (fp ? out_.fpInterlocks : out_.loadInterlocks) += stall;
             cycle = issue + stall;
-            ready[s->dst] =
-                cycle + (s->lat == Slot::LoadLatency ? loadDelta : s->lat);
+            ready_[s->dst] =
+                cycle + (s->lat == Slot::LoadLatency ? loadDelta_ : s->lat);
         }
     }
-    return out;
+    cycle_ = cycle;
 }
 
-} // namespace
+TimingReplayStats
+TimingFold::finish() const
+{
+    if (!exact_)
+        fatal("replay: trace writes its text section or leaves it; "
+              "capture slice '", slice_.captureKey(), "' directly");
+    return out_;
+}
 
 TimingTable::TimingTable(const assem::Image &image,
                          const sim::DecodedText &text,
@@ -99,20 +131,13 @@ TimingTable::TimingTable(const assem::Image &image,
 bool
 timingReplayable(const Trace &trace, const TimingTable &table)
 {
-    const uint32_t ib = trace.insnBytes;
-    if (ib != (1u << table.insnShift()))
+    if (trace.insnBytes != (1u << table.insnShift()))
         return false;
-    const uint64_t slots = table.slots().size();
-    for (const FetchRun &r : trace.runs) {
-        if (r.startPc < table.base() || (r.startPc - table.base()) & (ib - 1))
+    for (const FetchRun &r : trace.runs)
+        if (!table.covers(r))
             return false;
-        if (((r.startPc - table.base()) >> table.insnShift()) +
-                uint64_t{r.count} > slots)
-            return false;
-    }
     for (const DataAccess &a : trace.accesses)
-        if (a.write && uint64_t{a.addr} + a.size > table.base() &&
-            a.addr < table.end())
+        if (table.writesText(a))
             return false;
     return true;
 }
@@ -121,15 +146,9 @@ TimingReplayStats
 replayTiming(const Trace &trace, const TimingTable &table,
              const sim::UarchConfig &uarch)
 {
-    if (!timingReplayable(trace, table))
-        fatal("replay: trace writes its text section or leaves it; "
-              "capture slice '", uarch.captureKey(), "' directly");
-    const uint64_t loadDelta = 1 + static_cast<uint64_t>(uarch.loadDelay());
-    TimingReplayStats out = uarch.forward
-                                ? walk<true>(trace, table, loadDelta)
-                                : walk<false>(trace, table, loadDelta);
-    out.slice = uarch.captureConfig();
-    return out;
+    TimingFold fold(table, uarch, trace.insnBytes);
+    fold.feed(trace.chunk());
+    return fold.finish();
 }
 
 } // namespace d16sim::core::replay

@@ -290,6 +290,25 @@ Trace::readFile(const std::string &path)
     return deserialize(bytes);
 }
 
+void
+TraceTee::feed(const sim::TraceChunk &chunk)
+{
+    trace_.runs.insert(trace_.runs.end(), chunk.runs.begin(),
+                       chunk.runs.end());
+    trace_.accesses.insert(trace_.accesses.end(), chunk.accesses.begin(),
+                           chunk.accesses.end());
+    trace_.outcomes.insert(trace_.outcomes.end(), chunk.outcomes.begin(),
+                           chunk.outcomes.end());
+}
+
+Trace
+TraceTee::take(RunMeasurement measurement, const sim::UarchConfig &uarch)
+{
+    trace_.base = std::move(measurement);
+    trace_.capturedUarch = uarch;
+    return std::move(trace_);
+}
+
 Trace
 capture(const assem::Image &image,
         std::shared_ptr<const sim::DecodedText> predecoded,
@@ -297,13 +316,12 @@ capture(const assem::Image &image,
         std::shared_ptr<const sim::BlockProgram> blocks)
 {
     panicIf(!image.target, "image has no target");
-    TraceProbe probe(static_cast<uint32_t>(image.target->insnBytes()));
-    const sim::UarchConfig uarch = config.uarch;
-    RunMeasurement m = core::run(image, {&probe}, config,
-                                 std::move(predecoded), std::move(blocks));
-    Trace t = probe.take(std::move(m));
-    t.capturedUarch = uarch;
-    return t;
+    const auto ib = static_cast<uint32_t>(image.target->insnBytes());
+    TraceTee tee(ib);
+    sim::TraceSink sink(ib, tee);
+    RunMeasurement m = core::run(image, {}, config, std::move(predecoded),
+                                 std::move(blocks), &sink);
+    return tee.take(std::move(m), config.uarch);
 }
 
 } // namespace d16sim::core::replay

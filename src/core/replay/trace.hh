@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace — the recorded reference streams of one simulated execution,
- * plus the probe that captures them.
+ * plus the tee that records them from a capture's sink.
  *
  * The paper's §4 memory experiments evaluate the *same* execution
  * under many cache/latency parameterizations; the machine deliberately
@@ -26,6 +26,13 @@
  *    interlocks, static sizes, program output), identical to what a
  *    probe-less run reports, since probes never perturb execution.
  *
+ * A Trace is the whole-run form of those streams. The sweep engine
+ * holds one only around the artifact store: a capture streams its
+ * records through a bounded sim::TraceSink straight into the replay
+ * folds (replay.hh), teeing them into a Trace (TraceTee) only when the
+ * trace is to be stored, and a stored trace is fed to the same folds
+ * as one chunk (chunk()).
+ *
  * The serialized form is a compact little-endian binary ("D16T"): 8
  * bytes per fetch run, 5 bytes per data access, 4 bytes per branch
  * outcome, with header/trailer magics and structural cross-checks so
@@ -42,33 +49,15 @@
 #include <vector>
 
 #include "core/toolchain.hh"
-#include "sim/probe.hh"
 #include "sim/uarch.hh"
 
 namespace d16sim::core::replay
 {
 
-/** `count` sequential fetches starting at `startPc` (insnBytes apart). */
-struct FetchRun
-{
-    uint32_t startPc = 0;
-    uint32_t count = 0;
-};
-
-/** One data reference: `size` bytes at `addr`, read or write. */
-struct DataAccess
-{
-    uint32_t addr = 0;
-    uint8_t size = 0;
-    bool write = false;
-};
-
-/** One executed conditional branch: the site and how it resolved. */
-struct BranchOutcome
-{
-    uint32_t pc = 0;
-    bool taken = false;
-};
+/** The record types are the capture sink's (sim/block_engine.hh). */
+using FetchRun = sim::FetchRun;
+using DataAccess = sim::DataAccess;
+using BranchOutcome = sim::BranchOutcome;
 
 struct Trace
 {
@@ -86,6 +75,13 @@ struct Trace
     /** Total fetches recorded (== base.stats.instructions). */
     uint64_t fetchCount() const;
 
+    /** The whole recording as one chunk, for the replay folds. */
+    sim::TraceChunk
+    chunk() const
+    {
+        return {runs, accesses, outcomes};
+    }
+
     /** Serialize to the compact binary format. */
     std::vector<uint8_t> serialize() const;
 
@@ -99,88 +95,28 @@ struct Trace
 };
 
 /**
- * High-throughput capture probe. onIFetch folds sequential pcs into
- * the open run with one compare; data callbacks append fixed-size
- * records. Attach to one Machine, run to completion, then take() the
- * trace (with the run's measurement).
- *
- * Also a sim::TraceSink, so a machine with a block program keeps
- * block dispatch during capture: the engine hands over whole-block
- * fetch chunks (onFetchChunk) which merge into the same run-length
- * encoding the per-instruction path produces — all fetches inside a
- * block are sequential, so `count` fetches from `startPc` is exactly
- * `count` onIFetch calls. Step-fallback stretches keep using the
- * per-instruction callbacks on the same state, byte-identically.
+ * The fold that records a capture: appends each chunk's records, so a
+ * sink's chunks (which never split a run) reassemble exactly the
+ * streams a whole-run recording holds. Attach behind a TraceSink, run
+ * to completion, then take() the trace with the run's measurement.
  */
-class TraceProbe : public sim::Probe, public sim::TraceSink
+class TraceTee : public sim::TraceFold
 {
   public:
-    explicit TraceProbe(uint32_t insnBytes) : insnBytes_(insnBytes)
-    {
-        trace_.insnBytes = insnBytes;
-        trace_.runs.reserve(1024);
-        trace_.accesses.reserve(4096);
-    }
+    explicit TraceTee(uint32_t insnBytes) { trace_.insnBytes = insnBytes; }
 
-    void
-    onIFetch(uint32_t pc) override
-    {
-        if (pc == nextPc_ && !trace_.runs.empty()) {
-            ++trace_.runs.back().count;
-        } else {
-            trace_.runs.push_back({pc, 1});
-        }
-        nextPc_ = pc + insnBytes_;
-    }
+    void feed(const sim::TraceChunk &chunk) override;
 
-    void
-    onFetchChunk(uint32_t startPc, uint32_t count) override
-    {
-        if (startPc == nextPc_ && !trace_.runs.empty())
-            trace_.runs.back().count += count;
-        else
-            trace_.runs.push_back({startPc, count});
-        nextPc_ = startPc + count * insnBytes_;
-    }
-
-    void
-    onDataRead(uint32_t addr, int size) override
-    {
-        trace_.accesses.push_back(
-            {addr, static_cast<uint8_t>(size), false});
-    }
-
-    void
-    onDataWrite(uint32_t addr, int size) override
-    {
-        trace_.accesses.push_back(
-            {addr, static_cast<uint8_t>(size), true});
-    }
-
-    /** Delivered through the Probe fan-out by both dispatch paths. */
-    void
-    onBranchOutcome(uint32_t pc, bool taken) override
-    {
-        trace_.outcomes.push_back({pc, taken});
-    }
-
-    /** Finish capture: attach the run's measurement and move the trace
-     *  out (the probe is spent afterwards). */
-    Trace
-    take(RunMeasurement measurement)
-    {
-        trace_.base = std::move(measurement);
-        return std::move(trace_);
-    }
+    /** Attach the run's measurement and the uarch it ran on, and move
+     *  the trace out (the tee is spent afterwards). */
+    Trace take(RunMeasurement measurement, const sim::UarchConfig &uarch);
 
   private:
-    uint32_t insnBytes_;
-    uint32_t nextPc_ = 0;
     Trace trace_;
 };
 
-/** Simulate `image` once with a TraceProbe attached and return the
- *  recorded trace. `predecoded` and `blocks` are forwarded to the
+/** Simulate `image` once with a TraceSink teed into a Trace and return
+ *  the recorded trace. `predecoded` and `blocks` are forwarded to the
  *  machine (block-compiled capture records identical traces). */
 Trace capture(const assem::Image &image,
               std::shared_ptr<const sim::DecodedText> predecoded = nullptr,

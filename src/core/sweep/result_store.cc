@@ -1,5 +1,6 @@
 #include "core/sweep/result_store.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <ctime>
 
@@ -168,8 +169,10 @@ executeJob(const JobSpec &spec, const assem::Image &image,
         if (!predecoded)
             predecoded = std::make_shared<const sim::DecodedText>(image);
         ImmediateClassProbe ic(*predecoded);
-        r.run = core::run(image, {&ic}, mcfg, predecoded,
-                          std::move(blocks));
+        sim::TraceSink sink(static_cast<uint32_t>(image.target->insnBytes()),
+                            ic);
+        r.run = core::run(image, {}, mcfg, predecoded, std::move(blocks),
+                          &sink);
         r.imm = immMetrics(ic);
         break;
       }
@@ -185,92 +188,254 @@ replayable(const JobSpec &spec)
            spec.probe == ProbeKind::CacheSim;
 }
 
-std::vector<JobResult>
-replayJobs(const std::vector<const JobSpec *> &specs,
-           const replay::Trace &trace, const sim::DecodedText *text,
-           const replay::TimingReplayStats *retimed)
+NodeFolds::NodeFolds(std::vector<const JobSpec *> specs,
+                     uint32_t insnBytes, const sim::UarchConfig &captured,
+                     const sim::DecodedText *text,
+                     const replay::TimingTable *table)
+    : specs_(std::move(specs)), captured_(captured.captureConfig()),
+      wiring_(specs_.size())
 {
-    std::vector<JobResult> out(specs.size());
-    std::vector<replay::CacheEval> evals;
-    std::vector<size_t> cacheJobs;  //!< out index of each eval
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const JobSpec &spec = *specs[i];
-        JobResult &r = out[i];
-        r.probe = spec.probe;
-        r.uarch = spec.uarch;
-        // The branch-policy statistics are recomputed per sibling;
-        // replayRun also validates the capture-slice match.
-        r.run = replay::replayRun(trace, spec.uarch, retimed);
+    for (size_t i = 0; i < specs_.size(); ++i) {
+        const JobSpec &spec = *specs_[i];
+        Wiring &w = wiring_[i];
+        const sim::UarchConfig slice = spec.uarch.captureConfig();
+        if (!(slice == captured_)) {
+            if (!table)
+                fatal("replay: trace timed at uarch '", captured_.key(),
+                      "' cannot replay capture slice '", slice.key(), "'");
+            w.timing = &timing_.try_emplace(slice.key(), *table, slice,
+                                            insnBytes)
+                            .first->second;
+        }
+        sim::UarchConfig predictor;
+        predictor.branch = spec.uarch.branch;
+        predictor.bhtLog2 = spec.uarch.bhtLog2;
+        w.branch = &branches_.try_emplace(predictor.key(), predictor,
+                                          insnBytes)
+                        .first->second;
         switch (spec.probe) {
           case ProbeKind::None:
             break;
-          case ProbeKind::ImmClass: {
-            panicIf(!text, "imm replay needs the image's predecode table");
-            ImmediateClassProbe ic(*text);
-            for (const replay::FetchRun &run : trace.runs)
-                ic.onFetchChunk(run.startPc, run.count);
-            r.imm = immMetrics(ic);
-            break;
-          }
           case ProbeKind::FetchBuffer:
-            r.fetch.busBytes = spec.busBytes;
-            r.fetch.requests =
-                replay::replayFetchRequests(trace, spec.busBytes);
-            r.fetch.words = r.fetch.requests * (spec.busBytes / 4);
+            w.fetch = &fetch_.try_emplace(spec.busBytes, spec.busBytes,
+                                          insnBytes)
+                           .first->second;
             break;
-          case ProbeKind::CacheSim: {
-            r.icacheCfg = spec.icache;
-            r.dcacheCfg = spec.dcache;
-            replay::CacheEval e;
-            e.icache = spec.icache;
-            e.dcache = spec.dcache;
-            evals.push_back(e);
-            cacheJobs.push_back(i);
+          case ProbeKind::ImmClass:
+            panicIf(!text, "imm replay needs the image's predecode table");
+            if (!imm_)
+                imm_.emplace(*text);
             break;
-          }
+          case ProbeKind::CacheSim:
+            w.eval = evals_.size();
+            evals_.push_back({spec.icache, spec.dcache, {}, {}});
+            break;
         }
     }
-    replay::replayCaches(trace, evals);
-    for (size_t k = 0; k < evals.size(); ++k) {
-        out[cacheJobs[k]].icache = evals[k].icacheStats;
-        out[cacheJobs[k]].dcache = evals[k].dcacheStats;
+    if (!evals_.empty())
+        caches_.emplace(evals_, insnBytes);
+}
+
+void
+NodeFolds::feed(const sim::TraceChunk &chunk)
+{
+    const Stopwatch clock;
+    for (auto &[bus, f] : fetch_)
+        f.feed(chunk);
+    if (imm_)
+        imm_->feed(chunk);
+    if (caches_)
+        caches_->feed(chunk);
+    for (auto &[key, f] : branches_)
+        f.feed(chunk);
+    for (auto &[key, f] : timing_)
+        f.feed(chunk);
+    seconds_ += clock.wallSeconds();
+    cpuSeconds_ += clock.cpuSeconds();
+}
+
+std::vector<std::pair<const JobSpec *, JobResult>>
+NodeFolds::finish(const RunMeasurement &base,
+                  std::vector<const JobSpec *> *refused)
+{
+    const Stopwatch clock;
+    if (caches_)
+        caches_->finish();
+    std::vector<std::pair<const JobSpec *, JobResult>> out;
+    out.reserve(specs_.size());
+    for (size_t i = 0; i < specs_.size(); ++i) {
+        const JobSpec &spec = *specs_[i];
+        const Wiring &w = wiring_[i];
+        JobResult r;
+        r.probe = spec.probe;
+        r.uarch = spec.uarch;
+        r.run = base;
+        if (w.timing) {
+            if (!w.timing->exact()) {
+                if (refused)
+                    refused->push_back(&spec);
+                continue;
+            }
+            const replay::TimingReplayStats t = w.timing->finish();
+            r.run.stats.loadInterlocks = t.loadInterlocks;
+            r.run.stats.fpInterlocks = t.fpInterlocks;
+            r.run.stats.fwdSavedStalls = t.fwdSavedStalls;
+        }
+        const replay::BranchReplayStats bs =
+            w.branch->finish(spec.uarch, base.stats.takenBranches);
+        r.run.stats.branchStalls = bs.branchStalls;
+        r.run.stats.mispredicts = bs.mispredicts;
+        switch (spec.probe) {
+          case ProbeKind::None:
+            break;
+          case ProbeKind::FetchBuffer:
+            r.fetch.busBytes = spec.busBytes;
+            r.fetch.requests = w.fetch->finish();
+            r.fetch.words = r.fetch.requests * (spec.busBytes / 4);
+            break;
+          case ProbeKind::ImmClass:
+            r.imm = immMetrics(*imm_);
+            break;
+          case ProbeKind::CacheSim:
+            r.icacheCfg = spec.icache;
+            r.dcacheCfg = spec.dcache;
+            r.icache = evals_[w.eval].icacheStats;
+            r.dcache = evals_[w.eval].dcacheStats;
+            break;
+        }
+        out.emplace_back(&spec, std::move(r));
     }
+    seconds_ += clock.wallSeconds();
+    cpuSeconds_ += clock.cpuSeconds();
     return out;
 }
 
-std::vector<JobResult>
-replaySlice(const std::vector<const JobSpec *> &specs,
-            const replay::Trace &trace, const replay::TimingTable &table,
-            const assem::Image &image,
-            std::shared_ptr<const sim::DecodedText> predecoded,
-            std::shared_ptr<const sim::BlockProgram> blocks, SliceCost *cost)
+int
+NodeFolds::retimedSlices() const
 {
-    SliceCost spent;
-    const sim::UarchConfig slice = specs.front()->uarch.captureConfig();
-    if (!predecoded)
-        predecoded = std::make_shared<const sim::DecodedText>(image);
-    std::vector<JobResult> out;
-    const Stopwatch clock;
-    if (replay::timingReplayable(trace, table)) {
-        const replay::TimingReplayStats timed =
-            replay::replayTiming(trace, table, slice);
-        out = replayJobs(specs, trace, predecoded.get(), &timed);
-    } else {
-        sim::MachineConfig cfg;
-        cfg.uarch = slice;
-        const replay::Trace own =
-            replay::capture(image, predecoded, cfg, std::move(blocks));
-        spent.captured = true;
-        spent.capturedInstructions = own.base.stats.instructions;
-        spent.captureSeconds = clock.wallSeconds();
-        spent.captureCpuSeconds = clock.cpuSeconds();
-        out = replayJobs(specs, own, predecoded.get());
+    return static_cast<int>(std::count_if(
+        timing_.begin(), timing_.end(),
+        [](const auto &slice) { return slice.second.exact(); }));
+}
+
+namespace
+{
+
+/** Two folds fed the same chunks: a capture's tee and its node folds. */
+class BothFolds : public sim::TraceFold
+{
+  public:
+    BothFolds(sim::TraceFold &a, sim::TraceFold &b) : a_(a), b_(b) {}
+
+    void
+    feed(const sim::TraceChunk &chunk) override
+    {
+        a_.feed(chunk);
+        b_.feed(chunk);
     }
-    spent.replaySeconds = clock.wallSeconds() - spent.captureSeconds;
-    spent.replayCpuSeconds = clock.cpuSeconds() - spent.captureCpuSeconds;
-    if (cost)
-        *cost = spent;
-    return out;
+
+  private:
+    sim::TraceFold &a_;
+    sim::TraceFold &b_;
+};
+
+/** Capture `image` on `uarch`'s machine straight into `folds` (and
+ *  `tee`, given one), booking the simulation — the capture's wall less
+ *  the folds' own time — in `cost`. */
+RunMeasurement
+captureInto(const assem::Image &image,
+            std::shared_ptr<const sim::DecodedText> predecoded,
+            std::shared_ptr<const sim::BlockProgram> blocks,
+            const sim::UarchConfig &uarch, NodeFolds &folds,
+            replay::Trace *tee, NodeCost &cost)
+{
+    panicIf(!predecoded, "a capture needs the image and its predecode table");
+    const Stopwatch clock;
+    const double folded = folds.seconds();
+    const double foldedCpu = folds.cpuSeconds();
+    const auto ib = static_cast<uint32_t>(image.target->insnBytes());
+    sim::MachineConfig config;
+    config.uarch = uarch;
+    RunMeasurement m;
+    if (tee) {
+        replay::TraceTee recorder(ib);
+        BothFolds both(recorder, folds);
+        sim::TraceSink sink(ib, both);
+        m = core::run(image, {}, config, std::move(predecoded),
+                      std::move(blocks), &sink);
+        *tee = recorder.take(m, uarch);
+    } else {
+        sim::TraceSink sink(ib, folds);
+        m = core::run(image, {}, config, std::move(predecoded),
+                      std::move(blocks), &sink);
+    }
+    ++cost.captures;
+    cost.capturedInstructions += m.stats.instructions;
+    cost.simulateSeconds +=
+        clock.wallSeconds() - (folds.seconds() - folded);
+    cost.simulateCpuSeconds +=
+        clock.cpuSeconds() - (folds.cpuSeconds() - foldedCpu);
+    return m;
+}
+
+} // namespace
+
+NodeCost
+streamJobs(const std::vector<const JobSpec *> &specs,
+           const replay::Trace *stored, const assem::Image *image,
+           std::shared_ptr<const sim::DecodedText> predecoded,
+           std::shared_ptr<const sim::BlockProgram> blocks,
+           const replay::TimingTable *table, replay::Trace *tee,
+           const std::function<void(const JobSpec &, JobResult)> &settle)
+{
+    NodeCost cost;
+    auto drain = [&](NodeFolds &folds, const RunMeasurement &run,
+                     std::vector<const JobSpec *> *refused) {
+        for (auto &[spec, r] : folds.finish(run, refused))
+            settle(*spec, std::move(r));
+        cost.replaySeconds += folds.seconds();
+        cost.replayCpuSeconds += folds.cpuSeconds();
+    };
+    const sim::UarchConfig captured =
+        stored ? stored->capturedUarch.captureConfig() : sim::UarchConfig{};
+    const uint32_t ib =
+        stored ? stored->insnBytes
+               : static_cast<uint32_t>(image->target->insnBytes());
+    std::vector<const JobSpec *> refused;
+    NodeFolds folds(specs, ib, captured, predecoded.get(), table);
+    if (stored) {
+        folds.feed(stored->chunk());
+        drain(folds, stored->base, &refused);
+    } else {
+        drain(folds,
+              captureInto(*image, predecoded, blocks, captured, folds, tee,
+                          cost),
+              &refused);
+        // The first base job on the captured slice is the capture's own
+        // run.
+        cost.riders = std::any_of(specs.begin(), specs.end(),
+                                  [&](const JobSpec *s) {
+                                      return s->probe == ProbeKind::None &&
+                                             s->uarch.captureConfig() ==
+                                                 captured;
+                                  });
+    }
+    cost.retimedSlices = folds.retimedSlices();
+
+    // A refused slice is captured on its own machine, which needs no
+    // retiming.
+    std::map<std::string, std::vector<const JobSpec *>> bySlice;
+    for (const JobSpec *s : refused)
+        bySlice[s->uarch.captureKey()].push_back(s);
+    for (const auto &[key, group] : bySlice) {
+        const sim::UarchConfig slice = group.front()->uarch.captureConfig();
+        NodeFolds own(group, ib, slice, predecoded.get(), nullptr);
+        drain(own,
+              captureInto(*image, predecoded, blocks, slice, own, nullptr,
+                          cost),
+              nullptr);
+    }
+    return cost;
 }
 
 namespace
@@ -309,7 +474,10 @@ JobResult
 replayJob(const JobSpec &spec, const replay::Trace &trace,
           const sim::DecodedText *text)
 {
-    return std::move(replayJobs({&spec}, trace, text).front());
+    NodeFolds folds({&spec}, trace.insnBytes, trace.capturedUarch, text,
+                    nullptr);
+    folds.feed(trace.chunk());
+    return std::move(folds.finish(trace.base).front().second);
 }
 
 namespace

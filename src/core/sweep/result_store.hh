@@ -14,21 +14,17 @@
 #define D16SIM_CORE_SWEEP_RESULT_STORE_HH
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/replay/replay.hh"
 #include "core/toolchain.hh"
 #include "sim/uarch.hh"
 #include "support/json.hh"
-
-namespace d16sim::core::replay
-{
-struct Trace;
-struct TimingReplayStats;
-class TimingTable;
-}
 
 namespace d16sim::core::sweep
 {
@@ -121,8 +117,8 @@ JobResult executeJob(const JobSpec &spec);
 
 /** Execute one job against an already-built image; `predecoded`
  *  optionally shares one decode table across the image's runs and
- *  `blocks` a compiled block program (base runs then use the sim
- *  threaded-code engine; probe runs ignore it). */
+ *  `blocks` a compiled block program (base and imm runs then use the
+ *  sim threaded-code engine; the other probe runs ignore it). */
 JobResult executeJob(const JobSpec &spec, const assem::Image &image,
                      std::shared_ptr<const sim::DecodedText> predecoded =
                          nullptr,
@@ -132,26 +128,9 @@ JobResult executeJob(const JobSpec &spec, const assem::Image &image,
 /** True when the job's measurement is determined by a recorded trace
  *  of its (workload, variant) execution alone. Base, cache and
  *  fetch-buffer jobs are; the immediate classifier also needs the
- *  image's predecode table (replayJobs() takes it), so it is false
+ *  image's predecode table (replayJob() takes it), so it is false
  *  for ImmClass. */
 bool replayable(const JobSpec &spec);
-
-/** Evaluate jobs of one capture slice from a recorded trace of their
- *  image. Each run section is replay::replayRun(): the capture
- *  measurement with the job's branch statistics and, given `retimed`
- *  (the slice's replay::replayTiming() of a trace captured at another
- *  slice), the slice's scoreboard counters. Probe sections are
- *  computed by the replay evaluators — bit-identical to direct
- *  simulation. Every cache job's configuration goes through one
- *  replay::replayCaches() call, so the slice's cache siblings share
- *  the inclusive I-side pass. An ImmClass job feeds the trace's fetch
- *  runs through an ImmediateClassProbe over `text`, the image's
- *  predecode table, which it requires. */
-std::vector<JobResult>
-replayJobs(const std::vector<const JobSpec *> &specs,
-           const replay::Trace &trace,
-           const sim::DecodedText *text = nullptr,
-           const replay::TimingReplayStats *retimed = nullptr);
 
 /** Wall seconds and the calling thread's CPU seconds
  *  (CLOCK_THREAD_CPUTIME_ID) since construction: the sweep engine
@@ -169,35 +148,109 @@ class Stopwatch
     double cpu0_ = 0;
 };
 
-/** What replaySlice() spent, for the sweep engine's phase accounting:
- *  a fallback capture is simulate time, the rest replay time. */
-struct SliceCost
+/**
+ * The replay folds of one image's jobs, whatever capture slice each
+ * runs on: one per distinct computation over the image's streams —
+ * one fetch-buffer fold per bus width, one imm classifier, one
+ * CacheFold for every cache job, one predictor walk per (policy, BHT
+ * size), and one timing walk per capture slice other than the
+ * captured one. Fed by a capture's sink, or with a stored trace in
+ * one chunk; finish() then settles every job from the capture's
+ * measurement, bit-identically to direct simulation. The folds time
+ * their own work (seconds()), so a live capture's clock can book it
+ * as replay.
+ */
+class NodeFolds : public sim::TraceFold
 {
-    bool captured = false;     //!< the slice was captured on its machine
+  public:
+    /** `specs` are evaluated from a capture at `captured`'s slice with
+     *  `insnBytes`-wide fetches. An ImmClass job needs `text`, the
+     *  image's predecode table; a job off the captured slice needs
+     *  `table` (FatalError without it). The specs and the table are
+     *  not owned and must outlive the folds. */
+    NodeFolds(std::vector<const JobSpec *> specs, uint32_t insnBytes,
+              const sim::UarchConfig &captured,
+              const sim::DecodedText *text,
+              const replay::TimingTable *table);
+    NodeFolds(const NodeFolds &) = delete;
+    NodeFolds &operator=(const NodeFolds &) = delete;
+
+    void feed(const sim::TraceChunk &chunk) override;
+
+    /** Every job's result, in spec order, from `base`, the capture's
+     *  measurement — except the jobs of a slice whose timing walk
+     *  refused the stream (replay::TimingFold::exact()), which are
+     *  left out and appended to `*refused`. */
+    std::vector<std::pair<const JobSpec *, JobResult>>
+    finish(const RunMeasurement &base,
+           std::vector<const JobSpec *> *refused = nullptr);
+
+    double seconds() const { return seconds_; }
+    double cpuSeconds() const { return cpuSeconds_; }
+
+    /** Slices off the captured one whose timing walk stayed exact. */
+    int retimedSlices() const;
+
+  private:
+    /** The folds one job reads (null: none of that kind). */
+    struct Wiring
+    {
+        replay::FetchBufferFold *fetch = nullptr;
+        replay::BranchFold *branch = nullptr;
+        replay::TimingFold *timing = nullptr;
+        size_t eval = 0;  //!< CacheSim: its CacheEval
+    };
+
+    std::vector<const JobSpec *> specs_;
+    sim::UarchConfig captured_;  //!< the capture slice
+    std::vector<Wiring> wiring_;  //!< per spec
+    std::map<uint32_t, replay::FetchBufferFold> fetch_;  //!< by bus width
+    std::optional<ImmediateClassProbe> imm_;
+    std::vector<replay::CacheEval> evals_;
+    std::optional<replay::CacheFold> caches_;
+    std::map<std::string, replay::BranchFold> branches_;  //!< by bp key
+    std::map<std::string, replay::TimingFold> timing_;  //!< by slice key
+    double seconds_ = 0;
+    double cpuSeconds_ = 0;
+};
+
+/** What streamJobs() spent, for the sweep engine's phase accounting:
+ *  a capture's simulation is simulate time, its folds replay time. */
+struct NodeCost
+{
+    int captures = 0;        //!< simulations under a trace sink
+    int riders = 0;          //!< base jobs the main capture itself ran
+    int retimedSlices = 0;   //!< slices timed from another's stream
     uint64_t capturedInstructions = 0;
-    double captureSeconds = 0;
-    double captureCpuSeconds = 0;
-    double replaySeconds = 0;  //!< timing walk and job replays
+    double simulateSeconds = 0;
+    double simulateCpuSeconds = 0;
+    double replaySeconds = 0;
     double replayCpuSeconds = 0;
 };
 
 /**
- * Evaluate replayable jobs of one capture slice from `trace`, a
- * capture of their image at another slice: retimed through `table`
- * (replay::replayTiming) where that is exact, and otherwise — the
- * trace writes its text section (replay::timingReplayable) — from a
- * capture of `image` on the slice's own machine. Bit-identical to
- * direct simulation either way.
+ * Settle every job of one image from one stream of its references:
+ * `stored`, a recorded trace fed to the node's folds in one chunk, or
+ * else one capture of `image` on the default machine streamed straight
+ * into them (and, given `tee`, also recorded there for the artifact
+ * store). A slice whose timing walk refuses the stream — the run
+ * writes its text section — is settled from a capture of `image` on
+ * the slice's own machine. `settle` receives each job's result once
+ * its stream has ended. `image` and `predecoded` are needed for a
+ * capture, an ImmClass job or a job off the stream's slice (which
+ * also needs `table`); `blocks` optionally speeds captures up.
  */
-std::vector<JobResult>
-replaySlice(const std::vector<const JobSpec *> &specs,
-            const replay::Trace &trace, const replay::TimingTable &table,
-            const assem::Image &image,
-            std::shared_ptr<const sim::DecodedText> predecoded,
-            std::shared_ptr<const sim::BlockProgram> blocks,
-            SliceCost *cost = nullptr);
+NodeCost
+streamJobs(const std::vector<const JobSpec *> &specs,
+           const replay::Trace *stored, const assem::Image *image,
+           std::shared_ptr<const sim::DecodedText> predecoded,
+           std::shared_ptr<const sim::BlockProgram> blocks,
+           const replay::TimingTable *table, replay::Trace *tee,
+           const std::function<void(const JobSpec &, JobResult)> &settle);
 
-/** replayJobs() of one job. */
+/** A job's result from a recorded trace of its image captured on its
+ *  capture slice: NodeFolds of the one job fed the whole trace.
+ *  `text` is the image's predecode table (ImmClass jobs need it). */
 JobResult replayJob(const JobSpec &spec, const replay::Trace &trace,
                     const sim::DecodedText *text = nullptr);
 

@@ -216,9 +216,15 @@ SweepEngine::run()
     std::map<std::string, std::vector<JobSpec>> graph;
     for (auto &[key, spec] : unique)
         graph[imageKey(spec)].push_back(std::move(spec));
+    // Nodes with the most jobs go first (ties keep imageKey order), so
+    // their rows land early instead of trailing the sweep.
     std::vector<const std::vector<JobSpec> *> nodes;
     for (const auto &[ikey, runs] : graph)
         nodes.push_back(&runs);
+    std::stable_sort(nodes.begin(), nodes.end(),
+                     [](const auto *a, const auto *b) {
+                         return a->size() > b->size();
+                     });
 
     // Each worker settles whole nodes, so a node's image and trace
     // live only as long as its task. The first error is rethrown once
@@ -256,11 +262,6 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
         std::lock_guard<std::mutex> lock(timingMutex_);
         update(timing_);
     };
-    auto commitAll = [this](const std::vector<const JobSpec *> &specs,
-                            std::vector<JobResult> results) {
-        for (size_t i = 0; i < specs.size(); ++i)
-            commit(jobKey(*specs[i]), *specs[i], std::move(results[i]));
-    };
 
     // Every artifact is the image's, stored under its default-slice
     // build key.
@@ -286,14 +287,12 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
     }
     const bool replays = trace || (replay_ && runs.size() > 1);
 
-    // The jobs by capture-slice key ("" is the default machine's).
-    std::map<std::string, std::vector<const JobSpec *>> slices;
     bool classifiesImm = false;
+    bool retimes = false;
     for (const JobSpec &spec : runs) {
-        slices[spec.uarch.captureKey()].push_back(&spec);
         classifiesImm |= spec.probe == ProbeKind::ImmClass;
+        retimes |= replays && !spec.uarch.captureKey().empty();
     }
-    const bool retimes = replays && slices.size() > slices.count("");
 
     // Every simulation needs the image; a stored trace needs it only
     // for the imm classifier's predecode table and the timing table
@@ -383,78 +382,35 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
         return;
     }
 
-    if (!trace) {
-        // Simulate once, on the default machine, under the trace
-        // probe; the capture IS the first default-slice base job's
-        // run.
-        const Stopwatch simClock;
-        trace = replay::capture(*image, predecoded, {}, blocks);
-        const double st = simClock.wallSeconds();
-        const double scpu = simClock.cpuSeconds();
-        if (artifacts_)
-            artifacts_->put(store::Kind::Trace, contentKey,
-                            trace->serialize());
-        std::vector<const JobSpec *> &defaults = slices[""];
-        const auto base =
-            std::find_if(defaults.begin(), defaults.end(),
-                         [](const JobSpec *s) {
-                             return s->probe == ProbeKind::None;
-                         });
-        const bool rides = base != defaults.end();
-        if (rides) {
-            commit(jobKey(**base), **base, replayJob(**base, *trace));
-            defaults.erase(base);
-        }
-        book([&](SweepTiming &t) {
-            ++t.capturedTraces;
-            t.simulateSeconds += st;
-            t.simulateCpuSeconds += scpu;
-            t.simulatedInstructions += trace->base.stats.instructions;
-            if (rides)
-                ++t.executedRuns;
+    // Stream every job through one set of folds: from the stored
+    // trace in one chunk, or from one capture on the default machine
+    // (teed into a trace only when the store is to keep it).
+    std::vector<const JobSpec *> specs;
+    for (const JobSpec &spec : runs)
+        specs.push_back(&spec);
+    std::optional<replay::Trace> teed;
+    if (artifacts_ && !trace)
+        teed.emplace();
+    const NodeCost cost = streamJobs(
+        specs, trace ? &*trace : nullptr, image.get(), predecoded, blocks,
+        table ? &*table : nullptr, teed ? &*teed : nullptr,
+        [this](const JobSpec &spec, JobResult r) {
+            commit(jobKey(spec), spec, std::move(r));
         });
-    }
-
-    // Replay every other job: the default slice in one replayJobs()
-    // call (its cache siblings share one replayCaches() pass), each
-    // other slice retimed from the trace by one replaySlice() call.
-    for (const auto &[slice, specs] : slices) {
-        if (specs.empty())
-            continue;
-        const int count = static_cast<int>(specs.size());
-        if (slice.empty()) {
-            const Stopwatch replayClock;
-            std::vector<JobResult> rs =
-                replayJobs(specs, *trace, predecoded.get());
-            const double rt = replayClock.wallSeconds();
-            const double rcpu = replayClock.cpuSeconds();
-            commitAll(specs, std::move(rs));
-            book([&](SweepTiming &t) {
-                t.executedRuns += count;
-                t.replayedRuns += count;
-                t.replaySeconds += rt;
-                t.replayCpuSeconds += rcpu;
-            });
-            continue;
-        }
-        SliceCost cost;
-        commitAll(specs, replaySlice(specs, *trace, *table, *image,
-                                     predecoded, blocks, &cost));
-        book([&](SweepTiming &t) {
-            t.executedRuns += count;
-            t.replayedRuns += count;
-            t.replaySeconds += cost.replaySeconds;
-            t.replayCpuSeconds += cost.replayCpuSeconds;
-            t.simulateSeconds += cost.captureSeconds;
-            t.simulateCpuSeconds += cost.captureCpuSeconds;
-            if (cost.captured) {
-                ++t.capturedTraces;
-                t.simulatedInstructions += cost.capturedInstructions;
-            } else {
-                ++t.retimedSlices;
-            }
-        });
-    }
+    if (teed)
+        artifacts_->put(store::Kind::Trace, contentKey, teed->serialize());
+    const int count = static_cast<int>(runs.size());
+    book([&](SweepTiming &t) {
+        t.executedRuns += count;
+        t.replayedRuns += count - cost.riders;
+        t.capturedTraces += cost.captures;
+        t.retimedSlices += cost.retimedSlices;
+        t.simulatedInstructions += cost.capturedInstructions;
+        t.simulateSeconds += cost.simulateSeconds;
+        t.simulateCpuSeconds += cost.simulateCpuSeconds;
+        t.replaySeconds += cost.replaySeconds;
+        t.replayCpuSeconds += cost.replayCpuSeconds;
+    });
 }
 
 Json

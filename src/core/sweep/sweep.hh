@@ -13,13 +13,17 @@
  *  - jobs sharing a (workload, variant) pair share one *build node*
  *    (imageKey()), whatever probe or microarchitecture they run on,
  *    and one worker settles the whole node in one task: it compiles
- *    the image once and then runs, or captures and replays, every
- *    job of the node, so the node's image and trace die with the task;
+ *    the image once and then runs every job, or streams one capture
+ *    through the node's replay folds, so the node's image dies with
+ *    the task; nodes with the most jobs are settled first;
  *  - with trace replay on, a node captures its image once, on the
- *    default machine: the cache, fetch-buffer, immediate-class and
- *    branch-policy jobs replay from that trace, and each non-default
- *    forwarding/depth slice is retimed from it by one scoreboard walk
- *    (replay::replayTiming) instead of being re-captured;
+ *    default machine, straight into one fold per distinct computation
+ *    (NodeFolds): the cache, fetch-buffer, immediate-class and
+ *    branch-policy jobs are settled from the streams when the capture
+ *    ends, and each non-default forwarding/depth slice is retimed by
+ *    one scoreboard walk (replay::TimingFold) instead of being
+ *    re-captured — no whole trace is held unless the artifact store
+ *    is to keep it;
  *  - results land in a thread-safe ResultStore keyed by the canonical
  *    job key, so result identity and ordering are independent of the
  *    schedule (determinism contract: same matrix => byte-identical
@@ -83,8 +87,8 @@ struct SweepTiming
     uint64_t simulatedInstructions = 0;  //!< across sims + captures
     double wallSeconds = 0;  //!< start of run() to completion
     double buildSeconds = 0; //!< compile+assemble+link, per build node
-    double simulateSeconds = 0;  //!< direct sims + trace captures
-    double replaySeconds = 0;    //!< trace replays
+    double simulateSeconds = 0;  //!< direct sims + captures, folds excluded
+    double replaySeconds = 0;    //!< replay folds, timed per chunk
     /** Thread CPU time of the same phases: below the wall seconds
      *  above by the time their threads waited for a core. */
     double buildCpuSeconds = 0;
@@ -131,16 +135,17 @@ class SweepEngine
 
     /**
      * Trace-replay mode (default on): a build node with more than one
-     * job simulates its image once, on the default machine, under a
-     * TraceProbe (the first default-slice base job rides on that
-     * capture) and evaluates every other job from the recorded
-     * streams: the default slice in one replayJobs() call, whose cache
-     * variants share one replayCaches() pass, each other capture slice
-     * in one replaySlice() call that retimes the trace first. A node
-     * whose trace is in the artifact store replays every job from it.
-     * Results are bit-identical either way (the golden gates run
-     * both); off re-simulates every job on its own machine as a
-     * correctness cross-check and for A/B timing.
+     * job simulates its image once, on the default machine, with a
+     * bounded sim::TraceSink streaming the reference streams straight
+     * into the node's folds (streamJobs(): one fold per distinct
+     * computation, so the cache siblings share one CacheFold and every
+     * other capture slice is one timing walk), and settles every job
+     * when the stream ends — the first default-slice base job is the
+     * capture itself. A node whose trace is in the artifact store
+     * feeds it to the same folds in one chunk. Results are
+     * bit-identical either way (the golden gates run both); off
+     * re-simulates every job on its own machine as a correctness
+     * cross-check and for A/B timing.
      */
     void setReplay(bool enabled) { replay_ = enabled; }
     bool replayEnabled() const { return replay_; }

@@ -72,14 +72,17 @@ ImmediateClassProbe::ImmediateClassProbe(const sim::DecodedText &text)
 }
 
 void
-ImmediateClassProbe::onFetchChunk(uint32_t startPc, uint32_t count)
+ImmediateClassProbe::feed(const sim::TraceChunk &chunk)
 {
-    const uint32_t idx = (startPc - textBase_) >> insnShift_;
-    panicIf(idx >= siteClass_.size() || count > siteClass_.size() - idx,
-            "fetch chunk outside the classified text");
-    total_ += count;
-    for (uint32_t i = idx; i < idx + count; ++i)
-        ++counts_[static_cast<size_t>(siteClass_[i])];
+    for (const sim::FetchRun &r : chunk.runs) {
+        const uint32_t idx = (r.startPc - textBase_) >> insnShift_;
+        panicIf(idx >= siteClass_.size() ||
+                    r.count > siteClass_.size() - idx,
+                "fetch run outside the classified text");
+        total_ += r.count;
+        for (uint32_t i = idx; i < idx + r.count; ++i)
+            ++counts_[static_cast<size_t>(siteClass_[i])];
+    }
 }
 
 sim::BlockTable
@@ -113,7 +116,7 @@ RunMeasurement
 run(const assem::Image &image, std::vector<sim::Probe *> probes,
     sim::MachineConfig config,
     std::shared_ptr<const sim::DecodedText> predecoded,
-    std::shared_ptr<const sim::BlockProgram> blocks)
+    std::shared_ptr<const sim::BlockProgram> blocks, sim::TraceSink *sink)
 {
     sim::Machine machine(image, config, std::move(predecoded));
     for (sim::Probe *p : probes) {
@@ -121,17 +124,15 @@ run(const assem::Image &image, std::vector<sim::Probe *> probes,
             cp->setInsnBytes(image.target->insnBytes());
         machine.addProbe(p);
     }
-    if (blocks) {
+    // Any probe makes the machine fall back to pure step dispatch on
+    // its own.
+    if (blocks)
         machine.setBlockProgram(std::move(blocks));
-        // A lone block-capable probe (trace capture or imm
-        // classification) keeps block dispatch eligible; anything else makes the machine fall
-        // back to pure step dispatch on its own.
-        if (probes.size() == 1)
-            if (auto *sink = dynamic_cast<sim::TraceSink *>(probes[0]))
-                machine.setTraceSink(sink);
-    }
+    machine.setTraceSink(sink);
     RunMeasurement m;
     m.exitStatus = machine.run();
+    if (sink)
+        sink->finish();
     m.output = machine.output();
     m.stats = machine.stats();
     m.sizeBytes = image.sizeBytes();

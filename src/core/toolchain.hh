@@ -98,14 +98,14 @@ class CacheProbe : public sim::Probe
  * cannot express.
  *
  * The class is a pure function of the decoded instruction
- * (classify()), so the probe is also a block-capable TraceSink: built
- * over the image's predecode table it classifies every text site once,
- * and a block-dispatched fetch chunk counts its sites' classes. Sites
- * are the original decode, not the block uops (those fold mvhi). A
- * default-constructed probe counts through onExec only; it must not be
- * the lone probe of a machine with a block program.
+ * (classify()), so the classifier is also a trace fold: built over the
+ * image's predecode table it classifies every text site once, and
+ * counts each fetch run's sites (a live capture's sink chunks or a
+ * recorded trace alike). Sites are the original decode, not the block
+ * uops (those fold mvhi). A default-constructed probe counts through
+ * onExec only, the per-instruction reference.
  */
-class ImmediateClassProbe : public sim::Probe, public sim::TraceSink
+class ImmediateClassProbe : public sim::Probe, public sim::TraceFold
 {
   public:
     /** The one counter (if any) an instruction adds to. */
@@ -130,9 +130,7 @@ class ImmediateClassProbe : public sim::Probe, public sim::TraceSink
         ++counts_[static_cast<size_t>(classify(inst))];
     }
 
-    void onFetchChunk(uint32_t startPc, uint32_t count) override;
-    void onDataRead(uint32_t, int) override {}
-    void onDataWrite(uint32_t, int) override {}
+    void feed(const sim::TraceChunk &chunk) override;
 
     uint64_t total() const { return total_; }
     uint64_t cmpImmediate() const { return counter(Class::CmpImmediate); }
@@ -198,17 +196,17 @@ buildBlockProgram(const assem::Image &image,
 /** Run to completion with optional probes (not owned). `predecoded`
  *  optionally shares one decode table across runs of the same image
  *  (see sim::DecodedText); `blocks` optionally enables block-compiled
- *  dispatch (ignored by probe-attached runs except a lone TraceSink:
- *  trace capture, or imm classification of a job the sweep engine
- *  runs directly rather than replaying from its image's trace —
- *  results are bit-identical either way). */
+ *  dispatch (ignored by probe-attached runs; results are bit-identical
+ *  either way). `sink` (not owned) captures the run's reference
+ *  streams and is finished when the run is. */
 RunMeasurement run(const assem::Image &image,
                    std::vector<sim::Probe *> probes = {},
                    sim::MachineConfig config = {},
                    std::shared_ptr<const sim::DecodedText> predecoded =
                        nullptr,
                    std::shared_ptr<const sim::BlockProgram> blocks =
-                       nullptr);
+                       nullptr,
+                   sim::TraceSink *sink = nullptr);
 
 /** Convenience: build + run. */
 RunMeasurement buildAndRun(std::string_view source,

@@ -366,7 +366,7 @@ Machine::execUop(const Uop &u)
         const uint32_t v = loadValue(u.op, ea);
         stats_.loads += 1;
         if constexpr (Traced)
-            traceSink_->onDataRead(ea, static_cast<int>(u.aux));
+            traceSink_->data(ea, static_cast<int>(u.aux), false);
         writeGpr(u.rd, v);
         setGprReady(u.rd, t + loadDelta_);  // load delay slot(s)
         break;
@@ -380,7 +380,7 @@ Machine::execUop(const Uop &u)
         storeValue(u.op, ea, gpr_[u.rs2]);
         stats_.stores += 1;
         if constexpr (Traced)
-            traceSink_->onDataWrite(ea, static_cast<int>(u.aux));
+            traceSink_->data(ea, static_cast<int>(u.aux), true);
         break;
       }
 
@@ -390,7 +390,7 @@ Machine::execUop(const Uop &u)
         const uint32_t v = memory_.read32(ea);
         stats_.loads += 1;
         if constexpr (Traced)
-            traceSink_->onDataRead(ea, 4);
+            traceSink_->data(ea, 4, false);
         writeGpr(0, v);
         setGprReady(0, t + loadDelta_);
         break;
@@ -538,6 +538,27 @@ Machine::execUop(const Uop &u)
     return false;
 }
 
+void
+TraceSink::flush()
+{
+    if (runCount_ == 0) {
+        handOver(0);
+        return;
+    }
+    const FetchRun open = runs_[runCount_ - 1];
+    handOver(runCount_ - 1);
+    runs_[runCount_++] = open;
+}
+
+void
+TraceSink::handOver(uint32_t runs)
+{
+    fold_.feed({{runs_.data(), runs},
+                {accesses_.data(), accessCount_},
+                {outcomes_.data(), outcomeCount_}});
+    runCount_ = accessCount_ = outcomeCount_ = 0;
+}
+
 /** The delay slot: one per terminated block, kept out of line so each
  *  dispatch loop inlines execUop once, for its body uops. */
 template <unsigned Shift, bool Traced>
@@ -631,7 +652,7 @@ Machine::dispatchBlocks()
                 // step() leaves pc_ just past a halting instruction.
                 pc_ = b.startPc + static_cast<uint32_t>(executed) * ib;
                 if constexpr (Traced)
-                    traceSink_->onFetchChunk(
+                    traceSink_->fetch(
                         b.startPc, static_cast<uint32_t>(executed));
                 return true;
             }
@@ -645,7 +666,7 @@ Machine::dispatchBlocks()
             pc_ = b.fallThroughPc;
             id = b.fallId;
             if constexpr (Traced)
-                traceSink_->onFetchChunk(b.startPc, b.count);
+                traceSink_->fetch(b.startPc, b.count);
             continue;
         }
 
@@ -698,7 +719,7 @@ Machine::dispatchBlocks()
         if (b.slotBubble)
             stats_.branchBubbles += 1;
         if constexpr (Traced)
-            traceSink_->onFetchChunk(b.startPc, b.count);
+            traceSink_->fetch(b.startPc, b.count);
         // On a delay-slot halt trap this matches step(), which applies
         // the pending redirect in its epilogue before noticing halted_.
         pc_ = taken ? target : b.fallThroughPc;

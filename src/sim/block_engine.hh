@@ -48,9 +48,9 @@
  *    misaligned pcs, blocks the translator marked NeedsStep (no delay
  *    slot, control flow in a slot, undecodable sites), and instruction
  *    -limit crossings (so the limit fires at the precise instruction).
- *    Probe-attached runs never enter the engine at all — except a
- *    lone TraceSink (trace capture or imm classification), which
- *    receives whole-block fetch chunks that reproduce the
+ *    Probe-attached runs never enter the engine at all. A TraceSink
+ *    is not a probe: a traced run keeps block dispatch, and each
+ *    block appends one fetch chunk that reproduces the
  *    per-instruction stream exactly.
  *
  * Layering: this lives in src/sim (the machine executes uops), but the
@@ -65,6 +65,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "asm/image.hh"
@@ -91,27 +92,119 @@ struct BlockTable
     std::vector<BlockSpan> spans;
 };
 
+/** `count` sequential fetches starting at `startPc` (insnBytes apart). */
+struct FetchRun
+{
+    uint32_t startPc = 0;
+    uint32_t count = 0;
+};
+
+/** One data reference: `size` bytes at `addr`, read or write. */
+struct DataAccess
+{
+    uint32_t addr = 0;
+    uint8_t size = 0;
+    bool write = false;
+};
+
+/** One executed conditional branch: the site and how it resolved. */
+struct BranchOutcome
+{
+    uint32_t pc = 0;
+    bool taken = false;
+};
+
+/** A stretch of a capture's three reference streams, each in program
+ *  order. Consecutive chunks continue one another; no fetch run is
+ *  split across two of them. */
+struct TraceChunk
+{
+    std::span<const FetchRun> runs;
+    std::span<const DataAccess> accesses;
+    std::span<const BranchOutcome> outcomes;
+};
+
+/** A consumer of a capture's streams, one chunk at a time: the replay
+ *  evaluators (core/replay) and the tee that records a whole trace. */
+class TraceFold
+{
+  public:
+    virtual ~TraceFold() = default;
+    virtual void feed(const TraceChunk &chunk) = 0;
+};
+
 /**
- * Block-granularity trace consumer. The engine cannot afford a
- * per-instruction virtual call, but trace capture only needs the
- * run-length-encoded fetch stream — which a block IS: `count`
- * sequential fetches from `startPc`. A probe that also implements
- * this interface (TraceProbe, ImmediateClassProbe) keeps block
- * dispatch eligible when it is the machine's only probe; data
- * accesses reuse the Probe callback names so one override serves both.
- * Branch callbacks reach it as a Probe from either dispatch path.
+ * The capture buffer: a machine with a sink attached
+ * (Machine::setTraceSink) appends its fetch runs, data accesses and
+ * branch outcomes to fixed arrays of Capacity records each, inline
+ * from both dispatch paths — a block is one run-length-encoded fetch
+ * chunk, a step()-executed instruction a one-fetch chunk that merges
+ * into the open run. When any array fills, the sink hands everything but the
+ * open run (which a later fetch may still extend) to its fold and
+ * starts over, so a capture never holds more than one chunk however
+ * long it runs. finish() hands over the rest, the open run included.
  */
 class TraceSink
 {
   public:
-    virtual ~TraceSink() = default;
+    static constexpr uint32_t Capacity = 16384;
 
-    /** `count` sequential ifetches starting at `startPc`. Equivalent
-     *  to `count` onIFetch calls at insnBytes stride. */
-    virtual void onFetchChunk(uint32_t startPc, uint32_t count) = 0;
+    TraceSink(uint32_t insnBytes, TraceFold &fold)
+        : insnBytes_(insnBytes), fold_(fold), runs_(Capacity),
+          accesses_(Capacity), outcomes_(Capacity)
+    {}
+    TraceSink(const TraceSink &) = delete;
+    TraceSink &operator=(const TraceSink &) = delete;
 
-    virtual void onDataRead(uint32_t addr, int size) = 0;
-    virtual void onDataWrite(uint32_t addr, int size) = 0;
+    /** `count` sequential fetches from `pc`. */
+    void
+    fetch(uint32_t pc, uint32_t count)
+    {
+        if (pc == nextPc_ && runCount_ != 0) {
+            runs_[runCount_ - 1].count += count;
+        } else {
+            if (runCount_ == Capacity)
+                flush();
+            runs_[runCount_++] = {pc, count};
+        }
+        nextPc_ = pc + count * insnBytes_;
+    }
+
+    void
+    data(uint32_t addr, int size, bool write)
+    {
+        if (accessCount_ == Capacity)
+            flush();
+        accesses_[accessCount_++] = {addr, static_cast<uint8_t>(size), write};
+    }
+
+    void
+    outcome(uint32_t pc, bool taken)
+    {
+        if (outcomeCount_ == Capacity)
+            flush();
+        outcomes_[outcomeCount_++] = {pc, taken};
+    }
+
+    /** Hand over everything still buffered; the capture is complete. */
+    void finish() { handOver(runCount_); }
+
+  private:
+    /** Hand over all but the open run, which moves to the front. */
+    void flush();
+    /** Hand the first `runs` runs and every access and outcome to the
+     *  fold, and empty the arrays. */
+    void handOver(uint32_t runs);
+
+    uint32_t insnBytes_;
+    uint32_t nextPc_ = 0;
+    TraceFold &fold_;
+    uint32_t runCount_ = 0;
+    uint32_t accessCount_ = 0;
+    uint32_t outcomeCount_ = 0;
+    std::vector<FetchRun> runs_;
+    std::vector<DataAccess> accesses_;
+    std::vector<BranchOutcome> outcomes_;
 };
 
 /** One pre-bound micro-operation. Immediates are resolved at

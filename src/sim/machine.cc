@@ -83,12 +83,11 @@ int
 Machine::run()
 {
     // Block dispatch is eligible only when no probe needs the
-    // per-instruction callbacks: either no probes at all, or exactly
-    // one that declared itself a block-capable TraceSink. The guard
-    // on the delay-slot/shadow flags keeps a pending transfer (from a
-    // step()-executed branch) in step()'s hands until it resolves.
-    if (blocks_ && (probes_.empty() ||
-                    (probes_.size() == 1 && traceSink_ != nullptr))) {
+    // per-instruction callbacks (a trace sink takes block chunks).
+    // The guard on the delay-slot/shadow flags keeps a pending
+    // transfer (from a step()-executed branch) in step()'s hands until
+    // it resolves.
+    if (blocks_ && probes_.empty()) {
         while (!halted_) {
             if (!inDelaySlot_ && !inCfShadow_ && runBlocks())
                 break;
@@ -128,6 +127,8 @@ Machine::step()
         for (Probe *p : probes_)
             p->onExec(inst, pc_);
     }
+    if (traceSink_)
+        traceSink_->fetch(pc, 1);
 
     stats_.instructions += 1;
     const bool shadow = inCfShadow_;
@@ -163,12 +164,16 @@ Machine::execute(const DecodedInst &inst)
         if (!probes_.empty())
             for (Probe *p : probes_)
                 p->onDataRead(addr, size);
+        if (traceSink_)
+            traceSink_->data(addr, size, false);
     };
     auto dataWrite = [&](uint32_t addr, int size) {
         stats_.stores += 1;
         if (!probes_.empty())
             for (Probe *p : probes_)
                 p->onDataWrite(addr, size);
+        if (traceSink_)
+            traceSink_->data(addr, size, true);
     };
 
     switch (op) {

@@ -75,21 +75,17 @@ class Machine
     /** Attach a compiled block program for the image (shared,
      *  immutable; see BlockProgram). run() then dispatches whole
      *  blocks wherever the static picture holds and falls back to
-     *  step() everywhere else. Probe-attached runs ignore it — except
-     *  for the lone block-capable probe (setTraceSink): trace capture
-     *  or imm classification. Results are bit-identical either way. */
+     *  step() everywhere else. Probe-attached runs ignore it (a trace
+     *  sink is not a probe). Results are bit-identical either way. */
     void
     setBlockProgram(std::shared_ptr<const BlockProgram> blocks)
     {
         blocks_ = std::move(blocks);
     }
 
-    /** Declare the single attached probe as block-capable — the lone
-     *  block-capable probe: trace capture or imm classification. It
-     *  receives block-granularity fetch chunks and direct data
-     *  callbacks from the engine (and normal per-instruction probe
-     *  callbacks from any step() fallback). `sink` must also be
-     *  registered via addProbe. */
+    /** Append the run's fetch, data and branch-outcome streams to
+     *  `sink` (not owned), from block dispatch and step() alike. The
+     *  caller finishes the sink once the run is over. */
     void setTraceSink(TraceSink *sink) { traceSink_ = sink; }
 
     /** Instructions retired through block dispatch (diagnostic; the
@@ -160,8 +156,8 @@ class Machine
     resolveCond(uint32_t pc, bool taken)
     {
         stats_.condBranches += 1;
-        for (Probe *p : probes_)
-            p->onBranchOutcome(pc, taken);
+        if (traceSink_)
+            traceSink_->outcome(pc, taken);
         bool mispredicted = false;
         chargeBranch(pc, branch_.conditional(pc, taken, mispredicted));
         stats_.mispredicts += mispredicted ? 1 : 0;

@@ -72,16 +72,6 @@ class Probe
         (void)pc;
         (void)cycles;
     }
-
-    /** The conditional branch at `pc` resolved `taken`. Fired for
-     *  every bz/bnz/jrz/jrnz in execution order — the stream a
-     *  captured trace records so predictor configs can be replayed. */
-    virtual void
-    onBranchOutcome(uint32_t pc, bool taken)
-    {
-        (void)pc;
-        (void)taken;
-    }
 };
 
 } // namespace d16sim::sim

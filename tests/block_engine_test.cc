@@ -157,8 +157,8 @@ uarchConfig(const std::string &key)
     return config;
 }
 
-/** Minimal per-instruction probe: any non-TraceSink probe must force
- *  the machine back to pure step dispatch. */
+/** Minimal per-instruction probe: any probe must force the machine
+ *  back to pure step dispatch. */
 class CountingProbe : public sim::Probe
 {
   public:
@@ -254,9 +254,10 @@ TEST(BlockEngine, UarchSmokeConfigsMatchStep)
 
 TEST(BlockEngine, ImmClassRunsOnBlocks)
 {
-    // The imm probe is a block-capable TraceSink: its runs dispatch
-    // blocks and count each fetch chunk's sites, and must agree with a
-    // step-only run in every counter. So must the counts the sweep
+    // The imm classifier is a trace fold: behind a TraceSink its runs
+    // dispatch blocks and it counts each fetch run's sites, and must
+    // agree with a step-only run counting through onExec in every
+    // counter. So must the counts the sweep
     // engine replays from a capture of the same image. DLXe/16/2 is
     // the matrix's imm variant; D16 and DLXe/32/3 widen the opcode
     // mix.
@@ -275,9 +276,11 @@ TEST(BlockEngine, ImmClassRunsOnBlocks)
             core::ImmediateClassProbe blockProbe(*predecoded);
             sim::Machine blockM(img, {}, predecoded);
             blockM.setBlockProgram(core::buildBlockProgram(img, predecoded));
-            blockM.addProbe(&blockProbe);
-            blockM.setTraceSink(&blockProbe);
+            sim::TraceSink sink(
+                static_cast<uint32_t>(img.target->insnBytes()), blockProbe);
+            blockM.setTraceSink(&sink);
             blockM.run();
+            sink.finish();
 
             EXPECT_EQ(stepM.output(), blockM.output()) << where;
             EXPECT_EQ(stepM.pc(), blockM.pc()) << where;
@@ -556,8 +559,8 @@ TEST(BlockEngine, FallbackProbeAttached)
     sim::Machine stepM(img);
     stepM.run();
 
-    // A per-instruction probe that is not a TraceSink disables block
-    // dispatch entirely; results match the probe-less step run.
+    // A per-instruction probe disables block dispatch entirely;
+    // results match the probe-less step run.
     CountingProbe probe;
     sim::Machine probeM(img);
     probeM.setBlockProgram(blocks);

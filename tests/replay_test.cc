@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "asm/parser.hh"
 #include "core/replay/replay.hh"
 #include "core/replay/trace.hh"
+#include "core/sweep/artifacts.hh"
 #include "core/sweep/sweep.hh"
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
@@ -225,8 +228,8 @@ TEST(Replay, SinglePassMatchesIndependentPasses)
 
 TEST(Replay, EngineCacheMatrixMatchesNoReplay)
 {
-    // Build nodes with 20 cache siblings each: the engine hands them
-    // to one replayJobs() pass per node, and the document must be
+    // Build nodes with 20 cache siblings each: the engine streams them
+    // through one CacheFold per node, and the document must be
     // byte-identical to re-simulating every job (d16sweep
     // --no-replay). The base + imm DLXe/16/2 nodes capture once: the
     // base run rides on the capture and the imm job replays.
@@ -261,6 +264,127 @@ TEST(Replay, EngineCacheMatrixMatchesNoReplay)
     EXPECT_EQ(on.executedRuns, 84);
     EXPECT_EQ(off.replayedRuns, 0);
     EXPECT_EQ(off.executedRuns, 84);
+}
+
+/** Feed `folds` the trace's streams `n` records per stream a chunk
+ *  (0: the whole trace in one chunk). */
+void
+feedInChunks(sim::TraceFold &folds, const Trace &trace, size_t n)
+{
+    if (n == 0) {
+        folds.feed(trace.chunk());
+        return;
+    }
+    auto slice = [n](const auto &v, size_t at) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        const size_t from = std::min(at, v.size());
+        return std::span<const T>(v.data() + from,
+                                  std::min(n, v.size() - from));
+    };
+    for (size_t at = 0; at < trace.runs.size() ||
+                        at < trace.accesses.size() ||
+                        at < trace.outcomes.size();
+         at += n)
+        folds.feed({slice(trace.runs, at), slice(trace.accesses, at),
+                    slice(trace.outcomes, at)});
+}
+
+TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
+{
+    // One node's fold set — base, imm, both fetch-buffer widths, the
+    // 20 paper cache configs, the three branch policies and a retimed
+    // slice — must settle identical results however the streams are
+    // cut into chunks.
+    const CompileOptions opts = CompileOptions::dlxe(16, false);
+    const assem::Image image = build(workload("queens").source, opts);
+    const auto predecoded = std::make_shared<const sim::DecodedText>(image);
+    const replay::TimingTable table(image, *predecoded);
+    const Trace trace = replay::capture(image, predecoded, {},
+                                        buildBlockProgram(image, predecoded));
+    ASSERT_GT(trace.runs.size(), 4096u);
+
+    std::vector<sweep::JobSpec> specs = {
+        sweep::JobSpec::base("queens", opts),
+        sweep::JobSpec::imm("queens", opts),
+        sweep::JobSpec::fetch("queens", opts, 4),
+        sweep::JobSpec::fetch("queens", opts, 8)};
+    for (const mem::CacheConfig &cfg : paperCacheConfigs())
+        specs.push_back(sweep::JobSpec::cache("queens", opts, cfg, cfg));
+    for (const char *key : {"bp=static", "bp=bimodal6", "fwd=on,depth=7",
+                            "fwd=on,depth=7,bp=bimodal6"}) {
+        specs.push_back(sweep::JobSpec::base("queens", opts));
+        specs.back().uarch = sweep::parseUarch(key);
+    }
+    ASSERT_EQ(specs.size(), 28u);
+    std::vector<const sweep::JobSpec *> ptrs;
+    for (const sweep::JobSpec &spec : specs)
+        ptrs.push_back(&spec);
+
+    auto settle = [&](size_t n) {
+        sweep::NodeFolds folds(ptrs, trace.insnBytes, trace.capturedUarch,
+                               predecoded.get(), &table);
+        feedInChunks(folds, trace, n);
+        std::vector<std::string> rows;
+        for (const auto &[spec, r] : folds.finish(trace.base))
+            rows.push_back(sweep::jobKey(*spec) + " " +
+                           sweep::resultJson(r).dump());
+        return rows;
+    };
+    const std::vector<std::string> whole = settle(0);
+    ASSERT_EQ(whole.size(), specs.size());
+    for (size_t n : {size_t{1}, size_t{7}, size_t{4096}})
+        EXPECT_EQ(settle(n), whole) << n << " records per chunk";
+    // And each row is the one the job replays to on its own.
+    for (size_t i = 0; i < 24; ++i)
+        EXPECT_EQ(whole[i], sweep::jobKey(specs[i]) + " " +
+                                sweep::resultJson(sweep::replayJob(
+                                    specs[i], trace, predecoded.get()))
+                                    .dump());
+}
+
+TEST(Replay, StreamedCaptureTeeMatchesCapture)
+{
+    // A node's capture streams through the bounded sink into its folds
+    // and, for the artifact store, a tee: the teed trace must
+    // serialize exactly as a whole-run capture does. Four workers split
+    // the 30 images.
+    std::vector<std::pair<std::string, CompileOptions>> images;
+    for (const Workload &w : workloadSuite())
+        for (const CompileOptions &opts :
+             {CompileOptions::d16(), CompileOptions::dlxe(32, true)})
+            images.emplace_back(w.name, opts);
+    ASSERT_EQ(images.size(), 30u);
+
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::vector<std::string> mismatches;
+    auto worker = [&] {
+        for (size_t i = next++; i < images.size(); i = next++) {
+            const auto &[name, opts] = images[i];
+            const assem::Image image = build(workload(name).source, opts);
+            const auto predecoded =
+                std::make_shared<const sim::DecodedText>(image);
+            const auto blocks = buildBlockProgram(image, predecoded);
+            const sweep::JobSpec base = sweep::JobSpec::base(name, opts);
+            const sweep::JobSpec fetch = sweep::JobSpec::fetch(name, opts, 4);
+            Trace teed;
+            sweep::streamJobs({&base, &fetch}, nullptr, &image, predecoded,
+                              blocks, nullptr, &teed,
+                              [](const sweep::JobSpec &, sweep::JobResult) {});
+            const bool same =
+                teed.serialize() ==
+                replay::capture(image, predecoded, {}, blocks).serialize();
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!same)
+                mismatches.push_back(name + "|" + sweep::variantKey(opts));
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back(worker);
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_TRUE(mismatches.empty()) << mismatches.front();
 }
 
 TEST(Replay, SmokeMatrixJobsMatchDirectExecution)
@@ -557,7 +681,13 @@ TEST(Replay, TextWritingTraceFallsBackToCapture)
         replay::replayTiming(trace, table, sweep::parseUarch("depth=7")),
         FatalError);
 
+    // The engine's streamed path: one node holding a default base job
+    // and depth=7 jobs, streamed from a capture on the default machine
+    // (or from the stored trace). The depth=7 timing walk refuses the
+    // stream, which it learns only when the stream ends, and that
+    // slice's rows come from a capture on its own machine.
     std::vector<sweep::JobSpec> specs;
+    specs.push_back(sweep::JobSpec::base("selfmod", CompileOptions::dlxe()));
     for (const char *key : {"depth=7", "depth=7,bp=bimodal4"}) {
         sweep::JobSpec spec = sweep::JobSpec::base("selfmod", CompileOptions::dlxe());
         spec.uarch = sweep::parseUarch(key);
@@ -569,31 +699,41 @@ TEST(Replay, TextWritingTraceFallsBackToCapture)
     for (const sweep::JobSpec &spec : specs)
         ptrs.push_back(&spec);
 
-    sweep::SliceCost cost;
-    const std::vector<sweep::JobResult> got =
-        sweep::replaySlice(ptrs, trace, table, image, predecoded, nullptr,
-                           &cost);
-    EXPECT_TRUE(cost.captured);
-    EXPECT_EQ(cost.capturedInstructions, trace.base.stats.instructions);
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const sweep::JobResult direct = sweep::executeJob(specs[i], image);
-        EXPECT_EQ(got[i].json().dump(), direct.json().dump())
-            << sweep::jobKey(specs[i]);
-        EXPECT_TRUE(got[i].run.stats == direct.run.stats)
-            << sweep::jobKey(specs[i]);
+    for (const Trace *stored : {static_cast<const Trace *>(nullptr), &trace}) {
+        std::map<std::string, sweep::JobResult> got;
+        const sweep::NodeCost cost = sweep::streamJobs(
+            ptrs, stored, &image, predecoded, nullptr, &table, nullptr,
+            [&](const sweep::JobSpec &spec, sweep::JobResult r) {
+                got.emplace(sweep::jobKey(spec), std::move(r));
+            });
+        EXPECT_EQ(cost.captures, stored ? 1 : 2);
+        EXPECT_EQ(cost.retimedSlices, 0);
+        ASSERT_EQ(got.size(), specs.size());
+        for (const sweep::JobSpec &spec : specs) {
+            const sweep::JobResult direct = sweep::executeJob(spec, image);
+            const sweep::JobResult &r = got.at(sweep::jobKey(spec));
+            EXPECT_EQ(r.json().dump(), direct.json().dump())
+                << sweep::jobKey(spec);
+            EXPECT_TRUE(r.run.stats == direct.run.stats)
+                << sweep::jobKey(spec);
+        }
+        // The captured slice's own scoreboard, not the default trace's.
+        EXPECT_GT(got.at(sweep::jobKey(specs[1])).run.stats.loadInterlocks,
+                  trace.base.stats.loadInterlocks);
     }
-    // The captured slice's own scoreboard, not the default trace's.
-    EXPECT_GT(got[0].run.stats.loadInterlocks,
-              trace.base.stats.loadInterlocks);
 
     // A trace that leaves its text alone is retimed, not captured.
     const assem::Image clean = build(kProgram, CompileOptions::dlxe());
     const auto cleanText = std::make_shared<const sim::DecodedText>(clean);
     const replay::TimingTable cleanTable(clean, *cleanText);
-    sweep::SliceCost cleanCost;
-    sweep::replaySlice({ptrs[0]}, replay::capture(clean, cleanText),
-                       cleanTable, clean, cleanText, nullptr, &cleanCost);
-    EXPECT_FALSE(cleanCost.captured);
+    int settled = 0;
+    const sweep::NodeCost cleanCost = sweep::streamJobs(
+        {ptrs[0], ptrs[1]}, nullptr, &clean, cleanText, nullptr, &cleanTable,
+        nullptr,
+        [&](const sweep::JobSpec &, sweep::JobResult) { ++settled; });
+    EXPECT_EQ(settled, 2);
+    EXPECT_EQ(cleanCost.captures, 1);
+    EXPECT_EQ(cleanCost.retimedSlices, 1);
 }
 
 // ----- error paths ----------------------------------------------------

@@ -185,6 +185,42 @@ TEST(Sweep, OneThreadSettlesEachImageContiguously)
     EXPECT_EQ(finished.size(), 3u);
 }
 
+TEST(Sweep, OneThreadSettlesNodesWithMostJobsFirst)
+{
+    // Nodes are handed out by job count, most first, so the big nodes'
+    // rows do not trail the sweep; ties keep imageKey order. The
+    // first row committed therefore belongs to a node with the most
+    // jobs, and the nodes settle queens, towers, bubblesort,
+    // ackermann.
+    const mc::CompileOptions d16 = mc::CompileOptions::d16();
+    std::vector<sweep::JobSpec> jobs;
+    jobs.push_back(sweep::JobSpec::base("ackermann", d16));
+    for (const char *name : {"bubblesort", "queens", "towers"})
+        jobs.push_back(sweep::JobSpec::base(name, d16));
+    for (const char *name : {"bubblesort", "queens", "towers"})
+        jobs.push_back(sweep::JobSpec::fetch(name, d16, 4));
+    for (const char *name : {"queens", "towers"})
+        jobs.push_back(sweep::JobSpec::fetch(name, d16, 8));
+    std::map<std::string, std::string> imageOf;
+    for (const sweep::JobSpec &spec : jobs)
+        imageOf[sweep::jobKey(spec)] = sweep::imageKey(spec);
+
+    sweep::ResultStore store;
+    sweep::SweepEngine engine(store, 1);
+    std::vector<std::string> order;
+    engine.setResultCallback(
+        [&](const std::string &key, const sweep::JobResult &) {
+            const std::string &image = imageOf.at(key);
+            if (order.empty() || order.back() != image)
+                order.push_back(image);
+        });
+    engine.add(jobs);
+    engine.run();
+    const std::vector<std::string> want = {"queens|D16", "towers|D16",
+                                           "bubblesort|D16", "ackermann|D16"};
+    EXPECT_EQ(order, want);
+}
+
 // The exact values the (pre-port, serial) fig04/fig05 drivers printed,
 // proving the engine port changed the execution strategy and not the
 // measurements. Regenerate goldens instead if a compiler change

@@ -52,11 +52,14 @@
  * (tests/sweep_test.cc, tests/golden/sweep_golden.json) pins. Timing
  * lives in a separate "timing" section (dropped by --no-timing) and
  * in the stderr summary; its speedup line — busy seconds over wall
- * seconds — is the engine's own parallelism measurement.
+ * seconds — is the engine's own parallelism measurement, and its
+ * thread-cpu line ends with the process's peak resident set.
  *
  * Exit status: 0 = swept (and matched the golden file, if given),
  * 1 = golden mismatch, 2 = bad usage or build failure.
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -134,6 +137,15 @@ filtered(std::vector<sweep::JobSpec> jobs, const Args &args)
         out.push_back(std::move(j));
     }
     return out;
+}
+
+/** The process's peak resident set so far (getrusage ru_maxrss). */
+double
+peakRssMb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 } // namespace
@@ -285,7 +297,7 @@ main(int argc, char **argv)
                 "d16sweep: wall %.2fs, busy %.2fs (build %.2fs + "
                 "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
                 "d16sweep: thread cpu: build %.2fs, simulate %.2fs, "
-                "replay %.2fs\n"
+                "replay %.2fs; peak rss %.1f MB\n"
                 "d16sweep: %llu instructions simulated, %.1f MIPS\n",
                 t.executedRuns, t.executedBuilds, t.dedupedRuns,
                 t.replayedRuns, t.capturedTraces, t.retimedSlices,
@@ -293,7 +305,7 @@ main(int argc, char **argv)
                 t.wallSeconds, t.busySeconds(), t.buildSeconds,
                 t.simulateSeconds, t.replaySeconds, t.speedup(),
                 t.buildCpuSeconds, t.simulateCpuSeconds,
-                t.replayCpuSeconds,
+                t.replayCpuSeconds, peakRssMb(),
                 static_cast<unsigned long long>(t.simulatedInstructions),
                 t.simMips());
             if (artifacts) {
