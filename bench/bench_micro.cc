@@ -111,6 +111,29 @@ BM_SimulateQueensPredecoded(benchmark::State &state)
 BENCHMARK(BM_SimulateQueensPredecoded)->Unit(benchmark::kMillisecond);
 
 static void
+BM_SimulateQueensPredecodedD16(benchmark::State &state)
+{
+    // The D16 twin of BM_SimulateQueensPredecoded: r0 is a real
+    // register there (no r0 sink) and its nop is mv r0,r0, so the
+    // block engine's write and delay-slot paths differ per target.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::d16());
+    const auto text = std::make_shared<const sim::DecodedText>(img);
+    const auto blocks = core::buildBlockProgram(img, text);
+    uint64_t insns = 0;
+    for (auto _ : state) {
+        sim::Machine m(img, {}, text);
+        m.setBlockProgram(blocks);
+        m.run();
+        insns = m.stats().instructions;
+        benchmark::DoNotOptimize(insns);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(insns));
+}
+BENCHMARK(BM_SimulateQueensPredecodedD16)->Unit(benchmark::kMillisecond);
+
+static void
 BM_ImmClassQueens(benchmark::State &state)
 {
     // A sweep `imm` row run directly: the matrix's DLXe/16/2 variant

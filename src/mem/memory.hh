@@ -10,10 +10,11 @@
 #ifndef D16SIM_MEM_MEMORY_HH
 #define D16SIM_MEM_MEMORY_HH
 
-#include <cstdint>
-#include <vector>
-
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 
 #include "asm/image.hh"
@@ -26,9 +27,17 @@ namespace d16sim::mem
 class Memory
 {
   public:
-    explicit Memory(uint32_t size) : bytes_(size, 0) {}
+    /** Zeroed guest memory from calloc: a large block comes straight
+     *  from the OS as zero pages, so a run pays only for the pages it
+     *  touches. */
+    explicit Memory(uint32_t size)
+        : bytes_(static_cast<uint8_t *>(std::calloc(size, 1))), size_(size)
+    {
+        if (size && !bytes_)
+            throw std::bad_alloc();
+    }
 
-    uint32_t size() const { return static_cast<uint32_t>(bytes_.size()); }
+    uint32_t size() const { return size_; }
 
     /** Copy an image's text+data into place. */
     void
@@ -36,7 +45,7 @@ class Memory
     {
         check(img.textBase, static_cast<uint32_t>(img.bytes.size()), 1);
         std::copy(img.bytes.begin(), img.bytes.end(),
-                  bytes_.begin() + img.textBase);
+                  bytes_.get() + img.textBase);
     }
 
     uint8_t
@@ -110,13 +119,18 @@ class Memory
             fatal("misaligned ", len, "-byte access at address ",
                   hexString(addr));
         }
-        if (addr + len > bytes_.size() || addr + len < addr) {
+        if (addr + len > size_ || addr + len < addr) {
             fatal("memory access out of range at address ",
                   hexString(addr));
         }
     }
 
-    std::vector<uint8_t> bytes_;
+    struct Free
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], Free> bytes_;
+    uint32_t size_;
 };
 
 } // namespace d16sim::mem

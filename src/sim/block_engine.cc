@@ -220,7 +220,9 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
         return finish(true);
 
     // The block's issue order is its address order: body, then the
-    // terminator and its slot.
+    // terminator and its slot. On an r0-is-zero target a write of r0
+    // goes to the machine's never-read R0Sink entry (an op writing no
+    // GPR has a Sink slot too, and ignores its rd).
     std::vector<Uop> seq;
     std::vector<IssueSlot> slots;
     seq.reserve(span.count);
@@ -228,6 +230,9 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
     for (uint32_t i = 0; i < span.count; ++i) {
         seq.push_back(makeUop(t, text.at(idx0 + i), span.startPc + i * ib));
         slots.push_back(issueSlot(t, text.at(idx0 + i)));
+        if (t.r0IsZero() && slots.back().dst == IssueSlot::Sink &&
+            seq.back().rd == 0)
+            seq.back().rd = Uop::R0Sink;
     }
     setHazardFlags(slots.data(), seq.data(), span.count);
 
@@ -240,6 +245,11 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
         b.term = seq[body];
         b.slot = seq[body + 1];
         b.slotBubble = isa::isCanonicalNop(t, text.at(idx0 + body + 1));
+        // A bubble does nothing but issue: Op::Nop, which dispatch
+        // retires inline. It keeps its hazard flags, since a D16
+        // mv r0,r0 behind an ldc can stall on r0.
+        if (b.slotBubble)
+            b.slot.op = Op::Nop;
     }
     finish(false);
 }
@@ -247,15 +257,17 @@ BlockProgram::translate(const isa::TargetInfo &t, const DecodedText &text,
 // ----- Machine dispatch ------------------------------------------------
 
 /** GPR hazard check for the sources of `u` flagged in `flags` (its
- *  hazard set for this machine's load delay). Mirrors useGpr +
- *  finishIssue's stall arithmetic for the loadInterlocks case (ties
- *  and maxima resolve identically: both sources attribute to the load
- *  interlock counter), including execute()'s store-data bypass when
- *  `forwardRs2`. The caller adds the base issue cycle. */
+ *  hazard set for this machine's load delay), against the dispatch
+ *  loop's `cycle`. Mirrors useGpr + finishIssue's stall arithmetic for
+ *  the loadInterlocks case (ties and maxima resolve identically: both
+ *  sources attribute to the load interlock counter), including
+ *  execute()'s store-data bypass when `forwardRs2`. The caller adds
+ *  the base issue cycle. */
 [[gnu::always_inline]] inline void
-Machine::uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2)
+Machine::uopGprStall(const Uop &u, uint8_t flags, uint64_t &cycle,
+                     bool forwardRs2)
 {
-    const uint64_t issue = cycle_ + 1;
+    const uint64_t issue = cycle + 1;
     const uint64_t ready1 = gprReady_[u.rs1];
     const uint64_t ready2 = gprReady_[u.rs2];
     uint64_t stall =
@@ -271,271 +283,183 @@ Machine::uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2)
     }
     if (stall) {
         stats_.loadInterlocks += stall;
-        cycle_ += stall;
+        cycle += stall;
     }
 }
 
 /** An integer ALU uop, register or immediate form (`b`). */
 template <isa::Op O>
 [[gnu::always_inline]] inline void
-Machine::aluUop(const Uop &u, uint8_t flags, uint32_t b)
+Machine::aluUop(const Uop &u, uint8_t flags, uint64_t &cycle, uint32_t b)
 {
     if (flags & Uop::Chk)
-        uopGprStall(u, flags);
-    ++cycle_;
-    writeGpr(u.rd, alu(O, gpr_[u.rs1], b));
+        uopGprStall(u, flags, cycle);
+    ++cycle;
+    gpr_[u.rd] = alu(O, gpr_[u.rs1], b);
+}
+
+/** A load or store uop of width `O`. It records itself (inflight_,
+ *  cycle_) before it can fault, and the trace sink makes room (a
+ *  possible flush call) before the access is computed, so no value of
+ *  it lives across that call. */
+template <isa::Op O, bool Traced>
+[[gnu::always_inline]] inline void
+Machine::memUop(const Uop &u, uint8_t flags, uint64_t &cycle)
+{
+    constexpr bool store = O == Op::St || O == Op::Sth || O == Op::Stb;
+    if (flags & Uop::Chk)
+        uopGprStall(u, flags, cycle, store && config_.uarch.forward);
+    ++cycle;
+    inflight_ = &u;
+    cycle_ = cycle;
+    if constexpr (Traced)
+        traceSink_->reserveData();
+    const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
+    if constexpr (store) {
+        storeValue(O, ea, gpr_[u.rs2]);
+        stats_.stores += 1;
+    } else {
+        gpr_[u.rd] = loadValue(O, ea);
+        gprReady_[u.rd] = cycle + loadDelta_;  // load delay slot(s)
+        stats_.loads += 1;
+    }
+    if constexpr (Traced)
+        traceSink_->appendData(ea, static_cast<int>(u.aux), store);
 }
 
 /**
  * Execute one pre-bound body/slot uop (never a terminator). Identical
  * architectural and timing semantics to Machine::execute, minus the
  * work the translator already did: operand binding, hazard-check
- * narrowing (the ChkRs flags of the set at `Shift`), and the t+1
+ * narrowing (the ChkRs flags of the set at `Shift`), the t+1
  * ready-time writes of single-cycle producers that no issue can
- * observe (all but the KeepReady ones). Returns true iff the uop
- * halted the machine; only Trap can, so every other case folds to a
- * constant once this is inlined into the dispatch loop.
+ * observe (all but the KeepReady ones), and the r0 test (a DLXe r0
+ * write targets Uop::R0Sink). `cycle` is the dispatch loop's issue
+ * cycle. Only the integer, memory and nop uops are inlined; the rest
+ * go to execSlowUop() through cycle_, which keeps this switch small
+ * enough that the loop's uop pointer stays in a register. A uop that
+ * may throw records itself in inflight_ and writes the cycle back
+ * first, for backOutBlockFault(). Returns true iff the uop halted the
+ * machine; only a trap can.
  */
 template <unsigned Shift, bool Traced>
 [[gnu::always_inline]] inline bool
-Machine::execUop(const Uop &u)
+Machine::execUop(const Uop &u, uint64_t &cycle)
 {
-    const FpLatencies &fpu = config_.fpu;
     const uint8_t f = static_cast<uint8_t>(u.flags >> Shift);
     const uint32_t imm = static_cast<uint32_t>(u.imm);
 
     switch (u.op) {
       // One case per ALU op: the op is a constant of its case, so
       // alu() folds instead of dispatching a second time.
-      case Op::Add: aluUop<Op::Add>(u, f, gpr_[u.rs2]); break;
-      case Op::Sub: aluUop<Op::Sub>(u, f, gpr_[u.rs2]); break;
-      case Op::And: aluUop<Op::And>(u, f, gpr_[u.rs2]); break;
-      case Op::Or: aluUop<Op::Or>(u, f, gpr_[u.rs2]); break;
-      case Op::Xor: aluUop<Op::Xor>(u, f, gpr_[u.rs2]); break;
-      case Op::Shl: aluUop<Op::Shl>(u, f, gpr_[u.rs2]); break;
-      case Op::Shr: aluUop<Op::Shr>(u, f, gpr_[u.rs2]); break;
-      case Op::Shra: aluUop<Op::Shra>(u, f, gpr_[u.rs2]); break;
+      case Op::Add: aluUop<Op::Add>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Sub: aluUop<Op::Sub>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::And: aluUop<Op::And>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Or: aluUop<Op::Or>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Xor: aluUop<Op::Xor>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Shl: aluUop<Op::Shl>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Shr: aluUop<Op::Shr>(u, f, cycle, gpr_[u.rs2]); break;
+      case Op::Shra: aluUop<Op::Shra>(u, f, cycle, gpr_[u.rs2]); break;
 
       case Op::Neg: case Op::Inv: case Op::Mv: {
         if (f & Uop::Chk)
-            uopGprStall(u, f);
-        ++cycle_;
+            uopGprStall(u, f, cycle);
+        ++cycle;
         const uint32_t a = gpr_[u.rs1];
-        writeGpr(u.rd, u.op == Op::Neg ? 0u - a :
-                       u.op == Op::Inv ? ~a : a);
+        gpr_[u.rd] = u.op == Op::Neg ? 0u - a : u.op == Op::Inv ? ~a : a;
         break;
       }
 
-      case Op::AddI: aluUop<Op::AddI>(u, f, imm); break;
-      case Op::SubI: aluUop<Op::SubI>(u, f, imm); break;
-      case Op::AndI: aluUop<Op::AndI>(u, f, imm); break;
-      case Op::OrI: aluUop<Op::OrI>(u, f, imm); break;
-      case Op::XorI: aluUop<Op::XorI>(u, f, imm); break;
-      case Op::ShlI: aluUop<Op::ShlI>(u, f, imm); break;
-      case Op::ShrI: aluUop<Op::ShrI>(u, f, imm); break;
-      case Op::ShraI: aluUop<Op::ShraI>(u, f, imm); break;
+      case Op::AddI: aluUop<Op::AddI>(u, f, cycle, imm); break;
+      case Op::SubI: aluUop<Op::SubI>(u, f, cycle, imm); break;
+      case Op::AndI: aluUop<Op::AndI>(u, f, cycle, imm); break;
+      case Op::OrI: aluUop<Op::OrI>(u, f, cycle, imm); break;
+      case Op::XorI: aluUop<Op::XorI>(u, f, cycle, imm); break;
+      case Op::ShlI: aluUop<Op::ShlI>(u, f, cycle, imm); break;
+      case Op::ShrI: aluUop<Op::ShrI>(u, f, cycle, imm); break;
+      case Op::ShraI: aluUop<Op::ShraI>(u, f, cycle, imm); break;
 
       case Op::MvI:  // MvHI folded in at translation
-        ++cycle_;
-        writeGpr(u.rd, static_cast<uint32_t>(u.imm));
+        ++cycle;
+        gpr_[u.rd] = imm;
         break;
 
       case Op::Cmp:
         if (f & Uop::Chk)
-            uopGprStall(u, f);
-        ++cycle_;
-        writeGpr(u.rd,
-                 isa::evalCond(u.cond, gpr_[u.rs1], gpr_[u.rs2]) ? 1 : 0);
+            uopGprStall(u, f, cycle);
+        ++cycle;
+        gpr_[u.rd] = isa::evalCond(u.cond, gpr_[u.rs1], gpr_[u.rs2]) ? 1 : 0;
         break;
 
       case Op::CmpI:
         if (f & Uop::Chk)
-            uopGprStall(u, f);
-        ++cycle_;
-        writeGpr(u.rd,
-                 isa::evalCond(u.cond, gpr_[u.rs1],
-                               static_cast<uint32_t>(u.imm)) ? 1 : 0);
+            uopGprStall(u, f, cycle);
+        ++cycle;
+        gpr_[u.rd] = isa::evalCond(u.cond, gpr_[u.rs1], imm) ? 1 : 0;
         break;
 
-      case Op::Ld: case Op::Ldh: case Op::Ldhu:
-      case Op::Ldb: case Op::Ldbu: {
-        if (f & Uop::Chk)
-            uopGprStall(u, f);
-        const uint64_t t = ++cycle_;
-        const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
-        const uint32_t v = loadValue(u.op, ea);
-        stats_.loads += 1;
-        if constexpr (Traced)
-            traceSink_->data(ea, static_cast<int>(u.aux), false);
-        writeGpr(u.rd, v);
-        setGprReady(u.rd, t + loadDelta_);  // load delay slot(s)
-        break;
-      }
-
-      case Op::St: case Op::Sth: case Op::Stb: {
-        if (f & Uop::Chk)
-            uopGprStall(u, f, config_.uarch.forward);
-        ++cycle_;
-        const uint32_t ea = gpr_[u.rs1] + static_cast<uint32_t>(u.imm);
-        storeValue(u.op, ea, gpr_[u.rs2]);
-        stats_.stores += 1;
-        if constexpr (Traced)
-            traceSink_->data(ea, static_cast<int>(u.aux), true);
-        break;
-      }
+      // One case per load and store width too, so the access folds
+      // to its width. No memory uop keeps a t+1 ready time.
+      case Op::Ld: memUop<Op::Ld, Traced>(u, f, cycle); return false;
+      case Op::Ldh: memUop<Op::Ldh, Traced>(u, f, cycle); return false;
+      case Op::Ldhu: memUop<Op::Ldhu, Traced>(u, f, cycle); return false;
+      case Op::Ldb: memUop<Op::Ldb, Traced>(u, f, cycle); return false;
+      case Op::Ldbu: memUop<Op::Ldbu, Traced>(u, f, cycle); return false;
+      case Op::St: memUop<Op::St, Traced>(u, f, cycle); return false;
+      case Op::Sth: memUop<Op::Sth, Traced>(u, f, cycle); return false;
+      case Op::Stb: memUop<Op::Stb, Traced>(u, f, cycle); return false;
 
       case Op::Ldc: {
-        const uint64_t t = ++cycle_;
-        const uint32_t ea = static_cast<uint32_t>(u.imm);  // pre-bound
-        const uint32_t v = memory_.read32(ea);
+        ++cycle;
+        inflight_ = &u;
+        cycle_ = cycle;
+        if constexpr (Traced)
+            traceSink_->reserveData();
+        const auto ea = static_cast<uint32_t>(u.imm);  // pre-bound
+        gpr_[u.rd] = memory_.read32(ea);
+        gprReady_[u.rd] = cycle + loadDelta_;
         stats_.loads += 1;
         if constexpr (Traced)
-            traceSink_->data(ea, 4, false);
-        writeGpr(0, v);
-        setGprReady(0, t + loadDelta_);
-        break;
+            traceSink_->appendData(ea, 4, false);
+        return false;
       }
-
-      case Op::FAddS: case Op::FSubS: case Op::FMulS: case Op::FDivS: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        useFpr(u.rs2);
-        const uint64_t t = finishIssue();
-        const float a = asFloat(fpr_[u.rs1]);
-        const float b = asFloat(fpr_[u.rs2]);
-        float r = 0;
-        int lat = fpu.addSub;
-        switch (u.op) {
-          case Op::FAddS: r = a + b; break;
-          case Op::FSubS: r = a - b; break;
-          case Op::FMulS: r = a * b; lat = fpu.mul; break;
-          default: r = a / b; lat = fpu.divS; break;
-        }
-        fpr_[u.rd] = fromFloat(r);
-        setFprReady(u.rd, t + lat);
-        break;
-      }
-
-      case Op::FAddD: case Op::FSubD: case Op::FMulD: case Op::FDivD: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        useFpr(u.rs2);
-        const uint64_t t = finishIssue();
-        const double a = asDouble(fpr_[u.rs1]);
-        const double b = asDouble(fpr_[u.rs2]);
-        double r = 0;
-        int lat = fpu.addSub;
-        switch (u.op) {
-          case Op::FAddD: r = a + b; break;
-          case Op::FSubD: r = a - b; break;
-          case Op::FMulD: r = a * b; lat = fpu.mul; break;
-          default: r = a / b; lat = fpu.divD; break;
-        }
-        fpr_[u.rd] = fromDouble(r);
-        setFprReady(u.rd, t + lat);
-        break;
-      }
-
-      case Op::FNegS: case Op::FNegD: case Op::FMv: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        const uint64_t t = finishIssue();
-        if (u.op == Op::FNegS)
-            fpr_[u.rd] = fromFloat(-asFloat(fpr_[u.rs1]));
-        else if (u.op == Op::FNegD)
-            fpr_[u.rd] = fromDouble(-asDouble(fpr_[u.rs1]));
-        else
-            fpr_[u.rd] = fpr_[u.rs1];
-        setFprReady(u.rd, t + (u.op == Op::FMv ? fpu.move : fpu.addSub));
-        break;
-      }
-
-      case Op::FCmpS: case Op::FCmpD: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        useFpr(u.rs2);
-        const uint64_t t = finishIssue();
-        const bool r =
-            u.op == Op::FCmpS
-                ? isa::evalCondFp(u.cond, asFloat(fpr_[u.rs1]),
-                                  asFloat(fpr_[u.rs2]))
-                : isa::evalCondFp(u.cond, asDouble(fpr_[u.rs1]),
-                                  asDouble(fpr_[u.rs2]));
-        fpStatus_ = r ? 1 : 0;
-        statusReady_ = t + fpu.compare;
-        break;
-      }
-
-      case Op::CvtSiSf: case Op::CvtSiDf: case Op::CvtSfDf:
-      case Op::CvtDfSf: case Op::CvtSfSi: case Op::CvtDfSi: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        const uint64_t t = finishIssue();
-        fpr_[u.rd] = convert(u.op, fpr_[u.rs1]);
-        setFprReady(u.rd, t + fpu.convert);
-        break;
-      }
-
-      case Op::MifL: case Op::MifH: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        if (f & Uop::ChkRs1)
-            useGpr(u.rs1);
-        useFpr(u.rd);  // partial update reads the other half
-        const uint64_t t = finishIssue();
-        const uint64_t g = gpr_[u.rs1];
-        if (u.op == Op::MifL)
-            fpr_[u.rd] = (fpr_[u.rd] & 0xffffffff00000000ull) | g;
-        else
-            fpr_[u.rd] = (fpr_[u.rd] & 0xffffffffull) | (g << 32);
-        setFprReady(u.rd, t + fpu.move);
-        break;
-      }
-
-      case Op::MfiL: case Op::MfiH: {
-        stats_.fpOps += 1;
-        stallThisInsn_ = 0;
-        useFpr(u.rs1);
-        finishIssue();
-        const uint64_t f = fpr_[u.rs1];
-        writeGpr(u.rd, u.op == Op::MfiL
-                           ? static_cast<uint32_t>(f)
-                           : static_cast<uint32_t>(f >> 32));
-        break;
-      }
-
-      case Op::Trap:
-        stats_.traps += 1;
-        if (f & Uop::Chk)
-            uopGprStall(u, f);  // rs1 normalized to r2 at translation
-        ++cycle_;
-        doTrap(u.imm);
-        if (f & Uop::KeepReady)
-            setGprReady(u.rd, cycle_ + 1);
-        return halted_;
-
-      case Op::Rdsr:
-        stallThisInsn_ = 0;
-        useStatus();
-        finishIssue();
-        writeGpr(u.rd, fpStatus_);
-        break;
 
       case Op::Nop:
-        ++cycle_;
+        ++cycle;
         break;
 
-      default:
-        panic("block engine: unexpected op in a compiled block");
+      default: {
+        // FP, status and trap uops: out of line, on cycle_.
+        cycle_ = cycle;
+        const bool halted = execSlowUop(u);
+        cycle = cycle_;
+        return halted;
+      }
     }
     if (f & Uop::KeepReady)
-        setGprReady(u.rd, cycle_ + 1);
+        gprReady_[u.rd] = cycle + 1;
     return false;
+}
+
+/** The uops execUop() keeps out of its inlined switch — FP, FP status
+ *  and trap — run as execute() runs them (executeFpOrTrap), on cycle_.
+ *  Exact with the full scoreboard: the hazard flags only narrow which
+ *  checks can stall, and the t+1 ready writes they elide are never
+ *  observable. Returns true iff a trap halted. */
+[[gnu::noinline]] bool
+Machine::execSlowUop(const Uop &u)
+{
+    inflight_ = &u;  // a trap service may fault
+    isa::DecodedInst inst;
+    inst.op = u.op;
+    inst.cond = u.cond;
+    inst.rd = u.rd;
+    inst.rs1 = u.rs1;
+    inst.rs2 = u.rs2;
+    inst.imm = u.imm;
+    stallThisInsn_ = 0;
+    executeFpOrTrap(inst);
+    return halted_;
 }
 
 void
@@ -559,13 +483,16 @@ TraceSink::handOver(uint32_t runs)
     runCount_ = accessCount_ = outcomeCount_ = 0;
 }
 
-/** The delay slot: one per terminated block, kept out of line so each
- *  dispatch loop inlines execUop once, for its body uops. */
+/** A delay slot with real work (a nop slot retires inline in the
+ *  dispatch loop), kept out of line so each dispatch loop inlines
+ *  execUop once, for its body uops. Returns the issue cycle; a halt
+ *  shows in halted_. */
 template <unsigned Shift, bool Traced>
-[[gnu::noinline]] bool
-Machine::execSlot(const Uop &u)
+[[gnu::noinline]] uint64_t
+Machine::execSlot(const Uop &u, uint64_t cycle)
 {
-    return execUop<Shift, Traced>(u);
+    execUop<Shift, Traced>(u, cycle);
+    return cycle;
 }
 
 bool
@@ -583,6 +510,30 @@ Machine::runBlocks()
 }
 
 /**
+ * A block's uop threw (a memory error or a failing trap service, as a
+ * FatalError; or its trace sink's fold): restore the exact stats and pc
+ * step() would report for the same fault — step() counts the faulting
+ * instruction, and execute() only advances pc_ in its epilogue, so
+ * step() faults with pc_ still at the offending instruction. Reads
+ * members only (blockInFlight_, inflight_); the throwing uop already
+ * wrote the cycle back.
+ */
+void
+Machine::backOutBlockFault()
+{
+    const BlockProgram::Block &b = *blockInFlight_;
+    uint64_t executed = b.count;  // null: the block's closing fetch
+    if (inflight_ == &b.term)
+        executed = b.uopCount + 1;
+    else if (inflight_ && inflight_ != &b.slot)
+        executed = static_cast<uint64_t>(inflight_ - blocks_->uops(b)) + 1;
+    stats_.instructions -= b.count - executed;
+    pc_ = b.startPc +
+          static_cast<uint32_t>(executed - 1) *
+              static_cast<uint32_t>(target_->insnBytes());
+}
+
+/**
  * Dispatch compiled blocks from pc_ until the machine halts (true) or
  * the current pc needs step() — unclaimed/misaligned pc, a NeedsStep
  * block, or an instruction-limit crossing (false). Entered only with
@@ -590,7 +541,8 @@ Machine::runBlocks()
  * compiled block either ends before its terminator or consumes the
  * shadow with its own slot). One instance per (hazard flag set,
  * TraceSink attached): the flag shift is a constant and an untraced
- * loop carries no sink test.
+ * loop carries no sink test. The issue cycle lives in a local for the
+ * whole loop and goes back to cycle_ at every exit.
  */
 template <unsigned Shift, bool Traced>
 bool
@@ -598,147 +550,182 @@ Machine::dispatchBlocks()
 {
     const BlockProgram &bp = *blocks_;
     const uint32_t ib = static_cast<uint32_t>(target_->insnBytes());
+    // The policy's cost of an unconditional transfer is a constant of
+    // the machine (BranchModel::jump).
+    const auto jumpStall = static_cast<uint64_t>(std::max(0, branch_.jump()));
+    uint64_t cycle = cycle_;
 
     // The next block: the chained successor of the edge just taken, or
     // -1 to look pc_ up (on entry, and after register-target or
     // unchained edges).
     int32_t id = -1;
+    try {
     while (true) {
         if (id < 0) {
             if (pc_ == 0) {
                 // Halt sentinel: the startup return address.
                 halted_ = true;
                 exitStatus_ = static_cast<int>(gpr_[2]);
+                cycle_ = cycle;
                 return true;
             }
             id = bp.blockAt(pc_);
-            if (id < 0 || bp.block(id).needsStep)
+            if (id < 0 || bp.block(id).needsStep) {
+                cycle_ = cycle;
                 return false;
+            }
         }
-        const BlockProgram::Block &b = bp.block(id);
-
-        const uint64_t n = b.count;
-        if (stats_.instructions + n > limitCheckAt_) {
-            // Crossing maxInstructions inside a block: hand the block
-            // to step() so the limit fires at the precise instruction.
-            if (stats_.instructions + n > config_.maxInstructions)
-                return false;
-            limitCheckAt_ = std::min(config_.maxInstructions,
-                                     stats_.instructions +
-                                         LimitCheckInterval);
+        const Uop *u;
+        const Uop *end;
+        {
+            const BlockProgram::Block &b = bp.block(id);
+            const uint64_t n = b.count;
+            if (stats_.instructions + n > limitCheckAt_) {
+                // Crossing maxInstructions inside a block: hand the
+                // block to step() so the limit fires at the precise
+                // instruction.
+                if (stats_.instructions + n > config_.maxInstructions) {
+                    cycle_ = cycle;
+                    return false;
+                }
+                limitCheckAt_ = std::min(config_.maxInstructions,
+                                         stats_.instructions +
+                                             LimitCheckInterval);
+            }
+            // Batched per block; a mid-block halt trap and a fault
+            // (backOutBlockFault) back out the unexecuted tail, since
+            // step() counts exactly the instructions up to the halting
+            // or faulting one.
+            stats_.instructions += n;
+            blockInFlight_ = &b;
+            u = bp.uops(b);
+            end = u + b.uopCount;
         }
-        stats_.instructions += n;
-        blockInstructions_ += n;
-
-        // How many of the block's n instructions have retired,
-        // counting the one in flight, so both a mid-block halt trap
-        // and a faulting uop (memory error -> FatalError) can back out
-        // the unexecuted tail — step() counts the faulting instruction
-        // and the block path must report identical stats. In the body
-        // it follows from the uop pointer, which the fault path reads;
-        // `executed` is set once the body is done.
-        const Uop *const body = bp.uops(b);
-        const Uop *const end = body + b.uopCount;
-        const Uop *u = body;
-        uint64_t executed = 0;
-        try {
-
         for (; u != end; ++u) {
-            if (execUop<Shift, Traced>(*u)) {
-                // Halt trap mid-block: back out the unexecuted tail.
-                executed = static_cast<uint64_t>(u - body) + 1;
-                stats_.instructions -= n - executed;
-                blockInstructions_ -= n - executed;
-                // step() leaves pc_ just past a halting instruction.
-                pc_ = b.startPc + static_cast<uint32_t>(executed) * ib;
+            if (execUop<Shift, Traced>(*u, cycle)) {
+                // Halt trap mid-block (the trap wrote the cycle back):
+                // back out the unexecuted tail, after the fetch append
+                // so a throwing fold backs it out once.
+                const BlockProgram::Block &b = *blockInFlight_;
+                const auto executed =
+                    static_cast<uint32_t>(u - bp.uops(b)) + 1;
                 if constexpr (Traced)
-                    traceSink_->fetch(
-                        b.startPc, static_cast<uint32_t>(executed));
+                    traceSink_->fetch(b.startPc, executed);
+                stats_.instructions -= b.count - executed;
+                // step() leaves pc_ just past a halting instruction.
+                pc_ = b.startPc + executed * ib;
                 return true;
             }
         }
+        // The block comes back from blockInFlight_ rather than staying
+        // live across the uop loop, which keeps a register free there.
+        const BlockProgram::Block &b = *blockInFlight_;
 
         if (!b.hasTerm) {
             // Straight-line block: fall through to the next address
             // (which may be pool data — then the next iteration's
             // lookup fails and step() takes over, as in step mode).
-            executed = n;
             pc_ = b.fallThroughPc;
             id = b.fallId;
-            if constexpr (Traced)
+            if constexpr (Traced) {
+                inflight_ = nullptr;
+                cycle_ = cycle;
                 traceSink_->fetch(b.startPc, b.count);
+            }
             continue;
         }
 
-        // Terminator: compute taken/target, then the folded delay
-        // slot. takenBranches increments before the slot executes,
-        // matching step()'s ordering.
+        // Terminator: compute taken/target and apply the branch policy
+        // inline (execute()'s resolveCond/resolveJump minus the probe
+        // fan-out), then the folded delay slot. takenBranches
+        // increments before the slot executes, matching step()'s
+        // ordering.
         const Uop &cf = b.term;
         const uint32_t cfPc = b.startPc + b.uopCount * ib;
-        executed = b.uopCount + 1;
         stats_.branches += 1;
         const uint8_t cff = static_cast<uint8_t>(cf.flags >> Shift);
         if (cff & Uop::Chk)
-            uopGprStall(cf, cff);
-        ++cycle_;
+            uopGprStall(cf, cff, cycle);
+        ++cycle;
         bool taken = true;
+        bool conditional = false;
         uint32_t target = static_cast<uint32_t>(cf.imm);
         switch (cf.op) {
           case Op::Br: case Op::J:
-            resolveJump(cfPc);
             break;
           case Op::Jl:
-            resolveJump(cfPc);
-            writeGpr(1, cf.aux);  // pre-bound link value
+            gpr_[1] = cf.aux;  // pre-bound link value
             break;
           case Op::Jr: case Op::Jlr:
-            resolveJump(cfPc);
             target = gpr_[cf.rs1];
             if (cf.op == Op::Jlr)
-                writeGpr(1, cf.aux);
+                gpr_[1] = cf.aux;
             break;
           case Op::Bz: case Op::Bnz:
             taken = (gpr_[cf.rs1] == 0) == (cf.op == Op::Bz);
-            resolveCond(cfPc, taken);
+            conditional = true;
             break;
           case Op::Jrz: case Op::Jrnz:
             taken = (gpr_[cf.rs2] == 0) == (cf.op == Op::Jrz);
-            resolveCond(cfPc, taken);
+            conditional = true;
             target = gpr_[cf.rs1];
             break;
           default:
+            inflight_ = &cf;
             panic("block engine: bad terminator op");
         }
+        if (conditional) {
+            stats_.condBranches += 1;
+            if constexpr (Traced) {
+                inflight_ = &cf;
+                cycle_ = cycle;
+                traceSink_->outcome(cfPc, taken);
+            }
+            bool mispredicted = false;
+            const int stall = branch_.conditional(cfPc, taken, mispredicted);
+            if (stall > 0)
+                stats_.branchStalls += static_cast<uint64_t>(stall);
+            if (mispredicted)
+                stats_.mispredicts += 1;
+        } else if (jumpStall) {
+            stats_.branchStalls += jumpStall;
+        }
         if (cff & Uop::KeepReady)
-            setGprReady(cf.rd, cycle_ + 1);  // the Jl/Jlr link
+            gprReady_[cf.rd] = cycle + 1;  // the Jl/Jlr link
         if (taken)
             stats_.takenBranches += 1;
 
-        executed = n;
-        const bool slotHalted = execSlot<Shift, Traced>(b.slot);
+        // A nop slot is Op::Nop (see translate()): its hazard check
+        // and one issue cycle, retired inline.
+        bool slotHalted = false;
+        if (b.slot.op == Op::Nop) {
+            const uint8_t sf = static_cast<uint8_t>(b.slot.flags >> Shift);
+            if (sf & Uop::Chk)
+                uopGprStall(b.slot, sf, cycle);
+            ++cycle;
+        } else {
+            cycle = execSlot<Shift, Traced>(b.slot, cycle);
+            slotHalted = halted_;
+        }
         if (b.slotBubble)
             stats_.branchBubbles += 1;
-        if constexpr (Traced)
+        if constexpr (Traced) {
+            inflight_ = nullptr;
+            cycle_ = cycle;
             traceSink_->fetch(b.startPc, b.count);
+        }
         // On a delay-slot halt trap this matches step(), which applies
         // the pending redirect in its epilogue before noticing halted_.
         pc_ = taken ? target : b.fallThroughPc;
-        if (slotHalted)
+        if (slotHalted) {
+            cycle_ = cycle;
             return true;
-        id = taken ? b.takenId : b.fallId;
-
-        } catch (...) {
-            // A faulting uop (memory error): restore the exact stats
-            // and pc step() would report for the same fault — execute()
-            // only advances pc_ in its epilogue, so step() faults with
-            // pc_ still at the offending instruction.
-            if (executed == 0)
-                executed = static_cast<uint64_t>(u - body) + 1;
-            stats_.instructions -= n - executed;
-            blockInstructions_ -= n - executed;
-            pc_ = b.startPc + static_cast<uint32_t>(executed - 1) * ib;
-            throw;
         }
+        id = taken ? b.takenId : b.fallId;
+    }
+    } catch (...) {
+        backOutBlockFault();
+        throw;
     }
 }
 

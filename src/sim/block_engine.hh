@@ -42,7 +42,17 @@
  *  - `instructions` is batched per block with an exact fixup when a
  *    halt trap exits mid-block; `takenBranches` increments before the
  *    delay slot executes, as in step order; `branchBubbles` is static
- *    per block (shadow nop-ness is a decode-time property).
+ *    per block (shadow nop-ness is a decode-time property, and a nop
+ *    slot is translated to Op::Nop, which keeps its hazard flags).
+ *  - A fault (a memory error or a failing trap service) leaves the
+ *    same message, stats, registers and pc as step(): the uops that
+ *    can throw (loads, stores, ldc, trap, in the body or the slot)
+ *    record themselves before they touch memory, and the dispatch
+ *    loop's handler backs out the block's unexecuted tail from that
+ *    record alone (Machine::backOutBlockFault).
+ *  - On a target where r0 reads as zero, a uop that writes r0 writes
+ *    Uop::R0Sink instead, an extra register-file entry nothing reads,
+ *    so block uops write registers without an r0 test.
  *  - The engine punts to step() for anything outside the static
  *    picture: unclaimed pcs (jumps into pool data or mid-block),
  *    misaligned pcs, blocks the translator marked NeedsStep (no delay
@@ -173,8 +183,22 @@ class TraceSink
     void
     data(uint32_t addr, int size, bool write)
     {
+        reserveData();
+        appendData(addr, size, write);
+    }
+
+    /** data() in two steps, so a caller can take the possible flush
+     *  before it computes the access: make room for one, then append
+     *  it. */
+    void
+    reserveData()
+    {
         if (accessCount_ == Capacity)
             flush();
+    }
+    void
+    appendData(uint32_t addr, int size, bool write)
+    {
         accesses_[accessCount_++] = {addr, static_cast<uint8_t>(size), write};
     }
 
@@ -228,6 +252,10 @@ struct Uop
     {
         return 3u * static_cast<unsigned>(loadDelay - 1);
     }
+    /** rd of a uop that writes r0 on a target where r0 reads as zero:
+     *  the machine's register file has this one extra, never-read
+     *  entry, so block uops write without testing for r0. */
+    static constexpr uint8_t R0Sink = 32;
 
     isa::Op op{};
     isa::Cond cond{};
@@ -265,7 +293,8 @@ class BlockProgram
         Uop term;                    //!< terminator, valid iff hasTerm
         Uop slot;                    //!< delay slot, valid iff hasTerm
         bool hasTerm = false;
-        bool slotBubble = false;     //!< slot is the canonical nop
+        /** The slot is the canonical nop; its uop is then Op::Nop. */
+        bool slotBubble = false;
         bool needsStep = false;      //!< dispatch must punt to step()
     };
 

@@ -131,6 +131,7 @@ Machine::step()
         traceSink_->fetch(pc, 1);
 
     stats_.instructions += 1;
+    stepInstructions_ += 1;
     const bool shadow = inCfShadow_;
     inCfShadow_ = false;  // re-armed by execute() for branches/jumps
     stallThisInsn_ = 0;
@@ -152,8 +153,6 @@ Machine::execute(const DecodedInst &inst)
     const uint32_t pc = pc_;
     bool taken = false;
     uint32_t target = 0;
-
-    const FpLatencies &fpu = config_.fpu;
 
     // Scoreboard bookkeeping happens alongside execution; useX() calls
     // must precede the commit of this instruction's issue time
@@ -348,6 +347,51 @@ Machine::execute(const DecodedInst &inst)
         break;
       }
 
+      case Op::Nop:
+        finishIssue();
+        break;
+
+      default:
+        executeFpOrTrap(inst);
+    }
+
+    // Delay-slot sequencing: a taken transfer takes effect after the
+    // next sequential instruction executes.
+    if (inDelaySlot_) {
+        // The assembler never schedules a transfer into a delay slot,
+        // but a program that jumps into pool data (or clobbers its
+        // return address) can execute one anyway; that is the
+        // program's fault, not an internal invariant.
+        if (taken)
+            fatal("control transfer in a delay slot at pc ",
+                  hexString(pc));
+        pc_ = delayedTarget_;
+        inDelaySlot_ = false;
+    } else if (taken) {
+        stats_.takenBranches += 1;
+        delayedTarget_ = target;
+        inDelaySlot_ = true;
+        pc_ = pc + ib;
+        if (target == 0 && pc + ib >= textEnd_) {
+            // Returning to the halt sentinel from the last instruction:
+            // there is no delay-slot instruction to execute.
+            pc_ = 0;
+            inDelaySlot_ = false;
+        }
+    } else {
+        pc_ = pc + ib;
+    }
+}
+
+/** The FP, FP-status and trap ops, on the member scoreboard: the tail
+ *  of execute(), and the block engine's out-of-line uops. */
+void
+Machine::executeFpOrTrap(const DecodedInst &inst)
+{
+    const Op op = inst.op;
+    const FpLatencies &fpu = config_.fpu;
+
+    switch (op) {
       case Op::FAddS: case Op::FSubS: case Op::FMulS: case Op::FDivS: {
         stats_.fpOps += 1;
         useFpr(inst.rs1);
@@ -473,39 +517,8 @@ Machine::execute(const DecodedInst &inst)
         break;
       }
 
-      case Op::Nop:
-        finishIssue();
-        break;
-
       default:
         panic("unexecutable op ", opName(op));
-    }
-
-    // Delay-slot sequencing: a taken transfer takes effect after the
-    // next sequential instruction executes.
-    if (inDelaySlot_) {
-        // The assembler never schedules a transfer into a delay slot,
-        // but a program that jumps into pool data (or clobbers its
-        // return address) can execute one anyway; that is the
-        // program's fault, not an internal invariant.
-        if (taken)
-            fatal("control transfer in a delay slot at pc ",
-                  hexString(pc));
-        pc_ = delayedTarget_;
-        inDelaySlot_ = false;
-    } else if (taken) {
-        stats_.takenBranches += 1;
-        delayedTarget_ = target;
-        inDelaySlot_ = true;
-        pc_ = pc + ib;
-        if (target == 0 && pc + ib >= textEnd_) {
-            // Returning to the halt sentinel from the last instruction:
-            // there is no delay-slot instruction to execute.
-            pc_ = 0;
-            inDelaySlot_ = false;
-        }
-    } else {
-        pc_ = pc + ib;
     }
 }
 

@@ -88,9 +88,13 @@ class Machine
      *  caller finishes the sink once the run is over. */
     void setTraceSink(TraceSink *sink) { traceSink_ = sink; }
 
-    /** Instructions retired through block dispatch (diagnostic; the
-     *  remainder of stats().instructions went through step()). */
-    uint64_t blockInstructions() const { return blockInstructions_; }
+    /** Instructions retired through block dispatch (diagnostic: all
+     *  of stats().instructions that did not go through step()). */
+    uint64_t
+    blockInstructions() const
+    {
+        return stats_.instructions - stepInstructions_;
+    }
 
     /** Run until halt; returns the exit status (r2 at halt). */
     int run();
@@ -115,6 +119,7 @@ class Machine
   private:
     const isa::DecodedInst &decoded(uint32_t pc);
     void execute(const isa::DecodedInst &inst);
+    void executeFpOrTrap(const isa::DecodedInst &inst);
     void doTrap(int code);
 
     void
@@ -128,18 +133,31 @@ class Machine
     /** Block-engine dispatch (defined in block_engine.cc): runBlocks()
      *  enters the dispatchBlocks() instance for this machine's hazard
      *  flag set (hazardShift_) and for whether a TraceSink is attached;
-     *  execUop and uopGprStall are inlined into each instance. */
+     *  execUop and uopGprStall are inlined into each instance. The
+     *  dispatch loop keeps the issue cycle in a local (`cycle`), which
+     *  these take by reference, execSlot takes and returns, and the
+     *  out-of-line FP/status/trap uops (execSlowUop) see as cycle_;
+     *  every exit writes it back to cycle_. */
     bool runBlocks();
     template <unsigned Shift, bool Traced> bool dispatchBlocks();
-    template <unsigned Shift, bool Traced> bool execUop(const Uop &u);
-    template <unsigned Shift, bool Traced> bool execSlot(const Uop &u);
-    void uopGprStall(const Uop &u, uint8_t flags, bool forwardRs2 = false);
-    template <isa::Op O> void aluUop(const Uop &u, uint8_t flags, uint32_t b);
+    template <unsigned Shift, bool Traced>
+    bool execUop(const Uop &u, uint64_t &cycle);
+    template <unsigned Shift, bool Traced>
+    uint64_t execSlot(const Uop &u, uint64_t cycle);
+    bool execSlowUop(const Uop &u);
+    void uopGprStall(const Uop &u, uint8_t flags, uint64_t &cycle,
+                     bool forwardRs2 = false);
+    template <isa::Op O>
+    void aluUop(const Uop &u, uint8_t flags, uint64_t &cycle, uint32_t b);
+    template <isa::Op O, bool Traced>
+    void memUop(const Uop &u, uint8_t flags, uint64_t &cycle);
+    void backOutBlockFault();
 
-    /** Branch-policy accounting shared by execute() and runBlocks()
-     *  (sim/uarch.hh). Penalties are additive (SimStats::branchStalls)
-     *  and never touch the issue scoreboard, so the interlock counters
-     *  stay branch-policy-invariant. */
+    /** Branch-policy accounting of execute() (sim/uarch.hh); block
+     *  terminators apply the same model inline, without the probe
+     *  fan-out a block run never needs. Penalties are additive
+     *  (SimStats::branchStalls) and never touch the issue scoreboard,
+     *  so the interlock counters stay branch-policy-invariant. */
     void
     chargeBranch(uint32_t pc, int cycles)
     {
@@ -288,8 +306,12 @@ class Machine
     MachineConfig config_;
     mem::Memory memory_;
 
+    // One entry past r31: Uop::R0Sink, where block uops write DLXe r0
+    // (which reads as zero). Nothing reads it.
+    static constexpr size_t GprSlots = Uop::R0Sink + 1;
+
     uint32_t pc_ = 0;
-    std::array<uint32_t, 32> gpr_{};
+    std::array<uint32_t, GprSlots> gpr_{};
     std::array<uint64_t, 32> fpr_{};
     uint32_t fpStatus_ = 0;
     bool halted_ = false;
@@ -307,7 +329,7 @@ class Machine
     uint64_t cycle_ = 0;
     uint64_t stallThisInsn_ = 0;
     bool stallIsFp_ = false;
-    std::array<uint64_t, 32> gprReady_{};
+    std::array<uint64_t, GprSlots> gprReady_{};
     std::array<uint64_t, 32> fprReady_{};
     uint64_t statusReady_ = 0;
 
@@ -340,7 +362,16 @@ class Machine
     // Threaded-code engine (optional; null = pure step dispatch).
     std::shared_ptr<const BlockProgram> blocks_;
     TraceSink *traceSink_ = nullptr;
-    uint64_t blockInstructions_ = 0;
+    uint64_t stepInstructions_ = 0;  //!< for blockInstructions()
+
+    // Fault back-out (backOutBlockFault): the block being dispatched,
+    // and its uop that may throw — a load, store, ldc or trap records
+    // itself before touching memory or the trap service, &term marks
+    // the terminator's outcome append, null the block's closing fetch
+    // append. Members rather than loop locals, so the dispatch loop's
+    // uop pointer and cycle stay in registers.
+    const BlockProgram::Block *blockInFlight_ = nullptr;
+    const Uop *inflight_ = nullptr;
 };
 
 } // namespace d16sim::sim

@@ -687,6 +687,171 @@ bad:
     EXPECT_EQ(blockM.blockInstructions(), 5u);
 }
 
+// ----- dispatch shortcuts: fault back-out, nop slots, the r0 sink ------
+
+/** Run `img` by step and by block dispatch (which must take at least
+ *  `minBlockInsns` instructions) until both fault, and require the same
+ *  fault message, stats, registers and pc. */
+void
+compareFault(const assem::Image &img, const std::string &where,
+             uint64_t minBlockInsns = 1)
+{
+    const auto faultOf = [&](sim::Machine &m) {
+        try {
+            m.run();
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << where << ": no fault";
+        return std::string();
+    };
+    sim::Machine stepM(img);
+    sim::Machine blockM(img);
+    blockM.setBlockProgram(core::buildBlockProgram(img));
+    const std::string stepFault = faultOf(stepM);
+    EXPECT_FALSE(stepFault.empty()) << where;
+    EXPECT_EQ(stepFault, faultOf(blockM)) << where;
+    expectStatsEqual(stepM.stats(), blockM.stats(), where);
+    EXPECT_EQ(stepM.pc(), blockM.pc()) << where;
+    for (int r = 0; r < 32; ++r)
+        EXPECT_EQ(stepM.reg(r), blockM.reg(r)) << where << " r" << r;
+    EXPECT_GE(blockM.blockInstructions(), minBlockInsns) << where;
+}
+
+TEST(BlockEngineFault, LoadInDelaySlot)
+{
+    // The taken bnz's slot loads from outside memory: the whole block
+    // has retired, and pc stays at the slot as in step().
+    const assem::Image img = buildAsm(isa::TargetInfo::dlxe(), R"(
+main:
+    mvhi r6, 32767
+    mvi r5, 1
+    bnz r5, next
+    ld r7, 0(r6)
+next:
+    mvi r2, 0
+    trap 5
+)");
+    compareFault(img, "ld fault in a delay slot", 4);
+}
+
+TEST(BlockEngineFault, UnknownTrapMidBlock)
+{
+    const assem::Image img = buildAsm(isa::TargetInfo::dlxe(), R"(
+main:
+    mvi r3, 1
+    mvi r4, 2
+    trap 99
+    mvi r5, 3
+    mvi r2, 0
+    trap 5
+)");
+    compareFault(img, "unknown trap mid-block", 3);
+}
+
+TEST(BlockEngineFault, UnknownTrapInDelaySlot)
+{
+    const assem::Image img = buildAsm(isa::TargetInfo::dlxe(), R"(
+main:
+    mvi r3, 1
+    bz r0, next
+    trap 99
+    mvi r4, 2
+next:
+    mvi r2, 0
+    trap 5
+)");
+    compareFault(img, "unknown trap in a delay slot", 3);
+}
+
+TEST(BlockEngineSlot, D16NopSlotAfterLdcStallsAtDepth7)
+{
+    // At `back`, ldc loads at (r0) right before a jlr through another
+    // register, so at depth 7 the slot's mv r0,r0 waits one cycle for
+    // it. Both nop slots become Op::Nop, retired inline; `back`'s keeps
+    // its hazard flags, f's has none. (The first call, through at,
+    // makes f a recovered block.)
+    const assem::Image img = buildAsm(isa::TargetInfo::d16(), R"(
+main:
+    ldc fptr
+    jlr at
+    mv r5, at
+back:
+    ldc fptr
+    jlr r5
+    nop
+    mvi r2, 0
+    trap 5
+f:
+    mvi r3, 1
+    ret
+    nop
+    .align 4
+fptr:
+    .word f
+)");
+    auto blocks = core::buildBlockProgram(img);
+    const auto &backBlock = blockAtLabel(*blocks, img, "back");
+    ASSERT_TRUE(backBlock.hasTerm);
+    EXPECT_TRUE(backBlock.slotBubble);
+    EXPECT_EQ(backBlock.slot.op, isa::Op::Nop);
+    EXPECT_NE(backBlock.slot.flags, 0);
+    const auto &fBlock = blockAtLabel(*blocks, img, "f");
+    ASSERT_TRUE(fBlock.hasTerm);
+    EXPECT_TRUE(fBlock.slotBubble);
+    EXPECT_EQ(fBlock.slot.op, isa::Op::Nop);
+    EXPECT_EQ(fBlock.slot.flags, 0);
+
+    for (const char *key : {"", "depth=7"}) {
+        auto m = runBothAndCompare(img, std::string("ldc; jlr; nop [") +
+                                            key + "]",
+                                   uarchConfig(key), blocks);
+        EXPECT_EQ(m->blockInstructions(), m->stats().instructions) << key;
+        EXPECT_EQ(m->stats().branchBubbles, 3u) << key;
+        // `jlr at` waits for its ldc: one cycle at depth 5, two at
+        // depth 7, where `back`'s slot also stalls once.
+        EXPECT_EQ(m->stats().loadInterlocks, *key ? 3u : 1u) << key;
+    }
+}
+
+TEST(BlockEngineSink, DLXeWritesToR0AreDiscarded)
+{
+    // Writes of DLXe r0 by an ALU op, a load, a compare and an FPR
+    // half move go to the block engine's sink entry: r0 still reads as
+    // zero afterwards, in the same block and the next one.
+    const assem::Image img = buildAsm(isa::TargetInfo::dlxe(), R"(
+main:
+    mvi r3, 5
+    add r0, r3, r3
+    add r4, r0, r3
+    ld r0, 0(gp)
+    add r5, r0, r0
+    cmp.lt r0, r0, r3
+    add r6, r0, r3
+    mif.l f2, r3
+    mfi.l r0, f2
+    bz r0, next
+    add r7, r0, r3
+next:
+    st r0, 4(gp)
+    ld r8, 4(gp)
+    mvi r2, 0
+    trap 5
+    .data
+w:  .word 1234
+    .word 99
+)");
+    auto m = runBothAndCompare(img, "r0 writes");
+    EXPECT_EQ(m->blockInstructions(), m->stats().instructions);
+    EXPECT_EQ(m->reg(0), 0u);
+    EXPECT_EQ(m->reg(4), 5u);
+    EXPECT_EQ(m->reg(5), 0u);
+    EXPECT_EQ(m->reg(6), 5u);
+    EXPECT_EQ(m->reg(7), 5u);
+    EXPECT_EQ(m->reg(8), 0u);
+    EXPECT_EQ(m->stats().takenBranches, 1u);
+}
+
 TEST(BlockEngineChain, StaticBranchToNeedsStepBlock)
 {
     // `tail` ends the text with a transfer that has no delay slot, so
