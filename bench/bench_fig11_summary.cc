@@ -53,13 +53,13 @@ interlocks(const Workload &w, const CompileOptions &opts)
     const analysis::TimingResult timing =
         analysis::analyzeTiming(cfg, diags, topts);
 
-    analysis::StallProbe probe;
-    const RunMeasurement m = core::run(img, {&probe});
+    sim::Machine m(img);
+    const analysis::PcProfile profile = analysis::profileRun(m);
 
     InterlockCell cell;
     cell.dynamicStalls =
-        m.stats.loadInterlocks + m.stats.fpInterlocks;
-    for (const auto &[pc, pt] : probe.sites()) {
+        m.stats().loadInterlocks + m.stats().fpInterlocks;
+    for (const auto &[pc, pt] : profile.sites) {
         const int i = cfg.insnAt(pc);
         if (i < 0)
             continue;

@@ -137,8 +137,8 @@ static void
 BM_ImmClassQueens(benchmark::State &state)
 {
     // A sweep `imm` row run directly: the matrix's DLXe/16/2 variant
-    // with the immediate classifier folding a TraceSink's chunks, so
-    // the run keeps block dispatch.
+    // with the immediate classifier folding the run's trace chunks on
+    // block dispatch.
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe(16, false));
     const auto text = std::make_shared<const sim::DecodedText>(img);
@@ -146,10 +146,8 @@ BM_ImmClassQueens(benchmark::State &state)
     uint64_t insns = 0;
     for (auto _ : state) {
         core::ImmediateClassProbe probe(*text);
-        sim::TraceSink sink(static_cast<uint32_t>(img.target->insnBytes()),
-                            probe);
         const core::RunMeasurement r =
-            core::run(img, {}, {}, text, blocks, &sink);
+            core::run(img, &probe, {}, text, blocks);
         insns = r.stats.instructions;
         benchmark::DoNotOptimize(probe.aluImmediate());
     }

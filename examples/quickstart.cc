@@ -48,8 +48,9 @@ main()
     for (const auto &opts :
          {mc::CompileOptions::d16(), mc::CompileOptions::dlxe()}) {
         const assem::Image image = build(program, opts);
-        FetchBufferProbe fetch(4);  // 32-bit fetch bus
-        const RunMeasurement m = run(image, {&fetch});
+        // 32-bit fetch bus, folded over the run's fetch stream.
+        FetchBufferProbe fetch(4, image.target->insnBytes());
+        const RunMeasurement m = run(image, &fetch);
 
         std::cout << "---- " << opts.name() << " ----\n";
         std::cout << "program output:      " << m.output;

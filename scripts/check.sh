@@ -7,6 +7,10 @@
 # every build node carries the 20 cache siblings one replay pass
 # evaluates together, and on the uarch matrix, where every non-default
 # forwarding/depth slice is retimed from the default machine's trace.
+# --no-replay evaluates every fetch-buffer and cache job directly on
+# its own run's streams, on block dispatch; the cache matrix is also
+# run with --no-replay --no-block-engine, so direct evaluation is
+# checked on a live step() run too.
 # Block dispatch vs --no-block-engine is compared on the smoke matrix
 # (against its golden), the full paper matrix and the uarch matrix.
 #
@@ -79,6 +83,14 @@ echo "== d16sweep: cache matrix, replay on vs --no-replay (A/B) =="
     --no-timing --no-replay --json build/sweep_cache_noreplay.json
 cmp build/sweep_cache.json build/sweep_cache_noreplay.json
 echo "   cache matrix replay on/off byte-identical"
+
+echo "== d16sweep: cache matrix, --no-replay --no-block-engine (A/B) =="
+# The same direct evaluation, on a live per-instruction step() run.
+./build/tools/d16sweep --workloads assem,ipl,latex --jobs "$JOBS" \
+    --no-timing --no-replay --no-block-engine \
+    --json build/sweep_cache_noreplay_noblocks.json
+cmp build/sweep_cache.json build/sweep_cache_noreplay_noblocks.json
+echo "   cache matrix replay on / direct on step() byte-identical"
 
 echo "== d16sweep: smoke matrix vs golden, --no-block-engine (A/B) =="
 ./build/tools/d16sweep --smoke --jobs "$JOBS" --no-block-engine \

@@ -917,14 +917,14 @@ TimingResult::renderJson(std::ostream &os) const
 }
 
 int
-crossValidateTiming(const TimingResult &timing, const StallProbe &probe,
+crossValidateTiming(const TimingResult &timing, const PcProfile &profile,
                     const sim::SimStats &stats, DiagEngine &diags)
 {
     const ImageCfg &cfg = *timing.cfg;
     int findings = 0;
     uint64_t sumLoad = 0, sumFp = 0, sumBranch = 0, bubbleExecs = 0;
 
-    for (const auto &[pc, pt] : probe.sites()) {
+    for (const auto &[pc, pt] : profile.sites) {
         sumLoad += pt.loadStall;
         sumFp += pt.fpStall;
         sumBranch += pt.branchStall;

@@ -42,7 +42,7 @@
  * bound).
  *
  * The exactness contract (checked by crossValidateTiming against a
- * simulated run with a StallProbe attached):
+ * run's per-PC profile, analysis::profileRun()):
  *
  *  - soundness everywhere: at every PC the observed stall cycles lie
  *    in [execs * stallLo, execs * stallHi], and a stall category is
@@ -89,9 +89,9 @@
 #include <vector>
 
 #include "analysis/cfg.hh"
+#include "analysis/xvalidate.hh"
 #include "mc/sched.hh"
 #include "sim/machine.hh"
-#include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "verify/diag.hh"
 
@@ -219,52 +219,10 @@ struct TimingResult
 TimingResult analyzeTiming(const ImageCfg &cfg, verify::DiagEngine &diags,
                            const TimingOptions &opts = {});
 
-/**
- * Per-PC dynamic stall attribution: execution counts via onExec and
- * the machine's own interlock attribution via onStall. Attach to a
- * sim::Machine run, then hand to crossValidateTiming().
- */
-class StallProbe : public sim::Probe
-{
-  public:
-    struct PcTiming
-    {
-        uint64_t execs = 0;
-        uint64_t loadStall = 0;  //!< delayed-load stall cycles
-        uint64_t fpStall = 0;    //!< math-unit stall cycles
-        uint64_t branchStall = 0;  //!< branch-policy stall cycles
-    };
-
-    void
-    onExec(const isa::DecodedInst &inst, uint32_t pc) override
-    {
-        (void)inst;
-        ++sites_[pc].execs;
-    }
-
-    void
-    onStall(uint32_t pc, uint64_t cycles, bool fp) override
-    {
-        PcTiming &s = sites_[pc];
-        (fp ? s.fpStall : s.loadStall) += cycles;
-    }
-
-    void
-    onBranchStall(uint32_t pc, uint64_t cycles) override
-    {
-        sites_[pc].branchStall += cycles;
-    }
-
-    const std::map<uint32_t, PcTiming> &sites() const { return sites_; }
-
-  private:
-    std::map<uint32_t, PcTiming> sites_;
-};
-
 /** Check a recorded run against the static classification, exactly
  *  (see the contract above). Returns the number of findings (0 = the
  *  static and dynamic timing models agree). */
-int crossValidateTiming(const TimingResult &timing, const StallProbe &probe,
+int crossValidateTiming(const TimingResult &timing, const PcProfile &profile,
                         const sim::SimStats &stats,
                         verify::DiagEngine &diags);
 

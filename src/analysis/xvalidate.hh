@@ -2,9 +2,10 @@
  * @file
  * Static/dynamic cross-validation.
  *
- * An ExecProbe attached to a simulated run records how many times each
- * PC executed; crossValidate() then checks the static analysis against
- * that ground truth *exactly* (no tolerances):
+ * profileRun() steps a machine to halt and records how many times each
+ * PC executed and which non-sequential transfers it took;
+ * crossValidate() then checks the static analysis against that ground
+ * truth *exactly* (no tolerances):
  *
  *  - every executed PC is a decoded instruction site inside a block
  *    the static call-graph traversal claimed (nothing executed code the
@@ -14,13 +15,11 @@
  *  - within each block, execution is prefix-shaped: counts are
  *    non-increasing from the block head (a block can only be entered
  *    at its head; only a halting trap may exit it early);
- *  - when the probe records edges (construct it with the target's
- *    instruction width), every observed non-sequential transfer is an
- *    edge the static CFG predicts: it leaves from the last site of
- *    its block and lands on a successor head, the resolved callee's
- *    entry, or a valid return point of the returning function —
- *    i.e. the dynamically observed block graph is a subset of the
- *    static one.
+ *  - every observed non-sequential transfer is an edge the static CFG
+ *    predicts: it leaves from the last site of its block and lands on
+ *    a successor head, the resolved callee's entry, or a valid return
+ *    point of the returning function — i.e. the dynamically observed
+ *    block graph is a subset of the static one.
  *
  * Violations are Error-severity `cfa-xval-*` diagnostics.
  */
@@ -32,60 +31,46 @@
 #include <map>
 
 #include "analysis/cfg.hh"
-#include "sim/probe.hh"
+#include "sim/machine.hh"
 #include "sim/stats.hh"
 #include "verify/diag.hh"
 
 namespace d16sim::analysis
 {
 
-/** Per-PC execution counter (ordered so validation is deterministic).
- *  Constructed with the target's instruction width it also records
- *  every non-sequential PC transition — the dynamically taken CFG
- *  edges (branch/jump/call/return transfers, delay slot to target). */
-class ExecProbe : public sim::Probe
+/**
+ * A run's per-PC profile in the machine's own attribution (ordered so
+ * validation is deterministic). Each site holds its execution count
+ * and the interlock and branch-policy stall cycles its instruction was
+ * charged; `edges` holds every non-sequential PC transition — the
+ * dynamically taken CFG edges (branch/jump/call/return transfers,
+ * delay slot to target).
+ */
+struct PcProfile
 {
-  public:
-    ExecProbe() = default;
-    explicit ExecProbe(int insnBytes)
-        : insnBytes_(static_cast<uint32_t>(insnBytes))
-    {}
-
-    void
-    onExec(const isa::DecodedInst &inst, uint32_t pc) override
+    struct Site
     {
-        (void)inst;
-        ++counts_[pc];
-        if (insnBytes_ != 0) {
-            if (havePrev_ && pc != prevPc_ + insnBytes_)
-                ++edges_[{prevPc_, pc}];
-            havePrev_ = true;
-            prevPc_ = pc;
-        }
-    }
+        uint64_t execs = 0;
+        uint64_t loadStall = 0;    //!< delayed-load stall cycles
+        uint64_t fpStall = 0;      //!< math-unit stall cycles
+        uint64_t branchStall = 0;  //!< branch-policy stall cycles
+    };
 
-    const std::map<uint32_t, uint64_t> &counts() const { return counts_; }
-
-    bool recordsEdges() const { return insnBytes_ != 0; }
-
+    std::map<uint32_t, Site> sites;
     /** Observed non-sequential transfers (from, to) -> count. */
-    const std::map<std::pair<uint32_t, uint32_t>, uint64_t> &
-    edges() const
-    {
-        return edges_;
-    }
-
-  private:
-    std::map<uint32_t, uint64_t> counts_;
-    std::map<std::pair<uint32_t, uint32_t>, uint64_t> edges_;
-    uint32_t insnBytes_ = 0;
-    uint32_t prevPc_ = 0;
-    bool havePrev_ = false;
+    std::map<std::pair<uint32_t, uint32_t>, uint64_t> edges;
 };
+
+/** Run `machine` to halt through step() (an attached block program is
+ *  not used) and credit each step's change in SimStats::instructions,
+ *  loadInterlocks, fpInterlocks and branchStalls to the PC the step
+ *  began at: the machine charges each inside its instruction's step.
+ *  Errors the run raises propagate. */
+PcProfile profileRun(sim::Machine &machine);
 
 /** Validate a recorded run against the static CFG. Returns the number
  *  of findings reported (0 = the analyses agree exactly). */
-int crossValidate(const ImageCfg &cfg, const ExecProbe &probe,
+int crossValidate(const ImageCfg &cfg, const PcProfile &profile,
                   const sim::SimStats &stats, verify::DiagEngine &diags);
 
 } // namespace d16sim::analysis

@@ -7,9 +7,9 @@
  * paper's §4 figures share): the evaluators below stream the fetch and
  * data streams through any number of mem::Cache pairs — and through
  * the cacheless fetch-buffer model — producing CacheStats / IRequests
- * bit-identical to attaching the corresponding probe to a live
- * simulation, at a fraction of the cost (no decode, no execute, no
- * scoreboard).
+ * bit-identical to evaluating the direct folds (core::CacheProbe,
+ * core::FetchBufferProbe) on a live simulation, at a fraction of the
+ * cost (no decode, no execute, no scoreboard).
  *
  * Every evaluator is a fold (sim::TraceFold): it keeps its state
  * across chunks, takes the streams one chunk at a time through feed(),

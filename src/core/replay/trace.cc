@@ -316,11 +316,9 @@ capture(const assem::Image &image,
         std::shared_ptr<const sim::BlockProgram> blocks)
 {
     panicIf(!image.target, "image has no target");
-    const auto ib = static_cast<uint32_t>(image.target->insnBytes());
-    TraceTee tee(ib);
-    sim::TraceSink sink(ib, tee);
-    RunMeasurement m = core::run(image, {}, config, std::move(predecoded),
-                                 std::move(blocks), &sink);
+    TraceTee tee(static_cast<uint32_t>(image.target->insnBytes()));
+    RunMeasurement m = core::run(image, &tee, config, std::move(predecoded),
+                                 std::move(blocks));
     return tee.take(std::move(m), config.uarch);
 }
 

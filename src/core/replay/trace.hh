@@ -24,7 +24,7 @@
  *    this stream;
  *  - the complete RunMeasurement of the capture run (path length,
  *    interlocks, static sizes, program output), identical to what a
- *    probe-less run reports, since probes never perturb execution.
+ *    plain run reports, since a trace sink never perturbs execution.
  *
  * A Trace is the whole-run form of those streams. The sweep engine
  * holds one only around the artifact store: a capture streams its

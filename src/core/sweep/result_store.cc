@@ -145,20 +145,22 @@ executeJob(const JobSpec &spec, const assem::Image &image,
     r.uarch = spec.uarch;
     switch (spec.probe) {
       case ProbeKind::None:
-        r.run = core::run(image, {}, mcfg, std::move(predecoded),
+        r.run = core::run(image, nullptr, mcfg, std::move(predecoded),
                           std::move(blocks));
         break;
       case ProbeKind::FetchBuffer: {
-        FetchBufferProbe fb(spec.busBytes);
-        r.run = core::run(image, {&fb}, mcfg, std::move(predecoded));
+        FetchBufferProbe fb(spec.busBytes, image.target->insnBytes());
+        r.run = core::run(image, &fb, mcfg, std::move(predecoded),
+                          std::move(blocks));
         r.fetch.busBytes = spec.busBytes;
         r.fetch.requests = fb.requests();
         r.fetch.words = fb.words();
         break;
       }
       case ProbeKind::CacheSim: {
-        CacheProbe cp(spec.icache, spec.dcache);
-        r.run = core::run(image, {&cp}, mcfg, std::move(predecoded));
+        CacheProbe cp(spec.icache, spec.dcache, image.target->insnBytes());
+        r.run = core::run(image, &cp, mcfg, std::move(predecoded),
+                          std::move(blocks));
         r.icacheCfg = spec.icache;
         r.dcacheCfg = spec.dcache;
         r.icache = cp.icache().stats();
@@ -169,10 +171,7 @@ executeJob(const JobSpec &spec, const assem::Image &image,
         if (!predecoded)
             predecoded = std::make_shared<const sim::DecodedText>(image);
         ImmediateClassProbe ic(*predecoded);
-        sim::TraceSink sink(static_cast<uint32_t>(image.target->insnBytes()),
-                            ic);
-        r.run = core::run(image, {}, mcfg, predecoded, std::move(blocks),
-                          &sink);
+        r.run = core::run(image, &ic, mcfg, predecoded, std::move(blocks));
         r.imm = immMetrics(ic);
         break;
       }
@@ -353,21 +352,19 @@ captureInto(const assem::Image &image,
     const Stopwatch clock;
     const double folded = folds.seconds();
     const double foldedCpu = folds.cpuSeconds();
-    const auto ib = static_cast<uint32_t>(image.target->insnBytes());
     sim::MachineConfig config;
     config.uarch = uarch;
     RunMeasurement m;
     if (tee) {
-        replay::TraceTee recorder(ib);
+        replay::TraceTee recorder(
+            static_cast<uint32_t>(image.target->insnBytes()));
         BothFolds both(recorder, folds);
-        sim::TraceSink sink(ib, both);
-        m = core::run(image, {}, config, std::move(predecoded),
-                      std::move(blocks), &sink);
+        m = core::run(image, &both, config, std::move(predecoded),
+                      std::move(blocks));
         *tee = recorder.take(m, uarch);
     } else {
-        sim::TraceSink sink(ib, folds);
-        m = core::run(image, {}, config, std::move(predecoded),
-                      std::move(blocks), &sink);
+        m = core::run(image, &folds, config, std::move(predecoded),
+                      std::move(blocks));
     }
     ++cost.captures;
     cost.capturedInstructions += m.stats.instructions;

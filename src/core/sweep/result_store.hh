@@ -117,8 +117,9 @@ JobResult executeJob(const JobSpec &spec);
 
 /** Execute one job against an already-built image; `predecoded`
  *  optionally shares one decode table across the image's runs and
- *  `blocks` a compiled block program (base and imm runs then use the
- *  sim threaded-code engine; the other probe runs ignore it). */
+ *  `blocks` a compiled block program (every kind of run then uses the
+ *  sim threaded-code engine). The fetch-buffer, cache and imm jobs
+ *  evaluate their fold directly on the run's streams. */
 JobResult executeJob(const JobSpec &spec, const assem::Image &image,
                      std::shared_ptr<const sim::DecodedText> predecoded =
                          nullptr,

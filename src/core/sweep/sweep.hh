@@ -153,8 +153,8 @@ class SweepEngine
     /**
      * Block-engine mode (default on): every build node compiles its
      * image's recovered CFG into a sim::BlockProgram (once, shared),
-     * and base runs + trace captures dispatch block-compiled threaded
-     * code instead of per-instruction step(). Results are
+     * and every run and trace capture dispatches block-compiled
+     * threaded code instead of per-instruction step(). Results are
      * bit-identical either way (the differential gate runs both); off
      * re-simulates through step() for A/B timing and as a correctness
      * cross-check (tools expose this as --no-block-engine).

@@ -1,5 +1,7 @@
 #include "core/toolchain.hh"
 
+#include <optional>
+
 #include "analysis/analysis.hh"
 #include "analysis/block_export.hh"
 #include "support/error.hh"
@@ -64,24 +66,29 @@ ImmediateClassProbe::classify(const isa::DecodedInst &inst)
 
 ImmediateClassProbe::ImmediateClassProbe(const sim::DecodedText &text)
     : textBase_(text.base()), insnShift_(text.insnShift()),
-      siteClass_(text.size(), Class::Fits)
+      before_(text.size() + 1)
 {
-    for (uint32_t i = 0; i < text.size(); ++i)
-        if (text.valid(i))
-            siteClass_[i] = classify(text.at(i));
+    for (uint32_t i = 0; i < text.size(); ++i) {
+        before_[i + 1] = before_[i];
+        const Class c = text.valid(i) ? classify(text.at(i)) : Class::Fits;
+        if (c != Class::Fits)
+            ++before_[i + 1][static_cast<size_t>(c) - 1];
+    }
 }
 
 void
 ImmediateClassProbe::feed(const sim::TraceChunk &chunk)
 {
+    const size_t slots = before_.size() - 1;
     for (const sim::FetchRun &r : chunk.runs) {
         const uint32_t idx = (r.startPc - textBase_) >> insnShift_;
-        panicIf(idx >= siteClass_.size() ||
-                    r.count > siteClass_.size() - idx,
+        panicIf(idx >= slots || r.count > slots - idx,
                 "fetch run outside the classified text");
         total_ += r.count;
-        for (uint32_t i = idx; i < idx + r.count; ++i)
-            ++counts_[static_cast<size_t>(siteClass_[i])];
+        const Counts &lo = before_[idx];
+        const Counts &hi = before_[idx + r.count];
+        for (size_t c = 0; c < Counted; ++c)
+            counts_[c] += hi[c] - lo[c];
     }
 }
 
@@ -113,22 +120,19 @@ buildBlockProgram(const assem::Image &image,
 }
 
 RunMeasurement
-run(const assem::Image &image, std::vector<sim::Probe *> probes,
+run(const assem::Image &image, sim::TraceFold *fold,
     sim::MachineConfig config,
     std::shared_ptr<const sim::DecodedText> predecoded,
-    std::shared_ptr<const sim::BlockProgram> blocks, sim::TraceSink *sink)
+    std::shared_ptr<const sim::BlockProgram> blocks)
 {
     sim::Machine machine(image, config, std::move(predecoded));
-    for (sim::Probe *p : probes) {
-        if (auto *cp = dynamic_cast<CacheProbe *>(p))
-            cp->setInsnBytes(image.target->insnBytes());
-        machine.addProbe(p);
-    }
-    // Any probe makes the machine fall back to pure step dispatch on
-    // its own.
     if (blocks)
         machine.setBlockProgram(std::move(blocks));
-    machine.setTraceSink(sink);
+    std::optional<sim::TraceSink> sink;
+    if (fold) {
+        sink.emplace(static_cast<uint32_t>(image.target->insnBytes()), *fold);
+        machine.setTraceSink(&*sink);
+    }
     RunMeasurement m;
     m.exitStatus = machine.run();
     if (sink)
@@ -142,11 +146,9 @@ run(const assem::Image &image, std::vector<sim::Probe *> probes,
 }
 
 RunMeasurement
-buildAndRun(std::string_view source, const mc::CompileOptions &opts,
-            std::vector<sim::Probe *> probes)
+buildAndRun(std::string_view source, const mc::CompileOptions &opts)
 {
-    const assem::Image image = build(source, opts);
-    return run(image, std::move(probes));
+    return run(build(source, opts));
 }
 
 } // namespace d16sim::core

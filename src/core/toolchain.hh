@@ -1,7 +1,7 @@
 /**
  * @file
  * Toolchain facade: MiniC source -> image -> simulated run, with the
- * measurement probes the paper's experiments need.
+ * direct measurement folds the paper's experiments need.
  */
 
 #ifndef D16SIM_CORE_TOOLCHAIN_HH
@@ -28,20 +28,30 @@ assem::Image build(std::string_view source,
  * Fetch-buffer model of the cacheless machines (§4): the processor
  * holds the last fetched aligned block of `busBytes`; a fetch outside
  * it issues a memory request. Counts the paper's IRequests.
+ *
+ * A trace fold that checks the buffer once per fetched instruction:
+ * the direct reference (d16sweep --no-replay) for replay's
+ * FetchBufferFold, which counts whole runs at once.
  */
-class FetchBufferProbe : public sim::Probe
+class FetchBufferProbe : public sim::TraceFold
 {
   public:
-    explicit FetchBufferProbe(uint32_t busBytes) : busBytes_(busBytes) {}
+    FetchBufferProbe(uint32_t busBytes, uint32_t insnBytes)
+        : busBytes_(busBytes), insnBytes_(insnBytes)
+    {}
 
     void
-    onIFetch(uint32_t pc) override
+    feed(const sim::TraceChunk &chunk) override
     {
-        const uint32_t block = pc / busBytes_;
-        if (!valid_ || block != current_) {
-            valid_ = true;
-            current_ = block;
-            ++requests_;
+        for (const sim::FetchRun &r : chunk.runs) {
+            for (uint32_t i = 0; i < r.count; ++i) {
+                const uint32_t block = (r.startPc + i * insnBytes_) / busBytes_;
+                if (!valid_ || block != current_) {
+                    valid_ = true;
+                    current_ = block;
+                    ++requests_;
+                }
+            }
         }
     }
 
@@ -52,34 +62,37 @@ class FetchBufferProbe : public sim::Probe
 
   private:
     uint32_t busBytes_;
+    uint32_t insnBytes_;
     bool valid_ = false;
     uint32_t current_ = 0;
     uint64_t requests_ = 0;
 };
 
-/** Split I/D cache model attached to the reference streams (§4.1). */
-class CacheProbe : public sim::Probe
+/**
+ * Split I/D cache model over the reference streams (§4.1): a trace
+ * fold making one I-cache read per fetched instruction and one D-cache
+ * access per data record. The two caches are separate objects, so
+ * order within each stream is all they need. The direct reference
+ * (d16sweep --no-replay) for replay's CacheFold.
+ */
+class CacheProbe : public sim::TraceFold
 {
   public:
-    CacheProbe(mem::CacheConfig icacheCfg, mem::CacheConfig dcacheCfg)
-        : icache_(icacheCfg), dcache_(dcacheCfg)
+    CacheProbe(mem::CacheConfig icacheCfg, mem::CacheConfig dcacheCfg,
+               int insnBytes)
+        : icache_(icacheCfg), dcache_(dcacheCfg), insnBytes_(insnBytes)
     {}
 
-    void onIFetch(uint32_t pc) override { icache_.read(pc, insnBytes_); }
-
     void
-    onDataRead(uint32_t addr, int size) override
+    feed(const sim::TraceChunk &chunk) override
     {
-        dcache_.read(addr, size);
+        const auto ib = static_cast<uint32_t>(insnBytes_);
+        for (const sim::FetchRun &r : chunk.runs)
+            for (uint32_t i = 0; i < r.count; ++i)
+                icache_.read(r.startPc + i * ib, insnBytes_);
+        for (const sim::DataAccess &a : chunk.accesses)
+            dcache_.access(a.addr, a.size, a.write);
     }
-
-    void
-    onDataWrite(uint32_t addr, int size) override
-    {
-        dcache_.write(addr, size);
-    }
-
-    void setInsnBytes(int n) { insnBytes_ = n; }
 
     const mem::Cache &icache() const { return icache_; }
     const mem::Cache &dcache() const { return dcache_; }
@@ -87,7 +100,7 @@ class CacheProbe : public sim::Probe
   private:
     mem::Cache icache_;
     mem::Cache dcache_;
-    int insnBytes_ = 4;
+    int insnBytes_;
 };
 
 /**
@@ -98,14 +111,13 @@ class CacheProbe : public sim::Probe
  * cannot express.
  *
  * The class is a pure function of the decoded instruction
- * (classify()), so the classifier is also a trace fold: built over the
- * image's predecode table it classifies every text site once, and
- * counts each fetch run's sites (a live capture's sink chunks or a
- * recorded trace alike). Sites are the original decode, not the block
- * uops (those fold mvhi). A default-constructed probe counts through
- * onExec only, the per-instruction reference.
+ * (classify()), so the classifier is a trace fold: built over the
+ * image's predecode table it classifies every text site once and keeps
+ * per-class prefix counts, so each fetch run (a live capture's sink
+ * chunks or a recorded trace alike) costs one subtraction per class.
+ * Sites are the original decode, not the block uops (those fold mvhi).
  */
-class ImmediateClassProbe : public sim::Probe, public sim::TraceFold
+class ImmediateClassProbe : public sim::TraceFold
 {
   public:
     /** The one counter (if any) an instruction adds to. */
@@ -119,16 +131,7 @@ class ImmediateClassProbe : public sim::Probe, public sim::TraceFold
 
     static Class classify(const isa::DecodedInst &inst);
 
-    ImmediateClassProbe() = default;
     explicit ImmediateClassProbe(const sim::DecodedText &text);
-
-    void
-    onExec(const isa::DecodedInst &inst, uint32_t pc) override
-    {
-        (void)pc;
-        ++total_;
-        ++counts_[static_cast<size_t>(classify(inst))];
-    }
 
     void feed(const sim::TraceChunk &chunk) override;
 
@@ -150,13 +153,21 @@ class ImmediateClassProbe : public sim::Probe, public sim::TraceFold
     }
 
   private:
-    uint64_t counter(Class c) const { return counts_[static_cast<size_t>(c)]; }
+    /** Counted classes: every one but Fits. */
+    static constexpr size_t Counted = 3;
+    using Counts = std::array<uint32_t, Counted>;
+
+    uint64_t
+    counter(Class c) const
+    {
+        return counts_[static_cast<size_t>(c) - 1];
+    }
 
     uint32_t textBase_ = 0;
     unsigned insnShift_ = 0;
-    std::vector<Class> siteClass_;  //!< per text slot
+    std::vector<Counts> before_;  //!< per slot: counted sites before it
     uint64_t total_ = 0;
-    std::array<uint64_t, 4> counts_{};
+    std::array<uint64_t, Counted> counts_{};
 };
 
 /** Everything one simulated execution yields. */
@@ -193,25 +204,23 @@ buildBlockProgram(const assem::Image &image,
                   std::shared_ptr<const sim::DecodedText> predecoded =
                       nullptr);
 
-/** Run to completion with optional probes (not owned). `predecoded`
- *  optionally shares one decode table across runs of the same image
- *  (see sim::DecodedText); `blocks` optionally enables block-compiled
- *  dispatch (ignored by probe-attached runs; results are bit-identical
- *  either way). `sink` (not owned) captures the run's reference
- *  streams and is finished when the run is. */
+/** Run to completion. `fold` (not owned), if given, takes the run's
+ *  reference streams through a TraceSink that is finished when the
+ *  run is. `predecoded` optionally shares one decode table across runs
+ *  of the same image (see sim::DecodedText); `blocks` optionally
+ *  enables block-compiled dispatch. Results, and the streams `fold`
+ *  sees, are bit-identical either way. */
 RunMeasurement run(const assem::Image &image,
-                   std::vector<sim::Probe *> probes = {},
+                   sim::TraceFold *fold = nullptr,
                    sim::MachineConfig config = {},
                    std::shared_ptr<const sim::DecodedText> predecoded =
                        nullptr,
                    std::shared_ptr<const sim::BlockProgram> blocks =
-                       nullptr,
-                   sim::TraceSink *sink = nullptr);
+                       nullptr);
 
 /** Convenience: build + run. */
 RunMeasurement buildAndRun(std::string_view source,
-                           const mc::CompileOptions &opts,
-                           std::vector<sim::Probe *> probes = {});
+                           const mc::CompileOptions &opts);
 
 // ----- the paper's performance formulas (§4, Appendix A) ---------------
 

@@ -107,8 +107,8 @@ runDifferential(const std::string &source)
                     std::make_shared<const sim::DecodedText>(image);
                 const auto blocks =
                     core::buildBlockProgram(image, predecoded);
-                // Step dispatch under the trace probe: the capture's
-                // measurement is the plain step run's.
+                // A step-dispatched capture: its measurement is the
+                // plain step run's.
                 const core::replay::Trace trace =
                     core::replay::capture(image, predecoded);
                 run = trace.base;

@@ -636,8 +636,8 @@ Machine::dispatchBlocks()
         }
 
         // Terminator: compute taken/target and apply the branch policy
-        // inline (execute()'s resolveCond/resolveJump minus the probe
-        // fan-out), then the folded delay slot. takenBranches
+        // inline (execute()'s resolveCond/resolveJump), then the folded
+        // delay slot. takenBranches
         // increments before the slot executes, matching step()'s
         // ordering.
         const Uop &cf = b.term;

@@ -2,8 +2,8 @@
  * @file
  * Block-compiled threaded-code execution engine.
  *
- * Machine::step pays a full dispatch (halt check, limit check, probe
- * fan-out, shadow bookkeeping, operand scoreboard) per instruction.
+ * Machine::step pays a full dispatch (halt check, limit check, decode
+ * lookup, shadow bookkeeping, operand scoreboard) per instruction.
  * Most dynamic instructions, however, sit inside statically recovered
  * basic blocks whose shape never changes: the CFG analyzer proves
  * where every block starts, which instruction terminates it, and that
@@ -58,10 +58,11 @@
  *    misaligned pcs, blocks the translator marked NeedsStep (no delay
  *    slot, control flow in a slot, undecodable sites), and instruction
  *    -limit crossings (so the limit fires at the precise instruction).
- *    Probe-attached runs never enter the engine at all. A TraceSink
- *    is not a probe: a traced run keeps block dispatch, and each
+ *    A traced run (a TraceSink attached) keeps block dispatch: each
  *    block appends one fetch chunk that reproduces the
- *    per-instruction stream exactly.
+ *    per-instruction stream exactly, so every observer of a run — the
+ *    replay folds and the direct --no-replay references alike — sees
+ *    the same streams on either dispatch path.
  *
  * Layering: this lives in src/sim (the machine executes uops), but the
  * block *discovery* comes from src/analysis, which depends on sim.
@@ -134,8 +135,10 @@ struct TraceChunk
     std::span<const BranchOutcome> outcomes;
 };
 
-/** A consumer of a capture's streams, one chunk at a time: the replay
- *  evaluators (core/replay) and the tee that records a whole trace. */
+/** A consumer of a run's streams, one chunk at a time: the replay
+ *  evaluators (core/replay), the direct references they are checked
+ *  against (core::FetchBufferProbe, core::CacheProbe), the imm
+ *  classifier, and the tee that records a whole trace. */
 class TraceFold
 {
   public:

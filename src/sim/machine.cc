@@ -82,12 +82,10 @@ Machine::decoded(uint32_t pc)
 int
 Machine::run()
 {
-    // Block dispatch is eligible only when no probe needs the
-    // per-instruction callbacks (a trace sink takes block chunks).
     // The guard on the delay-slot/shadow flags keeps a pending
     // transfer (from a step()-executed branch) in step()'s hands until
     // it resolves.
-    if (blocks_ && probes_.empty()) {
+    if (blocks_) {
         while (!halted_) {
             if (!inDelaySlot_ && !inCfShadow_ && runBlocks())
                 break;
@@ -120,15 +118,8 @@ Machine::step()
     }
 
     const DecodedInst &inst = decoded(pc_);
-    const uint32_t pc = pc_;
-    if (!probes_.empty()) {
-        for (Probe *p : probes_)
-            p->onIFetch(pc_);
-        for (Probe *p : probes_)
-            p->onExec(inst, pc_);
-    }
     if (traceSink_)
-        traceSink_->fetch(pc, 1);
+        traceSink_->fetch(pc_, 1);
 
     stats_.instructions += 1;
     stepInstructions_ += 1;
@@ -138,9 +129,6 @@ Machine::step()
     execute(inst);
     if (shadow && isa::isCanonicalNop(*target_, inst))
         stats_.branchBubbles += 1;
-    if (stallThisInsn_ != 0 && !probes_.empty())
-        for (Probe *p : probes_)
-            p->onStall(pc, stallThisInsn_, stallIsFp_);
 
     return !halted_;
 }
@@ -160,17 +148,11 @@ Machine::execute(const DecodedInst &inst)
 
     auto dataRead = [&](uint32_t addr, int size) {
         stats_.loads += 1;
-        if (!probes_.empty())
-            for (Probe *p : probes_)
-                p->onDataRead(addr, size);
         if (traceSink_)
             traceSink_->data(addr, size, false);
     };
     auto dataWrite = [&](uint32_t addr, int size) {
         stats_.stores += 1;
-        if (!probes_.empty())
-            for (Probe *p : probes_)
-                p->onDataWrite(addr, size);
         if (traceSink_)
             traceSink_->data(addr, size, true);
     };
@@ -292,7 +274,7 @@ Machine::execute(const DecodedInst &inst)
             : op == Op::Bz ? gpr_[inst.rs1] == 0
                            : gpr_[inst.rs1] != 0;
         if (op == Op::Br)
-            resolveJump(pc);
+            resolveJump();
         else
             resolveCond(pc, cond);
         if (cond) {
@@ -306,7 +288,7 @@ Machine::execute(const DecodedInst &inst)
         stats_.branches += 1;
         inCfShadow_ = true;
         const uint64_t t = finishIssue();
-        resolveJump(pc);
+        resolveJump();
         taken = true;
         target = pc + static_cast<uint32_t>(inst.imm);
         if (op == Op::Jl) {
@@ -321,7 +303,7 @@ Machine::execute(const DecodedInst &inst)
         inCfShadow_ = true;
         useGpr(inst.rs1);
         const uint64_t t = finishIssue();
-        resolveJump(pc);
+        resolveJump();
         taken = true;
         target = gpr_[inst.rs1];
         if (op == Op::Jlr) {

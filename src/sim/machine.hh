@@ -19,9 +19,9 @@
  * for this in-order, single-issue pipeline is cycle-equivalent to a
  * stage-by-stage model. Memory latency is deliberately NOT modeled
  * here: the machine reports base cycles (instructions + interlocks) and
- * exposes the reference streams through Probes; the §4 memory models in
- * src/mem add ell * traffic or missPenalty * misses exactly as the
- * paper's formulas do.
+ * exposes the reference streams through a TraceSink; the §4 memory
+ * models in src/mem add ell * traffic or missPenalty * misses exactly
+ * as the paper's formulas do.
  */
 
 #ifndef D16SIM_SIM_MACHINE_HH
@@ -41,7 +41,6 @@
 #include "sim/block_engine.hh"
 #include "sim/issue_slot.hh"
 #include "sim/predecode.hh"
-#include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "sim/uarch.hh"
 
@@ -69,14 +68,11 @@ class Machine
     Machine(const assem::Image &image, MachineConfig config = {},
             std::shared_ptr<const DecodedText> predecoded = nullptr);
 
-    /** Attach an observation probe (not owned). */
-    void addProbe(Probe *p) { probes_.push_back(p); }
-
     /** Attach a compiled block program for the image (shared,
      *  immutable; see BlockProgram). run() then dispatches whole
      *  blocks wherever the static picture holds and falls back to
-     *  step() everywhere else. Probe-attached runs ignore it (a trace
-     *  sink is not a probe). Results are bit-identical either way. */
+     *  step() everywhere else. Results, trace sink streams included,
+     *  are bit-identical either way. */
     void
     setBlockProgram(std::shared_ptr<const BlockProgram> blocks)
     {
@@ -154,18 +150,14 @@ class Machine
     void backOutBlockFault();
 
     /** Branch-policy accounting of execute() (sim/uarch.hh); block
-     *  terminators apply the same model inline, without the probe
-     *  fan-out a block run never needs. Penalties are additive
+     *  terminators apply the same model inline. Penalties are additive
      *  (SimStats::branchStalls) and never touch the issue scoreboard,
      *  so the interlock counters stay branch-policy-invariant. */
     void
-    chargeBranch(uint32_t pc, int cycles)
+    chargeBranch(int cycles)
     {
-        if (cycles <= 0)
-            return;
-        stats_.branchStalls += static_cast<uint64_t>(cycles);
-        for (Probe *p : probes_)
-            p->onBranchStall(pc, static_cast<uint64_t>(cycles));
+        if (cycles > 0)
+            stats_.branchStalls += static_cast<uint64_t>(cycles);
     }
 
     /** The conditional branch at `pc` resolved `taken`: record the
@@ -177,12 +169,12 @@ class Machine
         if (traceSink_)
             traceSink_->outcome(pc, taken);
         bool mispredicted = false;
-        chargeBranch(pc, branch_.conditional(pc, taken, mispredicted));
+        chargeBranch(branch_.conditional(pc, taken, mispredicted));
         stats_.mispredicts += mispredicted ? 1 : 0;
     }
 
     /** An unconditional transfer at `pc`. */
-    void resolveJump(uint32_t pc) { chargeBranch(pc, branch_.jump()); }
+    void resolveJump() { chargeBranch(branch_.jump()); }
 
     /** The datapath both dispatch paths share: the integer ALU
      *  (register and immediate forms alike), memory by access width,
@@ -357,7 +349,6 @@ class Machine
 
     SimStats stats_;
     std::string output_;
-    std::vector<Probe *> probes_;
 
     // Threaded-code engine (optional; null = pure step dispatch).
     std::shared_ptr<const BlockProgram> blocks_;

@@ -286,12 +286,66 @@ TEST(CrossValidation, AgreesWithSimulator)
         const AnalysisResult r = analyzeImage(img, diags, Abi::from(opts));
         ASSERT_EQ(diags.failures(), 0) << opts.name();
 
-        ExecProbe probe;
-        const core::RunMeasurement m = core::run(img, {&probe});
-        EXPECT_EQ(crossValidate(r.cfg, probe, m.stats, diags), 0)
+        sim::Machine m(img);
+        const PcProfile profile = profileRun(m);
+        EXPECT_EQ(crossValidate(r.cfg, profile, m.stats(), diags), 0)
             << opts.name();
         EXPECT_EQ(diags.errors(), 0) << opts.name();
-        EXPECT_FALSE(probe.counts().empty());
+        EXPECT_FALSE(profile.sites.empty());
+        EXPECT_FALSE(profile.edges.empty());
+    }
+}
+
+TEST(PcProfile, SumsToRunStatsOnLinpack)
+{
+    // linpack exercises FP interlocks as well as load interlocks. At
+    // each capture slice, and under a predictor, the per-PC profile
+    // must account for the run's counters exactly, and profiling must
+    // not perturb the run.
+    const auto uarch = [](bool fwd, int depth, bool bimodal) {
+        sim::UarchConfig u;
+        u.forward = fwd;
+        u.depth = depth;
+        if (bimodal)
+            u.branch = sim::BranchPolicy::Bimodal;
+        return u;
+    };
+    const core::Workload &w = core::workload("linpack");
+    for (const auto &opts :
+         {mc::CompileOptions::d16(), mc::CompileOptions::dlxe()}) {
+        const assem::Image img = core::build(w.source, opts);
+        for (const sim::UarchConfig &u :
+             {uarch(false, 5, false), uarch(true, 5, false),
+              uarch(false, 7, false), uarch(true, 7, false),
+              uarch(false, 5, true)}) {
+            const std::string where =
+                std::string(opts.name()) + " [" + u.key() + "]";
+            sim::MachineConfig mcfg;
+            mcfg.uarch = u;
+            sim::Machine m(img, mcfg);
+            const PcProfile profile = profileRun(m);
+            ASSERT_TRUE(m.halted()) << where;
+            PcProfile::Site sum;
+            for (const auto &[pc, s] : profile.sites) {
+                sum.execs += s.execs;
+                sum.loadStall += s.loadStall;
+                sum.fpStall += s.fpStall;
+                sum.branchStall += s.branchStall;
+            }
+            const sim::SimStats &st = m.stats();
+            EXPECT_EQ(sum.execs, st.instructions) << where;
+            EXPECT_EQ(sum.loadStall, st.loadInterlocks) << where;
+            EXPECT_EQ(sum.fpStall, st.fpInterlocks) << where;
+            EXPECT_EQ(sum.branchStall, st.branchStalls) << where;
+            EXPECT_GT(st.fpInterlocks, 0u) << where;
+            EXPECT_EQ(st.branchStalls > 0,
+                      u.depth == 7 || u.branch == sim::BranchPolicy::Bimodal)
+                << where;
+
+            const core::RunMeasurement plain = core::run(img, nullptr, mcfg);
+            EXPECT_TRUE(st == plain.stats) << where;
+            EXPECT_EQ(m.output(), plain.output) << where;
+        }
     }
 }
 
@@ -304,20 +358,20 @@ TEST(CrossValidation, DetectsTamperedCounts)
     const AnalysisResult r = analyzeImage(img, clean, Abi::from(opts));
     ASSERT_EQ(clean.failures(), 0);
 
-    ExecProbe probe;
-    core::RunMeasurement m = core::run(img, {&probe});
+    sim::Machine m(img);
+    const PcProfile profile = profileRun(m);
 
     // An instruction count the per-PC profile cannot account for must
     // be flagged exactly (no tolerances anywhere in the validator).
-    sim::SimStats tampered = m.stats;
+    sim::SimStats tampered = m.stats();
     tampered.instructions += 1;
     verify::DiagEngine diags;
-    EXPECT_GE(crossValidate(r.cfg, probe, tampered, diags), 1);
+    EXPECT_GE(crossValidate(r.cfg, profile, tampered, diags), 1);
     EXPECT_EQ(countCode(diags, "cfa-xval-count-mismatch"), 1);
 
     // And the untampered stats still validate afterwards.
     verify::DiagEngine ok;
-    EXPECT_EQ(crossValidate(r.cfg, probe, m.stats, ok), 0);
+    EXPECT_EQ(crossValidate(r.cfg, profile, m.stats(), ok), 0);
 }
 
 // ----- golden sweep ---------------------------------------------------

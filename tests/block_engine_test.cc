@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <exception>
 #include <functional>
@@ -157,16 +158,34 @@ uarchConfig(const std::string &key)
     return config;
 }
 
-/** Minimal per-instruction probe: any probe must force the machine
- *  back to pure step dispatch. */
-class CountingProbe : public sim::Probe
+/** The per-instruction imm reference: classify() on every fetched
+ *  site, one instruction at a time. */
+class SiteClassFold : public sim::TraceFold
 {
   public:
-    void onIFetch(uint32_t) override { ++fetches_; }
-    uint64_t fetches() const { return fetches_; }
+    explicit SiteClassFold(const sim::DecodedText &text) : text_(text) {}
+
+    void
+    feed(const sim::TraceChunk &chunk) override
+    {
+        const uint32_t ib = 1u << text_.insnShift();
+        for (const sim::FetchRun &r : chunk.runs) {
+            for (uint32_t i = 0; i < r.count; ++i) {
+                const uint32_t slot =
+                    (r.startPc + i * ib - text_.base()) >> text_.insnShift();
+                ++total;
+                if (text_.valid(slot))
+                    ++counts[static_cast<size_t>(
+                        core::ImmediateClassProbe::classify(text_.at(slot)))];
+            }
+        }
+    }
+
+    uint64_t total = 0;
+    std::array<uint64_t, 4> counts{};
 
   private:
-    uint64_t fetches_ = 0;
+    const sim::DecodedText &text_;
 };
 
 // ----- whole-suite differential ---------------------------------------
@@ -254,48 +273,55 @@ TEST(BlockEngine, UarchSmokeConfigsMatchStep)
 
 TEST(BlockEngine, ImmClassRunsOnBlocks)
 {
-    // The imm classifier is a trace fold: behind a TraceSink its runs
-    // dispatch blocks and it counts each fetch run's sites, and must
-    // agree with a step-only run counting through onExec in every
-    // counter. So must the counts the sweep
-    // engine replays from a capture of the same image. DLXe/16/2 is
-    // the matrix's imm variant; D16 and DLXe/32/3 widen the opcode
-    // mix.
+    // The imm classifier is a trace fold that counts each fetch run's
+    // sites by prefix sums. On block dispatch it must agree in every
+    // counter with classify() applied to each fetched site of a step()
+    // run, and so must the counts the sweep engine replays from a
+    // capture of the same image. DLXe/16/2 is the matrix's imm
+    // variant; D16 and DLXe/32/3 widen the opcode mix.
+    using Class = core::ImmediateClassProbe::Class;
     forEachWorkloadVariant(
         [](const core::Workload &w, const mc::CompileOptions &opts) {
             const assem::Image img = core::build(w.source, opts);
             auto predecoded = std::make_shared<const sim::DecodedText>(img);
             const std::string where =
                 w.name + " " + std::string(opts.name());
+            const auto count = [](const SiteClassFold &f, Class c) {
+                return f.counts[static_cast<size_t>(c)];
+            };
 
-            core::ImmediateClassProbe stepProbe;
+            const auto ib = static_cast<uint32_t>(img.target->insnBytes());
+            SiteClassFold reference(*predecoded);
             sim::Machine stepM(img, {}, predecoded);
-            stepM.addProbe(&stepProbe);
+            sim::TraceSink stepSink(ib, reference);
+            stepM.setTraceSink(&stepSink);
             stepM.run();
+            stepSink.finish();
 
-            core::ImmediateClassProbe blockProbe(*predecoded);
+            core::ImmediateClassProbe blockFold(*predecoded);
             sim::Machine blockM(img, {}, predecoded);
             blockM.setBlockProgram(core::buildBlockProgram(img, predecoded));
-            sim::TraceSink sink(
-                static_cast<uint32_t>(img.target->insnBytes()), blockProbe);
-            blockM.setTraceSink(&sink);
+            sim::TraceSink blockSink(ib, blockFold);
+            blockM.setTraceSink(&blockSink);
             blockM.run();
-            sink.finish();
+            blockSink.finish();
 
             EXPECT_EQ(stepM.output(), blockM.output()) << where;
             EXPECT_EQ(stepM.pc(), blockM.pc()) << where;
             expectStatsEqual(stepM.stats(), blockM.stats(), where);
-            EXPECT_EQ(stepProbe.total(), blockProbe.total()) << where;
-            EXPECT_EQ(stepProbe.total(), stepM.stats().instructions) << where;
-            EXPECT_EQ(stepProbe.cmpImmediate(), blockProbe.cmpImmediate())
-                << where;
-            EXPECT_EQ(stepProbe.aluImmediate(), blockProbe.aluImmediate())
-                << where;
-            EXPECT_EQ(stepProbe.memDisplacement(),
-                      blockProbe.memDisplacement())
-                << where;
             EXPECT_GE(blockM.blockInstructions(),
                       blockM.stats().instructions * 9 / 10)
+                << where;
+            EXPECT_EQ(reference.total, stepM.stats().instructions) << where;
+            EXPECT_EQ(blockFold.total(), reference.total) << where;
+            EXPECT_EQ(blockFold.cmpImmediate(),
+                      count(reference, Class::CmpImmediate))
+                << where;
+            EXPECT_EQ(blockFold.aluImmediate(),
+                      count(reference, Class::AluImmediate))
+                << where;
+            EXPECT_EQ(blockFold.memDisplacement(),
+                      count(reference, Class::MemDisplacement))
                 << where;
 
             const core::replay::Trace trace = core::replay::capture(
@@ -304,13 +330,15 @@ TEST(BlockEngine, ImmClassRunsOnBlocks)
             const core::sweep::JobResult replayed = core::sweep::replayJob(
                 core::sweep::JobSpec::imm(w.name, opts), trace,
                 predecoded.get());
-            EXPECT_EQ(replayed.imm.total, stepProbe.total()) << where;
-            EXPECT_EQ(replayed.imm.cmpImmediate, stepProbe.cmpImmediate())
+            EXPECT_EQ(replayed.imm.total, reference.total) << where;
+            EXPECT_EQ(replayed.imm.cmpImmediate,
+                      count(reference, Class::CmpImmediate))
                 << where;
-            EXPECT_EQ(replayed.imm.aluImmediate, stepProbe.aluImmediate())
+            EXPECT_EQ(replayed.imm.aluImmediate,
+                      count(reference, Class::AluImmediate))
                 << where;
             EXPECT_EQ(replayed.imm.memDisplacement,
-                      stepProbe.memDisplacement())
+                      count(reference, Class::MemDisplacement))
                 << where;
             expectStatsEqual(replayed.run.stats, stepM.stats(), where);
         },
@@ -547,30 +575,6 @@ f:
     // reconcile.
     EXPECT_GT(m->blockInstructions(), 0u);
     EXPECT_LT(m->blockInstructions(), m->stats().instructions);
-}
-
-TEST(BlockEngine, FallbackProbeAttached)
-{
-    const core::Workload &w = core::workload("towers");
-    const assem::Image img =
-        core::build(w.source, mc::CompileOptions::dlxe(16, false));
-    auto blocks = core::buildBlockProgram(img);
-
-    sim::Machine stepM(img);
-    stepM.run();
-
-    // A per-instruction probe disables block dispatch entirely;
-    // results match the probe-less step run.
-    CountingProbe probe;
-    sim::Machine probeM(img);
-    probeM.setBlockProgram(blocks);
-    probeM.addProbe(&probe);
-    probeM.run();
-
-    EXPECT_EQ(probeM.blockInstructions(), 0u);
-    EXPECT_EQ(probe.fetches(), stepM.stats().instructions);
-    EXPECT_EQ(probeM.output(), stepM.output());
-    expectStatsEqual(probeM.stats(), stepM.stats(), "probe attached");
 }
 
 TEST(BlockEngine, InstructionLimitFiresAtSamePoint)

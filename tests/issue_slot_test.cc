@@ -496,13 +496,11 @@ checkEveryOp(const isa::TargetInfo &t, const char *src)
 
     // The program covers the target: every op it decodes executes, and
     // every one that reads a register stalls on it (default machine).
-    analysis::StallProbe coverage;
-    sim::Machine probed(image);
-    probed.addProbe(&coverage);
-    probed.run();
-    ASSERT_TRUE(probed.halted());
+    sim::Machine profiled(image);
+    const analysis::PcProfile coverage = analysis::profileRun(profiled);
+    ASSERT_TRUE(profiled.halted());
     std::map<Op, uint64_t> stalls;
-    for (const auto &[pc, s] : coverage.sites())
+    for (const auto &[pc, s] : coverage.sites)
         stalls[text->at((pc - text->base()) >> text->insnShift()).op] +=
             s.loadStall + s.fpStall;
     for (int i = 0; i < isa::numOps; ++i) {
@@ -554,12 +552,10 @@ checkEveryOp(const isa::TargetInfo &t, const char *src)
         verify::DiagEngine diags;
         const analysis::TimingResult timing =
             analysis::analyzeTiming(cfg, diags, opts);
-        analysis::StallProbe probe;
         sim::Machine m(image, config);
-        m.addProbe(&probe);
-        m.run();
+        const analysis::PcProfile profile = analysis::profileRun(m);
         verify::DiagEngine xval;
-        EXPECT_EQ(analysis::crossValidateTiming(timing, probe, m.stats(),
+        EXPECT_EQ(analysis::crossValidateTiming(timing, profile, m.stats(),
                                                 xval),
                   0)
             << where << "\n" << [&] {

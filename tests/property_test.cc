@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/toolchain.hh"
 #include "mem/cache.hh"
@@ -252,20 +253,40 @@ INSTANTIATE_TEST_SUITE_P(Sweeps, CacheSweep, ::testing::Range(0, 12));
 
 TEST(FetchBufferProperty, WiderBusNeverMoreRequests)
 {
-    const char *src = R"(
-int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
-int main() { print_int(fib(12)); return 0; }
-)";
-    for (const auto &opts :
-         {CompileOptions::d16(), CompileOptions::dlxe()}) {
-        const auto img = build(src, opts);
-        FetchBufferProbe fb4(4), fb8(8), fb16(16);
-        const auto m = run(img, {&fb4, &fb8, &fb16});
-        EXPECT_LE(fb8.requests(), fb4.requests()) << opts.name();
-        EXPECT_LE(fb16.requests(), fb8.requests()) << opts.name();
-        // No more requests than instructions; at least footprint/bus.
-        EXPECT_LE(fb4.requests(), m.stats.instructions);
-        EXPECT_GT(fb4.requests(), 0u);
+    // Random fetch streams in hand-built chunks, with loops (runs that
+    // jump back) and runs that continue the previous one sequentially,
+    // also across a chunk boundary.
+    for (uint32_t ib : {2u, 4u}) {
+        for (uint32_t seed = 1; seed <= 40; ++seed) {
+            Gen g(seed * 31u + ib);
+            FetchBufferProbe fb4(4, ib), fb8(8, ib), fb16(16, ib);
+            uint64_t fetched = 0;
+            uint32_t nextPc = 0x1000;
+            for (int c = g.range(1, 4); c > 0; --c) {
+                std::vector<sim::FetchRun> runs;
+                for (int r = g.range(1, 8); r > 0; --r) {
+                    const uint32_t start =
+                        g.range(0, 2) == 0
+                            ? nextPc
+                            : 0x1000 + ib * static_cast<uint32_t>(
+                                                g.range(0, 200));
+                    const auto count = static_cast<uint32_t>(g.range(1, 12));
+                    runs.push_back({start, count});
+                    fetched += count;
+                    nextPc = start + count * ib;
+                }
+                const sim::TraceChunk chunk{runs, {}, {}};
+                for (FetchBufferProbe *fb : {&fb4, &fb8, &fb16})
+                    fb->feed(chunk);
+            }
+            const std::string where = "ib " + std::to_string(ib) +
+                                      " seed " + std::to_string(seed);
+            EXPECT_LE(fb8.requests(), fb4.requests()) << where;
+            EXPECT_LE(fb16.requests(), fb8.requests()) << where;
+            // No more requests than fetches; at least one.
+            EXPECT_LE(fb4.requests(), fetched) << where;
+            EXPECT_GT(fb16.requests(), 0u) << where;
+        }
     }
 }
 

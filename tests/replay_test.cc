@@ -90,8 +90,8 @@ TEST(TraceCapture, StreamsCrossCheckWithMeasurement)
 
 TEST(TraceCapture, MeasurementMatchesProbelessRun)
 {
-    // Probes never perturb execution: the capture run's measurement is
-    // identical to a probe-less run of the same image.
+    // Observing the streams never perturbs execution: the capture
+    // run's measurement is identical to a plain run of the same image.
     const assem::Image image = build(kProgram, CompileOptions::d16());
     const RunMeasurement direct = run(image);
     const Trace t = replay::capture(image);
@@ -104,16 +104,15 @@ TEST(TraceCapture, MeasurementMatchesProbelessRun)
 
 // ----- replay equivalence ---------------------------------------------
 
-/** Feed the trace through a live-simulation CacheProbe equivalent and
- *  through the replay evaluator; both must agree bit-for-bit. */
+/** Evaluate the caches directly on a live run (CacheProbe) and through
+ *  the replay evaluator; both must agree bit-for-bit. */
 void
 expectCacheEquivalence(const assem::Image &image, const Trace &trace,
                        const mem::CacheConfig &icfg,
                        const mem::CacheConfig &dcfg)
 {
-    CacheProbe probe(icfg, dcfg);
-    probe.setInsnBytes(static_cast<int>(trace.insnBytes));
-    run(image, {&probe});
+    CacheProbe probe(icfg, dcfg, static_cast<int>(trace.insnBytes));
+    run(image, &probe);
 
     const auto [istats, dstats] = replay::replayCache(trace, icfg, dcfg);
 
@@ -153,8 +152,8 @@ TEST(Replay, FetchRequestsMatchDirectSimulation)
     const assem::Image image = build(kProgram, CompileOptions::d16());
     const Trace trace = replay::capture(image);
     for (uint32_t bus : {4u, 8u}) {
-        FetchBufferProbe probe(bus);
-        run(image, {&probe});
+        FetchBufferProbe probe(bus, trace.insnBytes);
+        run(image, &probe);
         EXPECT_EQ(replay::replayFetchRequests(trace, bus),
                   probe.requests())
             << "bus " << bus;
@@ -217,9 +216,9 @@ TEST(Replay, SinglePassMatchesIndependentPasses)
             expectStatsEqual(e.icacheStats, istats, where);
             expectStatsEqual(e.dcacheStats, dstats, where);
 
-            CacheProbe probe(e.icache, e.dcache);
-            probe.setInsnBytes(static_cast<int>(trace.insnBytes));
-            run(image, {&probe});
+            CacheProbe probe(e.icache, e.dcache,
+                             static_cast<int>(trace.insnBytes));
+            run(image, &probe);
             expectStatsEqual(e.icacheStats, probe.icache().stats(), where);
             expectStatsEqual(e.dcacheStats, probe.dcache().stats(), where);
         }

@@ -583,47 +583,76 @@ main:
     EXPECT_THROW(m.run(), FatalError);
 }
 
-/** Probe capturing reference streams. */
-struct RecordingProbe : Probe
+/** Trace fold recording the reference streams one record at a time. */
+struct RecordingFold : TraceFold
 {
+    uint32_t insnBytes = 4;
     std::vector<uint32_t> fetches;
     std::vector<std::pair<uint32_t, int>> reads, writes;
 
-    void onIFetch(uint32_t pc) override { fetches.push_back(pc); }
     void
-    onDataRead(uint32_t a, int s) override
+    feed(const TraceChunk &chunk) override
     {
-        reads.emplace_back(a, s);
-    }
-    void
-    onDataWrite(uint32_t a, int s) override
-    {
-        writes.emplace_back(a, s);
+        for (const FetchRun &r : chunk.runs)
+            for (uint32_t i = 0; i < r.count; ++i)
+                fetches.push_back(r.startPc + i * insnBytes);
+        for (const DataAccess &a : chunk.accesses)
+            (a.write ? writes : reads).emplace_back(a.addr, a.size);
     }
 };
 
-TEST(Machine, ProbesObserveStreams)
+TEST(Machine, TraceFoldObservesStreams)
 {
+    // One loop block, three times round: step() and block dispatch
+    // must hand a fold the same fetch, read and write streams.
     const Image img = build(TargetInfo::dlxe(), R"(
 main:
-    st r0, 4(gp)
+    mvi r4, 3
+loop:
+    st r4, 4(gp)
     ld r3, 4(gp)
+    subi r4, r4, 1
+    bnz r4, loop
+    nop
     ret
     nop
     .data
 w: .space 8
 )");
-    Machine m(img);
-    RecordingProbe probe;
-    m.addProbe(&probe);
-    m.run();
-    ASSERT_EQ(probe.fetches.size(), 4u);
-    EXPECT_EQ(probe.fetches[0], img.entry);
-    EXPECT_EQ(probe.fetches[1], img.entry + 4);
-    ASSERT_EQ(probe.reads.size(), 1u);
-    EXPECT_EQ(probe.reads[0].first, img.dataBase + 4);
-    EXPECT_EQ(probe.reads[0].second, 4);
-    ASSERT_EQ(probe.writes.size(), 1u);
+    const DecodedText text(img);
+    BlockTable table;
+    table.spans = {{img.entry, 1}, {img.entry + 4, 5}, {img.entry + 24, 2}};
+    const auto blocks = std::make_shared<const BlockProgram>(img, text, table);
+
+    RecordingFold folds[2];
+    uint64_t blockInsns[2] = {};
+    for (int useBlocks = 0; useBlocks < 2; ++useBlocks) {
+        RecordingFold &fold = folds[useBlocks];
+        TraceSink sink(4, fold);
+        Machine m(img);
+        if (useBlocks)
+            m.setBlockProgram(blocks);
+        m.setTraceSink(&sink);
+        m.run();
+        sink.finish();
+        blockInsns[useBlocks] = m.blockInstructions();
+        EXPECT_EQ(fold.fetches.size(), m.stats().instructions);
+    }
+    const RecordingFold &step = folds[0];
+    EXPECT_EQ(blockInsns[0], 0u);
+    EXPECT_GT(blockInsns[1], 0u);
+    ASSERT_EQ(step.fetches.size(), 1u + 3 * 5 + 2);
+    EXPECT_EQ(step.fetches[0], img.entry);
+    EXPECT_EQ(step.fetches[1], img.entry + 4);
+    EXPECT_EQ(step.fetches[6], img.entry + 4);  // back round the loop
+    ASSERT_EQ(step.reads.size(), 3u);
+    EXPECT_EQ(step.reads[0].first, img.dataBase + 4);
+    EXPECT_EQ(step.reads[0].second, 4);
+    ASSERT_EQ(step.writes.size(), 3u);
+    EXPECT_EQ(step.writes[2].first, img.dataBase + 4);
+    EXPECT_EQ(folds[1].fetches, step.fetches);
+    EXPECT_EQ(folds[1].reads, step.reads);
+    EXPECT_EQ(folds[1].writes, step.writes);
 }
 
 TEST(Machine, D16LdcTiming)

@@ -118,19 +118,16 @@ analyze(const isa::TargetInfo &t, std::string_view src,
     return a;
 }
 
-/** Simulate `img` with a StallProbe under the analysis' uarch and
- *  cross-validate `timing` against the run; returns the number of
- *  findings (0 = exact). */
+/** Profile a run of `img` under the analysis' uarch and cross-validate
+ *  `timing` against it; returns the number of findings (0 = exact). */
 int
 runAndValidate(const Analyzed &a, verify::DiagEngine &diags)
 {
-    StallProbe probe;
     sim::MachineConfig mcfg;
     mcfg.uarch = a.timing.opts.uarch;
     sim::Machine m(a.img, mcfg);
-    m.addProbe(&probe);
-    m.run();
-    return crossValidateTiming(a.timing, probe, m.stats(), diags);
+    const PcProfile profile = profileRun(m);
+    return crossValidateTiming(a.timing, profile, m.stats(), diags);
 }
 
 } // namespace
@@ -514,12 +511,10 @@ TEST(Gate, FullMatrixCrossValidation)
                 const TimingResult timing =
                     analyzeTiming(cfg, diags, topts);
 
-                StallProbe probe;
                 sim::Machine m(img);
-                m.addProbe(&probe);
-                m.run();
+                const PcProfile profile = profileRun(m);
                 const int findings = crossValidateTiming(
-                    timing, probe, m.stats(), diags);
+                    timing, profile, m.stats(), diags);
                 if (findings != 0 || diags.failures() != 0) {
                     std::ostringstream os;
                     os << j.name << ": " << findings << " findings\n";
@@ -574,15 +569,13 @@ TEST(Gate, SmokeMatrixCrossValidationUnderUarch)
         const TimingResult timing = analyzeTiming(cfg, diags, topts);
         EXPECT_EQ(diags.failures(), 0) << name;
 
-        StallProbe probe;
         sim::MachineConfig mcfg;
         mcfg.uarch = uarch;
         sim::Machine m(img, mcfg);
-        m.addProbe(&probe);
-        m.run();
+        const PcProfile profile = profileRun(m);
         verify::DiagEngine xval;
         const int findings =
-            crossValidateTiming(timing, probe, m.stats(), xval);
+            crossValidateTiming(timing, profile, m.stats(), xval);
         if (findings != 0) {
             std::ostringstream os;
             xval.renderText(os);

@@ -95,12 +95,12 @@ analyzeUnit(Unit &u, const Args &args)
         u.result = analysis::analyzeImage(*u.image, u.diags,
                                           analysis::Abi::from(opts));
         if (args.crossValidate) {
-            // The instruction width arms dynamic-edge recording: the
-            // observed block graph must be a subset of the static CFG.
-            analysis::ExecProbe probe(opts.target().insnBytes());
-            const core::RunMeasurement m = core::run(*u.image, {&probe});
+            // The observed block graph must be a subset of the static
+            // CFG, and the per-site counts must add up exactly.
+            sim::Machine m(*u.image);
+            const analysis::PcProfile profile = analysis::profileRun(m);
             u.result.findings += analysis::crossValidate(
-                u.result.cfg, probe, m.stats, u.diags);
+                u.result.cfg, profile, m.stats(), u.diags);
             u.validated = true;
         }
     } catch (const Error &e) {

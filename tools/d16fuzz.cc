@@ -79,11 +79,11 @@ cfgGate(const std::string &source, const std::string &name)
         try {
             const assem::Image img = core::build(source, opts);
             const analysis::ImageCfg cfg = analysis::buildCfg(img);
-            analysis::ExecProbe probe(opts.target().insnBytes());
-            const core::RunMeasurement m = core::run(img, {&probe});
+            sim::Machine m(img);
+            const analysis::PcProfile profile = analysis::profileRun(m);
             verify::DiagEngine diags;
             diags.setUnit(name + "/" + opts.name());
-            if (analysis::crossValidate(cfg, probe, m.stats, diags)) {
+            if (analysis::crossValidate(cfg, profile, m.stats(), diags)) {
                 ++failures;
                 std::ostringstream os;
                 diags.renderText(os);

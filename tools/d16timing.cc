@@ -12,9 +12,9 @@
  * blocks with the highest static stall density — for the D16 and DLXe
  * encodings side by side, plus the scheduler feedback (load-use
  * interlocks the final image retains that an in-block move could have
- * hidden). With --cross-validate every image is also simulated with a
- * per-PC stall probe and the dynamic stalls are checked, exactly,
- * against the static classification.
+ * hidden). With --cross-validate every image is also simulated into a
+ * per-PC profile (analysis::profileRun) and the dynamic stalls are
+ * checked, exactly, against the static classification.
  *
  *   d16timing                         analyze every workload, both targets
  *   d16timing perm queens             specific workloads
@@ -115,13 +115,12 @@ analyzeUnit(Unit &u, const Args &args)
         u.timing = analysis::analyzeTiming(*u.cfg, u.diags, topts);
         u.feedback = analysis::schedFeedback(u.timing, u.diags);
         if (args.crossValidate) {
-            analysis::StallProbe probe;
             sim::MachineConfig mcfg;
             mcfg.uarch = args.uarch;
-            const core::RunMeasurement m =
-                core::run(*u.image, {&probe}, mcfg);
+            sim::Machine m(*u.image, mcfg);
+            const analysis::PcProfile profile = analysis::profileRun(m);
             u.findings += analysis::crossValidateTiming(
-                u.timing, probe, m.stats, u.diags);
+                u.timing, profile, m.stats(), u.diags);
             u.validated = true;
         }
     } catch (const Error &e) {
