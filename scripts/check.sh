@@ -13,6 +13,10 @@
 # checked on a live step() run too.
 # Block dispatch vs --no-block-engine is compared on the smoke matrix
 # (against its golden), the full paper matrix and the uarch matrix.
+# The full paper matrix is also swept on one thread and compared with
+# the --jobs $JOBS sweep: the engine orders its build nodes by
+# instruction counts measured as the sweep runs, so the schedule
+# depends on the thread count and on timing, and the rows must not.
 #
 #   scripts/check.sh            run everything
 #   SKIP_SANITIZE=1 ...         skip the ASan/UBSan and TSan builds
@@ -108,6 +112,12 @@ echo "== d16sweep: full matrix, --no-block-engine (A/B) =="
     --json build/sweep_full_noblocks.json
 cmp build/sweep_full.json build/sweep_full_noblocks.json
 echo "   full matrix step/block byte-identical"
+
+echo "== d16sweep: full matrix, --jobs 1 vs --jobs $JOBS (schedule A/B) =="
+./build/tools/d16sweep --jobs 1 --no-timing \
+    --json build/sweep_full_jobs1.json
+cmp build/sweep_full.json build/sweep_full_jobs1.json
+echo "   full matrix one thread / $JOBS threads byte-identical"
 
 echo "== d16sweep: uarch matrix vs golden (fwd/bp/depth axes) =="
 ./build/tools/d16sweep --uarch-matrix --jobs "$JOBS" --no-timing \

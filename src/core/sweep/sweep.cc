@@ -1,7 +1,6 @@
 #include "core/sweep/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <exception>
 #include <memory>
@@ -135,10 +134,21 @@ SweepTiming::json() const
     j["buildCpuSeconds"] = Json(buildCpuSeconds);
     j["simulateCpuSeconds"] = Json(simulateCpuSeconds);
     j["replayCpuSeconds"] = Json(replayCpuSeconds);
+    j["rowsLandedP50Seconds"] = Json(rowLandedSeconds(50));
+    j["rowsLandedP90Seconds"] = Json(rowLandedSeconds(90));
     j["busySeconds"] = Json(busySeconds());
     j["speedup"] = Json(speedup());
     j["simMips"] = Json(simMips());
     return j;
+}
+
+double
+SweepTiming::rowLandedSeconds(double p) const
+{
+    std::vector<double> v = rowSeconds;
+    std::sort(v.begin(), v.end());
+    const auto rank = static_cast<size_t>(std::ceil(p / 100 * v.size()));
+    return v.empty() ? 0 : v[std::max<size_t>(rank, 1) - 1];
 }
 
 SweepEngine::SweepEngine(ResultStore &store, int threads)
@@ -167,15 +177,25 @@ SweepEngine::commit(const std::string &key, const JobSpec &spec,
     const JobResult &stored = store_.put(key, std::move(result));
     if (artifacts_)
         saveResult(*artifacts_, spec, stored);
+    land(key, stored);
+    return stored;
+}
+
+void
+SweepEngine::land(const std::string &key, const JobResult &stored)
+{
+    {
+        std::lock_guard<std::mutex> lock(timingMutex_);
+        timing_.rowSeconds.push_back(runClock_.wallSeconds());
+    }
     if (onResult_)
         onResult_(key, stored);
-    return stored;
 }
 
 void
 SweepEngine::run()
 {
-    const Stopwatch sweepClock;
+    runClock_ = Stopwatch();
 
     // Deduplicate the batch and drop jobs the store already has.
     std::map<std::string, JobSpec> unique;
@@ -198,10 +218,7 @@ SweepEngine::run()
         for (auto it = unique.begin(); it != unique.end();) {
             JobResult loaded;
             if (loadResult(*artifacts_, it->second, &loaded)) {
-                const JobResult &stored =
-                    store_.put(it->first, std::move(loaded));
-                if (onResult_)
-                    onResult_(it->first, stored);
+                land(it->first, store_.put(it->first, std::move(loaded)));
                 ++timing_.storeResultHits;
                 it = unique.erase(it);
             } else {
@@ -216,46 +233,71 @@ SweepEngine::run()
     std::map<std::string, std::vector<JobSpec>> graph;
     for (auto &[key, spec] : unique)
         graph[imageKey(spec)].push_back(std::move(spec));
-    // Nodes with the most jobs go first (ties keep imageKey order), so
-    // their rows land early instead of trailing the sweep.
-    std::vector<const std::vector<JobSpec> *> nodes;
+    // A free worker takes the pending node with the fewest estimated
+    // instructions per job (Smith's rule: least job-weighted waiting).
+    // A workload's estimate is what its last settled node simulated,
+    // else the mean of the measured workloads, so the sweep opens most
+    // jobs first. Ties go to more jobs, then to the earlier imageKey.
+    std::vector<const std::vector<JobSpec> *> pending;
     for (const auto &[ikey, runs] : graph)
-        nodes.push_back(&runs);
-    std::stable_sort(nodes.begin(), nodes.end(),
-                     [](const auto *a, const auto *b) {
-                         return a->size() > b->size();
-                     });
+        pending.push_back(&runs);
+    std::map<std::string, double> measured; // workload -> instructions
+    std::mutex mutex; // guards pending, measured and error
+    std::exception_ptr error;
+    auto pick = [&]() -> const std::vector<JobSpec> * {
+        if (pending.empty())
+            return nullptr;
+        double mean = 0;
+        for (const auto &[name, insns] : measured)
+            mean += insns / measured.size();
+        auto perJob = [&](const std::vector<JobSpec> *runs) {
+            const auto it = measured.find(runs->front().workload);
+            return (it == measured.end() ? mean : it->second) / runs->size();
+        };
+        const auto best = std::min_element(
+            pending.begin(), pending.end(), [&](const auto *a, const auto *b) {
+                const double ca = perJob(a), cb = perJob(b);
+                return ca != cb ? ca < cb : a->size() > b->size();
+            });
+        const std::vector<JobSpec> *runs = *best;
+        pending.erase(best);
+        return runs;
+    };
 
     // Each worker settles whole nodes, so a node's image and trace
     // live only as long as its task. The first error is rethrown once
     // every node has settled.
-    std::atomic<size_t> next{0};
-    std::mutex errorMutex;
-    std::exception_ptr error;
     auto work = [&] {
-        for (size_t i = next++; i < nodes.size(); i = next++) {
+        std::unique_lock<std::mutex> lock(mutex);
+        while (const std::vector<JobSpec> *runs = pick()) {
+            lock.unlock();
+            uint64_t simulated = 0;
+            std::exception_ptr failed;
             try {
-                settle(*nodes[i]);
+                simulated = settle(*runs);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!error)
-                    error = std::current_exception();
+                failed = std::current_exception();
             }
+            lock.lock();
+            if (failed && !error)
+                error = failed;
+            if (simulated)
+                measured[runs->front().workload] = simulated;
         }
     };
     std::vector<std::thread> workers;
     const size_t width =
-        std::min(nodes.size(), static_cast<size_t>(threads_));
+        std::min(graph.size(), static_cast<size_t>(threads_));
     for (size_t i = 0; i < width; ++i)
         workers.emplace_back(work);
     for (std::thread &t : workers)
         t.join();
     if (error)
         std::rethrow_exception(error);
-    timing_.wallSeconds += sweepClock.wallSeconds();
+    timing_.wallSeconds += runClock_.wallSeconds();
 }
 
-void
+uint64_t
 SweepEngine::settle(const std::vector<JobSpec> &runs)
 {
     auto book = [this](auto &&update) {
@@ -365,12 +407,14 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
     }
 
     if (!replays) {
+        uint64_t longest = 0;
         for (const JobSpec &spec : runs) {
             const Stopwatch simClock;
             JobResult r = executeJob(spec, *image, predecoded, blocks);
             const double st = simClock.wallSeconds();
             const double scpu = simClock.cpuSeconds();
             const uint64_t insns = r.run.stats.instructions;
+            longest = std::max(longest, insns);
             commit(jobKey(spec), spec, std::move(r));
             book([&](SweepTiming &t) {
                 ++t.executedRuns;
@@ -379,7 +423,7 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
                 t.simulatedInstructions += insns;
             });
         }
-        return;
+        return longest;
     }
 
     // Stream every job through one set of folds: from the stored
@@ -411,6 +455,7 @@ SweepEngine::settle(const std::vector<JobSpec> &runs)
         t.replaySeconds += cost.replaySeconds;
         t.replayCpuSeconds += cost.replayCpuSeconds;
     });
+    return cost.capturedInstructions;
 }
 
 Json

@@ -15,7 +15,10 @@
  *    and one worker settles the whole node in one task: it compiles
  *    the image once and then runs every job, or streams one capture
  *    through the node's replay folds, so the node's image dies with
- *    the task; nodes with the most jobs are settled first;
+ *    the task; a free worker takes the pending node with the fewest
+ *    estimated instructions per job, each workload's estimate being
+ *    what its last settled node simulated, so the cheapest rows land
+ *    first;
  *  - with trace replay on, a node captures its image once, on the
  *    default machine, straight into one fold per distinct computation
  *    (NodeFolds): the cache, fetch-buffer, immediate-class and
@@ -94,6 +97,12 @@ struct SweepTiming
     double buildCpuSeconds = 0;
     double simulateCpuSeconds = 0;
     double replayCpuSeconds = 0;
+    /** Start of run() to each row landing in the ResultStore, in
+     *  landing order (rows of every run() of the engine). */
+    std::vector<double> rowSeconds;
+    /** Nearest-rank percentile of rowSeconds, p in (0, 100]; 0 when
+     *  no row landed. */
+    double rowLandedSeconds(double p) const;
     /** CPU work executed / wall time: the observed parallel speedup
      *  (~= min(threads, width of the job graph) when runs dominate). */
     double
@@ -198,10 +207,14 @@ class SweepEngine
 
   private:
     /** Build, run or capture and replay every job of one build node
-     *  (the jobs of one imageKey()), committing each result. */
-    void settle(const std::vector<JobSpec> &runs);
+     *  (the jobs of one imageKey()), committing each result. Returns
+     *  the instructions one simulation of the node ran: its capture's,
+     *  or its longest direct run's; 0 if it simulated nothing. */
+    uint64_t settle(const std::vector<JobSpec> &runs);
     const JobResult &commit(const std::string &key, const JobSpec &spec,
                             JobResult result);
+    /** Book a row that just landed in the store and report it. */
+    void land(const std::string &key, const JobResult &stored);
 
     ResultStore &store_;
     int threads_;
@@ -212,6 +225,7 @@ class SweepEngine
     std::vector<JobSpec> pending_;
     std::mutex timingMutex_;  //!< guards timing_ while workers settle
     SweepTiming timing_;
+    Stopwatch runClock_;      //!< started by each run()
 };
 
 /**

@@ -20,11 +20,14 @@
  *
  * Also pins the engine's determinism contract (same matrix =>
  * byte-identical canonical JSON at --jobs 1 and --jobs 8), the
- * dedup/caching accounting, and — spot-checking the bench port — the
- * exact table values the fig04/fig05 drivers printed before they were
- * ported onto the engine.
+ * one-thread node schedule, the error path (a failed node leaves the
+ * other rows settled), the dedup/caching accounting, and —
+ * spot-checking the bench port — the exact table values the
+ * fig04/fig05 drivers printed before they were ported onto the
+ * engine.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -185,22 +188,28 @@ TEST(Sweep, OneThreadSettlesEachImageContiguously)
     EXPECT_EQ(finished.size(), 3u);
 }
 
-TEST(Sweep, OneThreadSettlesNodesWithMostJobsFirst)
+TEST(Sweep, OneThreadSettlesCheapestRowsFirst)
 {
-    // Nodes are handed out by job count, most first, so the big nodes'
-    // rows do not trail the sweep; ties keep imageKey order. The
-    // first row committed therefore belongs to a node with the most
-    // jobs, and the nodes settle queens, towers, bubblesort,
-    // ackermann.
+    // A free worker takes the node with the fewest estimated
+    // instructions per job, each workload's estimate being what its
+    // last settled node simulated (solver ~0.31 M, towers ~2.03 M).
+    // Nothing is measured at first, so the sweep opens most jobs
+    // first: solver|D16 ties towers|D16 and wins on imageKey. Towers
+    // then takes solver's count as the mean of the measured
+    // workloads, so towers|D16 (3 jobs) beats both DLXe nodes. Once
+    // towers is measured, solver's lone job costs less than towers'
+    // two; job count alone would put towers|DLXe/32/3 third.
     const mc::CompileOptions d16 = mc::CompileOptions::d16();
+    const mc::CompileOptions dlxe = mc::CompileOptions::dlxe(32, true);
     std::vector<sweep::JobSpec> jobs;
-    jobs.push_back(sweep::JobSpec::base("ackermann", d16));
-    for (const char *name : {"bubblesort", "queens", "towers"})
+    for (const char *name : {"solver", "towers"}) {
         jobs.push_back(sweep::JobSpec::base(name, d16));
-    for (const char *name : {"bubblesort", "queens", "towers"})
         jobs.push_back(sweep::JobSpec::fetch(name, d16, 4));
-    for (const char *name : {"queens", "towers"})
         jobs.push_back(sweep::JobSpec::fetch(name, d16, 8));
+    }
+    jobs.push_back(sweep::JobSpec::base("towers", dlxe));
+    jobs.push_back(sweep::JobSpec::fetch("towers", dlxe, 4));
+    jobs.push_back(sweep::JobSpec::base("solver", dlxe));
     std::map<std::string, std::string> imageOf;
     for (const sweep::JobSpec &spec : jobs)
         imageOf[sweep::jobKey(spec)] = sweep::imageKey(spec);
@@ -216,9 +225,53 @@ TEST(Sweep, OneThreadSettlesNodesWithMostJobsFirst)
         });
     engine.add(jobs);
     engine.run();
-    const std::vector<std::string> want = {"queens|D16", "towers|D16",
-                                           "bubblesort|D16", "ackermann|D16"};
+    const std::vector<std::string> want = {"solver|D16", "towers|D16",
+                                           "solver|DLXe/32/3",
+                                           "towers|DLXe/32/3"};
     EXPECT_EQ(order, want);
+    // The margin the order rests on.
+    EXPECT_LT(3 * store.at("solver|D16").run.stats.instructions,
+              store.at("towers|D16").run.stats.instructions);
+
+    // Every row's landing time is booked, from the start of run().
+    const sweep::SweepTiming &t = engine.timing();
+    ASSERT_EQ(t.rowSeconds.size(), jobs.size());
+    EXPECT_TRUE(std::is_sorted(t.rowSeconds.begin(), t.rowSeconds.end()));
+    EXPECT_LE(t.rowLandedSeconds(50), t.rowLandedSeconds(90));
+    EXPECT_LE(t.rowLandedSeconds(90), t.wallSeconds);
+    EXPECT_EQ(t.rowLandedSeconds(100), t.rowSeconds.back());
+}
+
+TEST(Sweep, FailedNodeStillSettlesTheRest)
+{
+    // A job on an unknown workload throws inside its node's task; the
+    // sweep still settles every other node and rethrows only then.
+    // On one thread the failing node (two jobs, first in imageKey
+    // order among the largest) is settled first.
+    const mc::CompileOptions d16 = mc::CompileOptions::d16();
+    std::vector<sweep::JobSpec> jobs;
+    jobs.push_back(sweep::JobSpec::base("ackermann", d16));
+    for (const char *name : {"nosuch", "queens"}) {
+        jobs.push_back(sweep::JobSpec::base(name, d16));
+        jobs.push_back(sweep::JobSpec::fetch(name, d16, 4));
+    }
+    for (int threads : {1, 3}) {
+        sweep::ResultStore store;
+        sweep::SweepEngine engine(store, threads);
+        engine.add(jobs);
+        try {
+            engine.run();
+            ADD_FAILURE() << "no error on " << threads << " threads";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("nosuch"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(store.size(), 3u) << threads << " threads";
+        for (const char *key : {"ackermann|D16", "queens|D16",
+                                "queens|D16|fb4"})
+            EXPECT_TRUE(store.contains(key)) << key;
+    }
 }
 
 // The exact values the (pre-port, serial) fig04/fig05 drivers printed,

@@ -52,8 +52,10 @@
  * (tests/sweep_test.cc, tests/golden/sweep_golden.json) pins. Timing
  * lives in a separate "timing" section (dropped by --no-timing) and
  * in the stderr summary; its speedup line — busy seconds over wall
- * seconds — is the engine's own parallelism measurement, and its
- * thread-cpu line ends with the process's peak resident set.
+ * seconds — is the engine's own parallelism measurement, its
+ * thread-cpu line ends with the process's peak resident set, and its
+ * rows-landed line gives the p50 and p90 of when the rows landed,
+ * from the sweep's start.
  *
  * Exit status: 0 = swept (and matched the golden file, if given),
  * 1 = golden mismatch, 2 = bad usage or build failure.
@@ -298,7 +300,8 @@ main(int argc, char **argv)
                 "simulate %.2fs + replay %.2fs), speedup %.2fx\n"
                 "d16sweep: thread cpu: build %.2fs, simulate %.2fs, "
                 "replay %.2fs; peak rss %.1f MB\n"
-                "d16sweep: %llu instructions simulated, %.1f MIPS\n",
+                "d16sweep: %llu instructions simulated, %.1f MIPS\n"
+                "d16sweep: rows landed p50 %.2fs, p90 %.2fs\n",
                 t.executedRuns, t.executedBuilds, t.dedupedRuns,
                 t.replayedRuns, t.capturedTraces, t.retimedSlices,
                 t.threads,
@@ -307,7 +310,7 @@ main(int argc, char **argv)
                 t.buildCpuSeconds, t.simulateCpuSeconds,
                 t.replayCpuSeconds, peakRssMb(),
                 static_cast<unsigned long long>(t.simulatedInstructions),
-                t.simMips());
+                t.simMips(), t.rowLandedSeconds(50), t.rowLandedSeconds(90));
             if (artifacts) {
                 const store::StoreCounters c = artifacts->counters();
                 std::fprintf(
