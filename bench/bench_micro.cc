@@ -195,6 +195,40 @@ BM_ReplayTimingQueens(benchmark::State &state)
 BENCHMARK(BM_ReplayTimingQueens)->Unit(benchmark::kMillisecond);
 
 static void
+BM_RetimeAllSlicesQueens(benchmark::State &state)
+{
+    // All five non-default capture slices (forwarding x depth 5..7)
+    // retimed from the default machine's trace by one TimingFold: three
+    // scoreboard lanes, one memo lookup per fetch run.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe());
+    const sim::DecodedText text(img);
+    const auto trace = core::replay::capture(img);
+    const core::replay::TimingTable table(img, text);
+    std::vector<sim::UarchConfig> slices;
+    for (const bool forward : {false, true}) {
+        for (const int depth : {5, 6, 7}) {
+            sim::UarchConfig slice;
+            slice.forward = forward;
+            slice.depth = depth;
+            if (!slice.isDefault())
+                slices.push_back(slice);
+        }
+    }
+    for (auto _ : state) {
+        core::replay::TimingFold fold(table, trace.insnBytes);
+        for (const sim::UarchConfig &slice : slices)
+            fold.add(slice);
+        fold.feed(trace.chunk());
+        for (const sim::UarchConfig &slice : slices)
+            benchmark::DoNotOptimize(fold.finish(slice).loadInterlocks);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(1639487));
+}
+BENCHMARK(BM_RetimeAllSlicesQueens)->Unit(benchmark::kMillisecond);
+
+static void
 BM_ReplayCacheQueens(benchmark::State &state)
 {
     // One cache configuration evaluated from a recorded trace: the

@@ -35,9 +35,11 @@
  * and the issue-time scoreboard reads nothing but each instruction's
  * op and register numbers, so the interlock counters of any
  * forwarding/depth slice are a function of the dynamic pc sequence —
- * the fetch runs. TimingFold walks them through a per-image
- * TimingTable; the sweep engine captures each image once, on the
- * default machine, and retimes every other slice from that stream.
+ * the fetch runs. One TimingFold retimes every slice from them
+ * through a per-image TimingTable, a lane per distinct scoreboard,
+ * applying each run's memoized effect wherever a lane enters it with
+ * nothing in flight; the sweep engine captures each image once, on
+ * the default machine, and retimes every other slice from that stream.
  */
 
 #ifndef D16SIM_CORE_REPLAY_REPLAY_HH
@@ -187,7 +189,7 @@ BranchReplayStats branchStatsFor(const Trace &trace,
 /**
  * The issue-time scoreboard's view of an image's text section: one
  * sim::issueSlot() per instruction word, built once per image and
- * shared by every slice's TimingFold. Emitted instructions come from
+ * shared by every lane of its TimingFold. Emitted instructions come from
  * the predecoded table, every other word (in-text pools) is decoded
  * from the image, as the machine decodes it from memory; a word that
  * does not decode gets an empty slot (a capture that reached one would
@@ -241,40 +243,104 @@ struct TimingReplayStats
 };
 
 /**
- * The scoreboard walk of `uarch`'s capture slice over the fetch runs
- * of a capture of `table`'s image at any slice. The walk is exact
- * while every run lies instruction-aligned in the text section and no
- * data write lands in it (a store into the text can change what a
- * later fetch of a pool word decodes to in the live machine, which the
- * table, decoded from the image, would not see). It checks each run
- * before indexing the table and stops for good at the first run or
- * write that breaks this; exact() then reads false and the slice must
- * be captured on its own machine.
+ * The scoreboard walks of any number of capture slices over the fetch
+ * runs of a capture of `table`'s image at any slice, one lane (ready
+ * array, cycle, counters) per distinct scoreboard: depth 6 and 7 share
+ * their forwarding's lane, as their loadDelay() is the same. A lane
+ * that enters a run with no result in flight (every ready time at most
+ * the next issue cycle) applies the run's memoized effect — cycles,
+ * counters and the results still in flight at its end, a pure function
+ * of (start slot, count) — and otherwise walks it slot by slot
+ * (Machine::useGpr/useFpr/useStatus and finishIssue), recording the
+ * effect when it entered clean. One lookup per run in a direct-mapped
+ * memo of 1 << MemoBits entries serves every lane; an effect leaving
+ * more than MaxLive results in flight is walked every time.
+ *
+ * The walks are exact while every run lies instruction-aligned in the
+ * text section and no data write lands in it (a store into the text
+ * can change what a later fetch of a pool word decodes to in the live
+ * machine, which the table, decoded from the image, would not see).
+ * The fold checks each run before indexing the table, and each chunk's
+ * writes, once for all lanes, and stops for good at the first run or
+ * write that breaks this; exact() then reads false and every slice
+ * must be captured on its own machine.
  */
 class TimingFold : public sim::TraceFold
 {
   public:
-    TimingFold(const TimingTable &table, const sim::UarchConfig &uarch,
-               uint32_t insnBytes);
+    static constexpr unsigned MemoBits = 12;
+    static constexpr size_t MaxLive = 3;  //!< results an effect carries
+
+    /** The memo entry of the run (`start` slot, `count`). */
+    static size_t
+    memoSlot(uint32_t start, uint32_t count)
+    {
+        return ((start ^ (count << 20)) * 0x9e3779b1u) >> (32 - MemoBits);
+    }
+
+    TimingFold(const TimingTable &table, uint32_t insnBytes);
+
+    /** Time `uarch`'s capture slice too; call before the first feed. */
+    void add(const sim::UarchConfig &uarch);
 
     void feed(const sim::TraceChunk &chunk) override;
 
     /** False once the stream wrote its text section or left it. */
     bool exact() const { return exact_; }
 
-    /** The slice's counters; FatalError unless exact(). */
-    TimingReplayStats finish() const;
+    /** Distinct scoreboards, and capture slices, added. */
+    size_t lanes() const { return lanes_.size(); }
+    size_t slices() const { return slices_.size(); }
+
+    /** The counters of `uarch`'s capture slice, which must have been
+     *  added; FatalError unless exact(). */
+    TimingReplayStats finish(const sim::UarchConfig &uarch) const;
 
   private:
-    template <bool Forward> void walk(std::span<const FetchRun> runs);
+    /** Stall cycles charged to loads and to FP results, and cycles the
+     *  store-data bypass saved. */
+    enum Counter { Load, Fp, FwdSaved };
+    using Counts = std::array<uint64_t, 3>;
+    /** A run's effect on a lane that entered it clean: `live` results
+     *  in flight at its end, register reg[k] ready ahead[k] cycles
+     *  after its last issue. */
+    struct Effect
+    {
+        static constexpr uint8_t Unset = 0xff, Overflow = 0xfe;
+        uint32_t cycles = 0;
+        std::array<uint32_t, 3> counts{};
+        uint8_t live = Unset;
+        std::array<uint8_t, MaxLive> reg{}, ahead{};
+    };
+    struct Lane
+    {
+        bool forward = false;
+        uint64_t loadDelta = 2;  //!< a load's result latency
+        uint64_t cycle = 0;
+        Counts counts{};
+        uint64_t maxReady = 0;  //!< the latest ready time written
+        std::array<uint64_t, sim::IssueSlot::Resources> ready{};
+        std::vector<Effect> memo;
+    };
+
+    /** laneOf_'s index for `slice`'s scoreboard. */
+    static int
+    scoreboard(const sim::UarchConfig &slice)
+    {
+        return slice.forward + 2 * slice.loadDelay();
+    }
+    template <bool Forward>
+    static void walk(Lane &l, const TimingTable::Slot *s, uint32_t count);
+    static void record(const Lane &l, uint64_t cycle, const Counts &counts,
+                       Effect &e);
+    static void apply(Lane &l, const Effect &e);
 
     const TimingTable &table_;
-    sim::UarchConfig slice_;
-    uint64_t loadDelta_;
     bool exact_;
-    uint64_t cycle_ = 0;
-    std::array<uint64_t, sim::IssueSlot::Resources> ready_{};
-    TimingReplayStats out_;
+    std::vector<Lane> lanes_;
+    std::array<int8_t, 2 * (sim::UarchConfig::MaxLoadDelay + 1)> laneOf_;
+    std::vector<sim::UarchConfig> slices_;
+    std::vector<std::pair<uint32_t, uint32_t>> tags_;  //!< (start, count)
 };
 
 /** True when a TimingFold over `trace` on `table`'s image stays exact

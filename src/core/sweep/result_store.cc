@@ -202,9 +202,10 @@ NodeFolds::NodeFolds(std::vector<const JobSpec *> specs,
             if (!table)
                 fatal("replay: trace timed at uarch '", captured_.key(),
                       "' cannot replay capture slice '", slice.key(), "'");
-            w.timing = &timing_.try_emplace(slice.key(), *table, slice,
-                                            insnBytes)
-                            .first->second;
+            if (!timing_)
+                timing_.emplace(*table, insnBytes);
+            timing_->add(slice);
+            w.timing = &*timing_;
         }
         sim::UarchConfig predictor;
         predictor.branch = spec.uarch.branch;
@@ -247,8 +248,8 @@ NodeFolds::feed(const sim::TraceChunk &chunk)
         caches_->feed(chunk);
     for (auto &[key, f] : branches_)
         f.feed(chunk);
-    for (auto &[key, f] : timing_)
-        f.feed(chunk);
+    if (timing_)
+        timing_->feed(chunk);
     seconds_ += clock.wallSeconds();
     cpuSeconds_ += clock.cpuSeconds();
 }
@@ -275,7 +276,7 @@ NodeFolds::finish(const RunMeasurement &base,
                     refused->push_back(&spec);
                 continue;
             }
-            const replay::TimingReplayStats t = w.timing->finish();
+            const replay::TimingReplayStats t = w.timing->finish(spec.uarch);
             r.run.stats.loadInterlocks = t.loadInterlocks;
             r.run.stats.fpInterlocks = t.fpInterlocks;
             r.run.stats.fwdSavedStalls = t.fwdSavedStalls;
@@ -312,9 +313,9 @@ NodeFolds::finish(const RunMeasurement &base,
 int
 NodeFolds::retimedSlices() const
 {
-    return static_cast<int>(std::count_if(
-        timing_.begin(), timing_.end(),
-        [](const auto &slice) { return slice.second.exact(); }));
+    return timing_ && timing_->exact()
+               ? static_cast<int>(timing_->slices())
+               : 0;
 }
 
 namespace

@@ -154,12 +154,12 @@ class Stopwatch
  * runs on: one per distinct computation over the image's streams —
  * one fetch-buffer fold per bus width, one imm classifier, one
  * CacheFold for every cache job, one predictor walk per (policy, BHT
- * size), and one timing walk per capture slice other than the
- * captured one. Fed by a capture's sink, or with a stored trace in
- * one chunk; finish() then settles every job from the capture's
- * measurement, bit-identically to direct simulation. The folds time
- * their own work (seconds()), so a live capture's clock can book it
- * as replay.
+ * size), and one TimingFold, a lane per distinct scoreboard, for the
+ * capture slices other than the captured one. Fed by a capture's
+ * sink, or with a stored trace in one chunk; finish() then settles
+ * every job from the capture's measurement, bit-identically to direct
+ * simulation. The folds time their own work (seconds()), so a live
+ * capture's clock can book it as replay.
  */
 class NodeFolds : public sim::TraceFold
 {
@@ -179,9 +179,9 @@ class NodeFolds : public sim::TraceFold
     void feed(const sim::TraceChunk &chunk) override;
 
     /** Every job's result, in spec order, from `base`, the capture's
-     *  measurement — except the jobs of a slice whose timing walk
-     *  refused the stream (replay::TimingFold::exact()), which are
-     *  left out and appended to `*refused`. */
+     *  measurement — except the jobs off the captured slice when the
+     *  timing fold refused the stream (replay::TimingFold::exact()),
+     *  which are left out and appended to `*refused`. */
     std::vector<std::pair<const JobSpec *, JobResult>>
     finish(const RunMeasurement &base,
            std::vector<const JobSpec *> *refused = nullptr);
@@ -189,7 +189,8 @@ class NodeFolds : public sim::TraceFold
     double seconds() const { return seconds_; }
     double cpuSeconds() const { return cpuSeconds_; }
 
-    /** Slices off the captured one whose timing walk stayed exact. */
+    /** Slices off the captured one, retimed when the timing fold
+     *  stayed exact (else 0). */
     int retimedSlices() const;
 
   private:
@@ -210,7 +211,7 @@ class NodeFolds : public sim::TraceFold
     std::vector<replay::CacheEval> evals_;
     std::optional<replay::CacheFold> caches_;
     std::map<std::string, replay::BranchFold> branches_;  //!< by bp key
-    std::map<std::string, replay::TimingFold> timing_;  //!< by slice key
+    std::optional<replay::TimingFold> timing_;
     double seconds_ = 0;
     double cpuSeconds_ = 0;
 };
@@ -234,10 +235,10 @@ struct NodeCost
  * `stored`, a recorded trace fed to the node's folds in one chunk, or
  * else one capture of `image` on the default machine streamed straight
  * into them (and, given `tee`, also recorded there for the artifact
- * store). A slice whose timing walk refuses the stream — the run
- * writes its text section — is settled from a capture of `image` on
- * the slice's own machine. `settle` receives each job's result once
- * its stream has ended. `image` and `predecoded` are needed for a
+ * store). When the timing fold refuses the stream — the run writes
+ * its text section — each slice off the captured one is settled from
+ * a capture of `image` on the slice's own machine. `settle` receives
+ * each job's result once its stream has ended. `image` and `predecoded` are needed for a
  * capture, an ImmClass job or a job off the stream's slice (which
  * also needs `table`); `blocks` optionally speeds captures up.
  */

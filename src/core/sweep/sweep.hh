@@ -23,10 +23,10 @@
  *    default machine, straight into one fold per distinct computation
  *    (NodeFolds): the cache, fetch-buffer, immediate-class and
  *    branch-policy jobs are settled from the streams when the capture
- *    ends, and each non-default forwarding/depth slice is retimed by
- *    one scoreboard walk (replay::TimingFold) instead of being
- *    re-captured — no whole trace is held unless the artifact store
- *    is to keep it;
+ *    ends, and the non-default forwarding/depth slices are retimed
+ *    by one memoized scoreboard fold (replay::TimingFold) instead of
+ *    being re-captured — no whole trace is held unless the artifact
+ *    store is to keep it;
  *  - results land in a thread-safe ResultStore keyed by the canonical
  *    job key, so result identity and ordering are independent of the
  *    schedule (determinism contract: same matrix => byte-identical
@@ -147,8 +147,8 @@ class SweepEngine
      * job simulates its image once, on the default machine, with a
      * bounded sim::TraceSink streaming the reference streams straight
      * into the node's folds (streamJobs(): one fold per distinct
-     * computation, so the cache siblings share one CacheFold and every
-     * other capture slice is one timing walk), and settles every job
+     * computation, so the cache siblings share one CacheFold and the
+     * other capture slices one TimingFold), and settles every job
      * when the stream ends — the first default-slice base job is the
      * capture itself. A node whose trace is in the artifact store
      * feeds it to the same folds in one chunk. Results are

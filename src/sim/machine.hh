@@ -133,9 +133,11 @@ class Machine
      *  dispatch loop keeps the issue cycle in a local (`cycle`), which
      *  these take by reference, execSlot takes and returns, and the
      *  out-of-line FP/status/trap uops (execSlowUop) see as cycle_;
-     *  every exit writes it back to cycle_. */
+     *  every exit writes it back to cycle_. The loops are 64-byte
+     *  aligned, so code growth elsewhere cannot shift their speed. */
     bool runBlocks();
-    template <unsigned Shift, bool Traced> bool dispatchBlocks();
+    template <unsigned Shift, bool Traced>
+    __attribute__((aligned(64))) bool dispatchBlocks();
     template <unsigned Shift, bool Traced>
     bool execUop(const Uop &u, uint64_t &cycle);
     template <unsigned Shift, bool Traced>

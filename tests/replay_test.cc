@@ -4,13 +4,15 @@
  * matrix (exact CacheStats and CPI for every cache variant), timing
  * replay of every non-default forwarding/depth slice from the default
  * machine's trace (and its refusal of a trace that writes its text),
- * binary round-trip of the D16T format, and the truncated/corrupt-
+ * the timing fold's memoized runs on hand-built run sequences, binary
+ * round-trip of the D16T format, and the truncated/corrupt-
  * trace error paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -291,9 +293,9 @@ feedInChunks(sim::TraceFold &folds, const Trace &trace, size_t n)
 TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
 {
     // One node's fold set — base, imm, both fetch-buffer widths, the
-    // 20 paper cache configs, the three branch policies and a retimed
-    // slice — must settle identical results however the streams are
-    // cut into chunks.
+    // 20 paper cache configs, the three branch policies and all five
+    // retimed slices — must settle identical results however the
+    // streams are cut into chunks.
     const CompileOptions opts = CompileOptions::dlxe(16, false);
     const assem::Image image = build(workload("queens").source, opts);
     const auto predecoded = std::make_shared<const sim::DecodedText>(image);
@@ -309,12 +311,13 @@ TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
         sweep::JobSpec::fetch("queens", opts, 8)};
     for (const mem::CacheConfig &cfg : paperCacheConfigs())
         specs.push_back(sweep::JobSpec::cache("queens", opts, cfg, cfg));
-    for (const char *key : {"bp=static", "bp=bimodal6", "fwd=on,depth=7",
-                            "fwd=on,depth=7,bp=bimodal6"}) {
+    for (const char *key :
+         {"bp=static", "bp=bimodal6", "fwd=on", "depth=6", "fwd=on,depth=6",
+          "depth=7", "fwd=on,depth=7", "fwd=on,depth=7,bp=bimodal6"}) {
         specs.push_back(sweep::JobSpec::base("queens", opts));
         specs.back().uarch = sweep::parseUarch(key);
     }
-    ASSERT_EQ(specs.size(), 28u);
+    ASSERT_EQ(specs.size(), 32u);
     std::vector<const sweep::JobSpec *> ptrs;
     for (const sweep::JobSpec &spec : specs)
         ptrs.push_back(&spec);
@@ -323,6 +326,7 @@ TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
         sweep::NodeFolds folds(ptrs, trace.insnBytes, trace.capturedUarch,
                                predecoded.get(), &table);
         feedInChunks(folds, trace, n);
+        EXPECT_EQ(folds.retimedSlices(), 5);
         std::vector<std::string> rows;
         for (const auto &[spec, r] : folds.finish(trace.base))
             rows.push_back(sweep::jobKey(*spec) + " " +
@@ -608,6 +612,90 @@ TEST(Replay, TimingReplayMatchesCaptureAtEverySlice)
         << mismatches.size() << " mismatches, first " << mismatches.front();
 }
 
+TEST(Replay, NodeFoldsMatchDirectRunsAtEverySlice)
+{
+    // One node per image: base jobs at all six forwarding x depth
+    // slices, predictor and fetch-buffer jobs on and off the default
+    // slice. Streamed from one default capture through one timing fold
+    // (depth 6 and 7 share its lane), every row must be the one a run
+    // on the job's own machine reports. solver and whetstone carry FP
+    // results in flight across runs.
+    std::vector<std::pair<std::string, CompileOptions>> images;
+    for (const char *name : {"queens", "solver", "whetstone"})
+        for (const CompileOptions &opts :
+             {CompileOptions::d16(), CompileOptions::dlxe()})
+            images.emplace_back(name, opts);
+
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::vector<std::string> mismatches;
+    int compared = 0;
+    auto worker = [&] {
+        for (size_t i = next++; i < images.size(); i = next++) {
+            const auto &[name, opts] = images[i];
+            const assem::Image image = build(workload(name).source, opts);
+            const auto predecoded =
+                std::make_shared<const sim::DecodedText>(image);
+            const auto blocks = buildBlockProgram(image, predecoded);
+            const replay::TimingTable table(image, *predecoded);
+
+            replay::TimingFold fold(
+                table, static_cast<uint32_t>(image.target->insnBytes()));
+            fold.add(sweep::parseUarch("depth=6"));
+            fold.add(sweep::parseUarch("bp=static,depth=7"));
+            EXPECT_EQ(fold.lanes(), 1u);
+            EXPECT_EQ(fold.slices(), 2u);
+            for (const sim::UarchConfig &slice : nonDefaultSlices())
+                fold.add(slice);
+            EXPECT_EQ(fold.lanes(), 3u);
+            EXPECT_EQ(fold.slices(), 5u);
+
+            std::vector<sweep::JobSpec> specs;
+            for (const char *key :
+                 {"", "fwd=on", "depth=6", "fwd=on,depth=6", "depth=7",
+                  "fwd=on,depth=7", "bp=static", "bp=bimodal9",
+                  "bp=static,depth=6", "fwd=on,bp=bimodal4,depth=7"}) {
+                specs.push_back(sweep::JobSpec::base(name, opts));
+                specs.back().uarch = sweep::parseUarch(key);
+            }
+            for (const char *key : {"", "fwd=on,depth=7"}) {
+                specs.push_back(sweep::JobSpec::fetch(name, opts, 4));
+                specs.back().uarch = sweep::parseUarch(key);
+            }
+            std::vector<const sweep::JobSpec *> ptrs;
+            for (const sweep::JobSpec &spec : specs)
+                ptrs.push_back(&spec);
+            std::map<std::string, sweep::JobResult> got;
+            const sweep::NodeCost cost = sweep::streamJobs(
+                ptrs, nullptr, &image, predecoded, blocks, &table, nullptr,
+                [&](const sweep::JobSpec &spec, sweep::JobResult r) {
+                    got.emplace(sweep::jobKey(spec), std::move(r));
+                });
+            EXPECT_EQ(cost.captures, 1);
+            EXPECT_EQ(cost.retimedSlices, 5);
+            for (const sweep::JobSpec &spec : specs) {
+                const sweep::JobResult direct =
+                    sweep::executeJob(spec, image);
+                const auto it = got.find(sweep::jobKey(spec));
+                std::lock_guard<std::mutex> lock(mutex);
+                ++compared;
+                if (it == got.end() ||
+                    it->second.json().dump() != direct.json().dump() ||
+                    !(it->second.run.stats == direct.run.stats))
+                    mismatches.push_back(sweep::jobKey(spec));
+            }
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t)
+        threads.emplace_back(worker);
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(compared, 72);
+    EXPECT_TRUE(mismatches.empty())
+        << mismatches.size() << " mismatches, first " << mismatches.front();
+}
+
 TEST(Replay, TimingReplayRejectsSliceMismatch)
 {
     // A retimed run is the retimed slice's: replaying another slice's
@@ -733,6 +821,271 @@ TEST(Replay, TextWritingTraceFallsBackToCapture)
     EXPECT_EQ(settled, 2);
     EXPECT_EQ(cleanCost.captures, 1);
     EXPECT_EQ(cleanCost.retimedSlices, 1);
+}
+
+// ----- memoized retiming on hand-built runs ---------------------------
+
+/** A DLXe text the runs below index (it is never executed): a load and
+ *  its two consumers, four long FP divides and their consumers, the
+ *  latest result read first, then load/use pairs as padding. */
+std::string
+retimeText()
+{
+    std::string src =
+        "main:\n"
+        "    ld r3, 0(gp)\n"         // 0
+        "    add r4, r3, r3\n"       // 1
+        "    st r3, 0(gp)\n"         // 2: r3 is the store's data
+        "    div.df f2, f0, f1\n"    // 3
+        "    div.df f4, f0, f1\n"    // 4
+        "    div.df f6, f0, f1\n"    // 5
+        "    div.df f8, f0, f1\n"    // 6
+        "    add.df f10, f8, f8\n"   // 7
+        "    add.df f10, f6, f6\n"   // 8
+        "    add.df f10, f4, f4\n"   // 9
+        "    add.df f10, f2, f2\n"   // 10
+        "    add r5, r4, r4\n"       // 11
+        "    add r5, r4, r4\n";      // 12
+    for (int i = 0; i < 48; ++i)
+        src += "    ld r3, 0(gp)\n    add r4, r3, r3\n";
+    return src;
+}
+
+/** Fixture: retimeText()'s image, its table, and runs by slot. */
+class RetimeRuns : public ::testing::Test
+{
+  protected:
+    RetimeRuns()
+        : image_(assembleProgram(isa::TargetInfo::dlxe(), retimeText())),
+          text_(image_), table_(image_, text_)
+    {}
+
+    replay::FetchRun
+    run(uint32_t slot, uint32_t count) const
+    {
+        return {image_.textBase + 4 * slot, count};
+    }
+
+    /** The counters of `slice` over `runs`, fed to a fold timing every
+     *  one of `slices` in chunks of `n` runs. */
+    replay::TimingReplayStats
+    fold(const std::vector<replay::FetchRun> &runs,
+         const sim::UarchConfig &slice,
+         const std::vector<sim::UarchConfig> &slices, size_t n = 3) const
+    {
+        replay::TimingFold f(table_, 4);
+        for (const sim::UarchConfig &s : slices)
+            f.add(s);
+        for (size_t at = 0; at < runs.size(); at += n)
+            f.feed({std::span(runs).subspan(at, std::min(n, runs.size() - at)),
+                    {}, {}});
+        return f.finish(slice);
+    }
+
+    /** The scoreboard rule restated one instruction at a time, with no
+     *  memo: the later source stalls the issue (a tie keeps the first),
+     *  and under forwarding a stall the store's data alone raises is
+     *  one cycle shorter. */
+    replay::TimingReplayStats
+    byHand(const std::vector<replay::FetchRun> &runs,
+           const sim::UarchConfig &slice) const
+    {
+        using Slot = sim::IssueSlot;
+        std::array<uint64_t, Slot::Resources> ready{};
+        uint64_t cycle = 0;
+        replay::TimingReplayStats out;
+        for (const replay::FetchRun &r : runs) {
+            for (uint32_t k = 0; k < r.count; ++k) {
+                const Slot &s =
+                    table_.slots()[(r.startPc - image_.textBase) / 4 + k];
+                const uint64_t issue = cycle + 1;
+                uint64_t stall = 0;
+                bool fp = false, data = false;
+                for (const uint8_t src : {s.src0, s.src1}) {
+                    if (ready[src] > issue + stall) {
+                        stall = ready[src] - issue;
+                        fp = src >= Slot::FprBase;
+                        data = src == s.src1 && s.lat == Slot::StoreData;
+                    }
+                }
+                if (data && slice.forward) {
+                    stall -= 1;
+                    out.fwdSavedStalls += 1;
+                }
+                (fp ? out.fpInterlocks : out.loadInterlocks) += stall;
+                cycle = issue + stall;
+                ready[s.dst] = cycle + (s.lat == Slot::LoadLatency
+                                            ? 1 + uint64_t(slice.loadDelay())
+                                            : s.lat);
+            }
+        }
+        return out;
+    }
+
+    /** fold() of every slice in `slices` equals byHand(). */
+    void
+    expectByHand(const std::vector<replay::FetchRun> &runs,
+                 const std::vector<sim::UarchConfig> &slices) const
+    {
+        for (const sim::UarchConfig &slice : slices) {
+            const replay::TimingReplayStats got = fold(runs, slice, slices);
+            const replay::TimingReplayStats want = byHand(runs, slice);
+            EXPECT_EQ(got.loadInterlocks, want.loadInterlocks) << slice.key();
+            EXPECT_EQ(got.fpInterlocks, want.fpInterlocks) << slice.key();
+            EXPECT_EQ(got.fwdSavedStalls, want.fwdSavedStalls)
+                << slice.key();
+        }
+    }
+
+    /** Forwarding off/on x load delay 1/2, in one fold. */
+    static std::vector<sim::UarchConfig>
+    scoreboards()
+    {
+        return {sweep::parseUarch(""), sweep::parseUarch("fwd=on"),
+                sweep::parseUarch("depth=7"),
+                sweep::parseUarch("fwd=on,depth=7")};
+    }
+
+    const assem::Image image_;
+    const sim::DecodedText text_;
+    const replay::TimingTable table_;
+};
+
+TEST_F(RetimeRuns, LoadInLastSlotStallsTheNextRun)
+{
+    // The load ends one run and the next run's first instruction reads
+    // it: the memoized load run must carry its result in flight. Each
+    // consumer run is first met with nothing in flight, so its memo
+    // entry records no stall and must not be applied when a load is
+    // pending.
+    const int reps = 5;
+    for (const uint32_t consumer : {1u, 2u}) {
+        std::vector<replay::FetchRun> runs = {run(consumer, 1)};
+        for (int i = 0; i < reps; ++i) {
+            runs.push_back(run(0, 1));
+            runs.push_back(run(consumer, 1));
+        }
+        const std::vector<sim::UarchConfig> slices = scoreboards();
+        // Distinct entries, so the repetitions are served from the memo.
+        ASSERT_NE(replay::TimingFold::memoSlot(0, 1),
+                  replay::TimingFold::memoSlot(consumer, 1));
+        for (const sim::UarchConfig &slice : slices) {
+            const uint64_t d = static_cast<uint64_t>(slice.loadDelay());
+            const bool saved = consumer == 2 && slice.forward;
+            const replay::TimingReplayStats t = fold(runs, slice, slices);
+            EXPECT_EQ(t.loadInterlocks, reps * (saved ? d - 1 : d))
+                << consumer << " " << slice.key();
+            EXPECT_EQ(t.fwdSavedStalls, saved ? uint64_t{reps} : 0u)
+                << consumer << " " << slice.key();
+            EXPECT_EQ(t.fpInterlocks, 0u);
+        }
+        expectByHand(runs, slices);
+    }
+}
+
+TEST_F(RetimeRuns, FpResultsInFlightCrossRuns)
+{
+    // Four divides leave four results in flight, more than an entry
+    // holds, so that run is walked every time; three leave three,
+    // which the entry carries. Either way the next run's first add
+    // waits for the latest divide: 15 cycles at the default latencies.
+    const int reps = 4;
+    for (const replay::FetchRun divides : {run(3, 4), run(4, 3)}) {
+        std::vector<replay::FetchRun> runs;
+        for (int i = 0; i < reps; ++i) {
+            runs.push_back(divides);
+            runs.push_back(run(7, 6));
+        }
+        for (const sim::UarchConfig &slice : scoreboards()) {
+            const replay::TimingReplayStats t =
+                fold(runs, slice, scoreboards());
+            EXPECT_EQ(t.fpInterlocks, uint64_t{15} * reps)
+                << divides.count << " " << slice.key();
+            EXPECT_EQ(t.loadInterlocks, 0u);
+        }
+        expectByHand(runs, scoreboards());
+    }
+}
+
+TEST_F(RetimeRuns, CollidingRunsKeepTheirOwnEffects)
+{
+    // Two runs that share a memo entry but not an effect: each evicts
+    // the other, and neither is served the other's effect.
+    const uint32_t slots = static_cast<uint32_t>(table_.slots().size());
+    std::map<size_t, std::vector<replay::FetchRun>> bySlot;
+    std::vector<replay::FetchRun> pair;
+    const sim::UarchConfig depth7 = sweep::parseUarch("depth=7");
+    for (uint32_t start = 0; start < slots && pair.empty(); ++start) {
+        for (uint32_t count = 1; start + count <= slots; ++count) {
+            auto &group =
+                bySlot[replay::TimingFold::memoSlot(start, count)];
+            for (const replay::FetchRun &other : group)
+                if (byHand({other}, depth7).loadInterlocks !=
+                    byHand({run(start, count)}, depth7).loadInterlocks)
+                    pair = {other, run(start, count)};
+            if (!pair.empty())
+                break;
+            group.push_back(run(start, count));
+        }
+    }
+    ASSERT_EQ(pair.size(), 2u);
+    std::vector<replay::FetchRun> runs;
+    for (int i = 0; i < 4; ++i) {
+        runs.push_back(pair[i % 2]);
+        runs.push_back(pair[i / 2]);
+        runs.push_back(run(11, 2));
+    }
+    expectByHand(runs, scoreboards());
+}
+
+TEST_F(RetimeRuns, OneStartTwoCounts)
+{
+    // (0, 2) stalls inside the run; (0, 1) leaves the load in flight.
+    // The two are different entries, and the shorter run's effect is
+    // not the longer one's.
+    const int reps = 3;
+    std::vector<replay::FetchRun> runs;
+    for (int i = 0; i < reps; ++i)
+        for (const replay::FetchRun r : {run(0, 2), run(0, 1), run(1, 1)})
+            runs.push_back(r);
+    for (const sim::UarchConfig &slice : scoreboards())
+        EXPECT_EQ(fold(runs, slice, scoreboards()).loadInterlocks,
+                  2 * reps * static_cast<uint64_t>(slice.loadDelay()))
+            << slice.key();
+    expectByHand(runs, scoreboards());
+}
+
+TEST_F(RetimeRuns, LeavingTheTextRefusesEveryLane)
+{
+    // A run past the text, or off the instruction grid, mid-chunk; or
+    // a write into the text: the fold refuses the stream for every
+    // slice at once.
+    const uint32_t end = static_cast<uint32_t>(table_.slots().size());
+    const replay::DataAccess poke{image_.textBase + 8, 4, true};
+    for (const replay::DataAccess &access :
+         {replay::DataAccess{}, poke}) {
+        for (const replay::FetchRun bad :
+             {run(end, 1), run(end - 2, 3),
+              replay::FetchRun{image_.textBase + 2, 1}, run(0, 1)}) {
+            const bool inside = bad.startPc == image_.textBase;
+            replay::TimingFold f(table_, 4);
+            for (const sim::UarchConfig &slice : nonDefaultSlices())
+                f.add(slice);
+            EXPECT_EQ(f.lanes(), 3u);
+            const std::vector<replay::FetchRun> runs = {run(0, 2), bad,
+                                                        run(1, 1)};
+            f.feed({runs, std::span(&access, 1), {}});
+            const bool exact = inside && !access.write;
+            EXPECT_EQ(f.exact(), exact);
+            for (const sim::UarchConfig &slice : nonDefaultSlices()) {
+                if (exact)
+                    EXPECT_NO_THROW(f.finish(slice));
+                else
+                    EXPECT_THROW(f.finish(slice), FatalError)
+                        << slice.key();
+            }
+        }
+    }
 }
 
 // ----- error paths ----------------------------------------------------
