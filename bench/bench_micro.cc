@@ -229,6 +229,35 @@ BM_RetimeAllSlicesQueens(benchmark::State &state)
 BENCHMARK(BM_RetimeAllSlicesQueens)->Unit(benchmark::kMillisecond);
 
 static void
+BM_BranchWalkAllSizesQueens(benchmark::State &state)
+{
+    // Static not-taken and every bimodal table size (2 .. 2^20 entries)
+    // walked over the default machine's outcome stream by one
+    // BranchFold: the twenty tables advance together, outcome by
+    // outcome.
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe());
+    const auto trace = core::replay::capture(img);
+    std::vector<sim::UarchConfig> predictors(1);
+    predictors[0].branch = sim::BranchPolicy::StaticNotTaken;
+    for (int log2 = 1; log2 <= 20; ++log2) {
+        predictors.emplace_back().branch = sim::BranchPolicy::Bimodal;
+        predictors.back().bhtLog2 = log2;
+    }
+    for (auto _ : state) {
+        core::replay::BranchFold fold(trace.insnBytes);
+        for (const sim::UarchConfig &p : predictors)
+            fold.add(p);
+        fold.feed(trace.chunk());
+        for (const sim::UarchConfig &p : predictors)
+            benchmark::DoNotOptimize(fold.finish(p, 0).mispredicts);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(trace.outcomes.size()));
+}
+BENCHMARK(BM_BranchWalkAllSizesQueens)->Unit(benchmark::kMillisecond);
+
+static void
 BM_ReplayCacheQueens(benchmark::State &state)
 {
     // One cache configuration evaluated from a recorded trace: the

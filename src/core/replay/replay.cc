@@ -151,9 +151,9 @@ FetchBufferFold::feed(const sim::TraceChunk &chunk)
     // crosses exactly lastBlock - firstBlock boundaries, plus one
     // request up front if it starts outside the buffered block.
     for (const FetchRun &r : chunk.runs) {
-        const uint32_t first = r.startPc / busBytes_;
+        const uint32_t first = r.startPc >> busShift_;
         const uint32_t last =
-            (r.startPc + (r.count - 1) * insnBytes_) / busBytes_;
+            (r.startPc + (r.count - 1) * insnBytes_) >> busShift_;
         requests_ += (last - first) +
                      ((!valid_ || first != current_) ? 1 : 0);
         valid_ = true;
@@ -169,21 +169,32 @@ replayFetchRequests(const Trace &trace, uint32_t busBytes)
     return fold.finish();
 }
 
-BranchFold::BranchFold(const sim::UarchConfig &uarch, uint32_t insnBytes)
-    : walks_(uarch.branch != sim::BranchPolicy::DelaySlot),
-      model_(uarch, insnBytes == 2 ? 1 : 2)
+BranchFold::BranchFold(uint32_t insnBytes)
+    : insnShift_(insnBytes == 2 ? 1 : 2)
 {}
+
+void
+BranchFold::add(const sim::UarchConfig &uarch)
+{
+    walks_ = walks_ || uarch.branch != sim::BranchPolicy::DelaySlot;
+    if (uarch.branch != sim::BranchPolicy::Bimodal)
+        return;
+    for (const Bimodal &b : bimodal_)
+        if (b.bhtLog2 == uarch.bhtLog2)
+            return;
+    bimodal_.push_back({uarch.bhtLog2, sim::BranchModel(uarch, insnShift_)});
+}
 
 void
 BranchFold::feed(const sim::TraceChunk &chunk)
 {
     if (!walks_)
         return;
-    for (const BranchOutcome &o : chunk.outcomes) {
-        bool mispredicted = false;
-        model_.conditional(o.pc, o.taken, mispredicted);
-        mispredicts_ += mispredicted ? 1 : 0;
-    }
+    for (const BranchOutcome &o : chunk.outcomes)
+        takenConditionals_ += o.taken;
+    for (const BranchOutcome &o : chunk.outcomes)
+        for (Bimodal &b : bimodal_)
+            b.mispredicts += b.model.bimodal(o.pc, o.taken);
 }
 
 BranchReplayStats
@@ -191,7 +202,7 @@ BranchFold::finish(const sim::UarchConfig &uarch,
                    uint64_t takenBranches) const
 {
     BranchReplayStats out;
-    if (!walks_) {
+    if (uarch.branch == sim::BranchPolicy::DelaySlot) {
         // The delay-slot policy charges every taken transfer alike
         // (conditional or not, including the halting jr), and
         // takenBranches counts exactly those.
@@ -200,10 +211,20 @@ BranchFold::finish(const sim::UarchConfig &uarch,
         return out;
     }
     // The predictors charge only mispredicted conditionals; their
-    // unconditional transfers cost nothing.
-    out.mispredicts = mispredicts_;
+    // unconditional transfers cost nothing. Static not-taken
+    // mispredicts exactly the taken ones.
+    panicIf(!walks_, "replay: predictor '", uarch.key(), "' is not walked");
+    out.mispredicts = takenConditionals_;
+    if (uarch.branch == sim::BranchPolicy::Bimodal) {
+        const auto it = std::find_if(
+            bimodal_.begin(), bimodal_.end(),
+            [&](const Bimodal &b) { return b.bhtLog2 == uarch.bhtLog2; });
+        panicIf(it == bimodal_.end(), "replay: predictor '", uarch.key(),
+                "' is not walked");
+        out.mispredicts = it->mispredicts;
+    }
     out.branchStalls =
-        mispredicts_ * static_cast<uint64_t>(uarch.mispredictPenalty());
+        out.mispredicts * static_cast<uint64_t>(uarch.mispredictPenalty());
     return out;
 }
 
@@ -226,7 +247,8 @@ checkSlice(const sim::UarchConfig &timed, const sim::UarchConfig &uarch)
 BranchReplayStats
 branchStats(const Trace &trace, const sim::UarchConfig &uarch)
 {
-    BranchFold fold(uarch, trace.insnBytes);
+    BranchFold fold(trace.insnBytes);
+    fold.add(uarch);
     fold.feed(trace.chunk());
     return fold.finish(uarch, trace.base.stats.takenBranches);
 }

@@ -120,13 +120,14 @@ replayCache(const Trace &trace, const mem::CacheConfig &icache,
 /**
  * The cacheless fetch-buffer model (§4): the number of memory requests
  * a `busBytes`-wide fetch path issues over the fetch stream. Exactly
- * FetchBufferProbe::requests() for the traced run.
+ * FetchBufferProbe::requests() for the traced run, and FatalError on
+ * the bus widths that probe rejects.
  */
 class FetchBufferFold : public sim::TraceFold
 {
   public:
     FetchBufferFold(uint32_t busBytes, uint32_t insnBytes)
-        : busBytes_(busBytes), insnBytes_(insnBytes)
+        : busShift_(fetchBusShift(busBytes)), insnBytes_(insnBytes)
     {}
 
     void feed(const sim::TraceChunk &chunk) override;
@@ -134,7 +135,7 @@ class FetchBufferFold : public sim::TraceFold
     uint64_t finish() const { return requests_; }
 
   private:
-    uint32_t busBytes_;
+    unsigned busShift_;
     uint32_t insnBytes_;
     bool valid_ = false;
     uint32_t current_ = 0;
@@ -153,28 +154,43 @@ struct BranchReplayStats
 };
 
 /**
- * The predictor walk: one predictor's (policy and BHT size) mispredict
- * count over the branch-outcome stream, through the machine's own
- * sim::BranchModel. The count is the same at every capture slice, so
- * one walk serves the penalty of every depth. The delay-slot policy
- * walks nothing: it charges every taken transfer alike.
+ * The predictor walks: the mispredict counts of any number of branch
+ * policies over one branch-outcome stream. The counts are the same at
+ * every capture slice, so one fold serves the penalty of every depth.
+ * The delay-slot policy walks nothing (it charges every taken transfer
+ * alike), static not-taken mispredicts exactly the taken conditionals,
+ * and each distinct bimodal table size gets its own sim::BranchModel.
+ * The tables advance together, outcome by outcome, so the store-to-load
+ * chains through their counters overlap.
  */
 class BranchFold : public sim::TraceFold
 {
   public:
-    BranchFold(const sim::UarchConfig &uarch, uint32_t insnBytes);
+    explicit BranchFold(uint32_t insnBytes);
+
+    /** Walk `uarch`'s predictor too; call before the first feed. */
+    void add(const sim::UarchConfig &uarch);
 
     void feed(const sim::TraceChunk &chunk) override;
 
-    /** The statistics a run on `uarch` (this fold's predictor, any
-     *  depth) with `takenBranches` taken transfers reports. */
+    /** The statistics a run on `uarch` (an added predictor, any depth)
+     *  with `takenBranches` taken transfers reports. */
     BranchReplayStats finish(const sim::UarchConfig &uarch,
                              uint64_t takenBranches) const;
 
   private:
-    bool walks_;
-    sim::BranchModel model_;
-    uint64_t mispredicts_ = 0;
+    /** One bimodal table size's predictor and mispredict count. */
+    struct Bimodal
+    {
+        int bhtLog2;
+        sim::BranchModel model;
+        uint64_t mispredicts = 0;
+    };
+
+    unsigned insnShift_;
+    bool walks_ = false;  //!< a policy other than delay slot was added
+    uint64_t takenConditionals_ = 0;
+    std::vector<Bimodal> bimodal_;
 };
 
 /**

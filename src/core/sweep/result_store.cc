@@ -192,11 +192,10 @@ NodeFolds::NodeFolds(std::vector<const JobSpec *> specs,
                      const sim::DecodedText *text,
                      const replay::TimingTable *table)
     : specs_(std::move(specs)), captured_(captured.captureConfig()),
-      wiring_(specs_.size())
+      evalOf_(specs_.size()), branch_(insnBytes)
 {
     for (size_t i = 0; i < specs_.size(); ++i) {
         const JobSpec &spec = *specs_[i];
-        Wiring &w = wiring_[i];
         const sim::UarchConfig slice = spec.uarch.captureConfig();
         if (!(slice == captured_)) {
             if (!table)
@@ -205,21 +204,13 @@ NodeFolds::NodeFolds(std::vector<const JobSpec *> specs,
             if (!timing_)
                 timing_.emplace(*table, insnBytes);
             timing_->add(slice);
-            w.timing = &*timing_;
         }
-        sim::UarchConfig predictor;
-        predictor.branch = spec.uarch.branch;
-        predictor.bhtLog2 = spec.uarch.bhtLog2;
-        w.branch = &branches_.try_emplace(predictor.key(), predictor,
-                                          insnBytes)
-                        .first->second;
+        branch_.add(spec.uarch);
         switch (spec.probe) {
           case ProbeKind::None:
             break;
           case ProbeKind::FetchBuffer:
-            w.fetch = &fetch_.try_emplace(spec.busBytes, spec.busBytes,
-                                          insnBytes)
-                           .first->second;
+            fetch_.try_emplace(spec.busBytes, spec.busBytes, insnBytes);
             break;
           case ProbeKind::ImmClass:
             panicIf(!text, "imm replay needs the image's predecode table");
@@ -227,7 +218,7 @@ NodeFolds::NodeFolds(std::vector<const JobSpec *> specs,
                 imm_.emplace(*text);
             break;
           case ProbeKind::CacheSim:
-            w.eval = evals_.size();
+            evalOf_[i] = evals_.size();
             evals_.push_back({spec.icache, spec.dcache, {}, {}});
             break;
         }
@@ -246,8 +237,7 @@ NodeFolds::feed(const sim::TraceChunk &chunk)
         imm_->feed(chunk);
     if (caches_)
         caches_->feed(chunk);
-    for (auto &[key, f] : branches_)
-        f.feed(chunk);
+    branch_.feed(chunk);
     if (timing_)
         timing_->feed(chunk);
     seconds_ += clock.wallSeconds();
@@ -265,24 +255,23 @@ NodeFolds::finish(const RunMeasurement &base,
     out.reserve(specs_.size());
     for (size_t i = 0; i < specs_.size(); ++i) {
         const JobSpec &spec = *specs_[i];
-        const Wiring &w = wiring_[i];
         JobResult r;
         r.probe = spec.probe;
         r.uarch = spec.uarch;
         r.run = base;
-        if (w.timing) {
-            if (!w.timing->exact()) {
+        if (!(spec.uarch.captureConfig() == captured_)) {
+            if (!timing_->exact()) {
                 if (refused)
                     refused->push_back(&spec);
                 continue;
             }
-            const replay::TimingReplayStats t = w.timing->finish(spec.uarch);
+            const replay::TimingReplayStats t = timing_->finish(spec.uarch);
             r.run.stats.loadInterlocks = t.loadInterlocks;
             r.run.stats.fpInterlocks = t.fpInterlocks;
             r.run.stats.fwdSavedStalls = t.fwdSavedStalls;
         }
         const replay::BranchReplayStats bs =
-            w.branch->finish(spec.uarch, base.stats.takenBranches);
+            branch_.finish(spec.uarch, base.stats.takenBranches);
         r.run.stats.branchStalls = bs.branchStalls;
         r.run.stats.mispredicts = bs.mispredicts;
         switch (spec.probe) {
@@ -290,7 +279,7 @@ NodeFolds::finish(const RunMeasurement &base,
             break;
           case ProbeKind::FetchBuffer:
             r.fetch.busBytes = spec.busBytes;
-            r.fetch.requests = w.fetch->finish();
+            r.fetch.requests = fetch_.at(spec.busBytes).finish();
             r.fetch.words = r.fetch.requests * (spec.busBytes / 4);
             break;
           case ProbeKind::ImmClass:
@@ -299,8 +288,8 @@ NodeFolds::finish(const RunMeasurement &base,
           case ProbeKind::CacheSim:
             r.icacheCfg = spec.icache;
             r.dcacheCfg = spec.dcache;
-            r.icache = evals_[w.eval].icacheStats;
-            r.dcache = evals_[w.eval].dcacheStats;
+            r.icache = evals_[evalOf_[i]].icacheStats;
+            r.dcache = evals_[evalOf_[i]].dcacheStats;
             break;
         }
         out.emplace_back(&spec, std::move(r));

@@ -153,9 +153,10 @@ class Stopwatch
  * The replay folds of one image's jobs, whatever capture slice each
  * runs on: one per distinct computation over the image's streams —
  * one fetch-buffer fold per bus width, one imm classifier, one
- * CacheFold for every cache job, one predictor walk per (policy, BHT
- * size), and one TimingFold, a lane per distinct scoreboard, for the
- * capture slices other than the captured one. Fed by a capture's
+ * CacheFold for every cache job, one BranchFold walking every
+ * predictor the jobs name at once, and one TimingFold, a lane per
+ * distinct scoreboard, for the capture slices other than the captured
+ * one. Fed by a capture's
  * sink, or with a stored trace in one chunk; finish() then settles
  * every job from the capture's measurement, bit-identically to direct
  * simulation. The folds time their own work (seconds()), so a live
@@ -194,23 +195,14 @@ class NodeFolds : public sim::TraceFold
     int retimedSlices() const;
 
   private:
-    /** The folds one job reads (null: none of that kind). */
-    struct Wiring
-    {
-        replay::FetchBufferFold *fetch = nullptr;
-        replay::BranchFold *branch = nullptr;
-        replay::TimingFold *timing = nullptr;
-        size_t eval = 0;  //!< CacheSim: its CacheEval
-    };
-
     std::vector<const JobSpec *> specs_;
     sim::UarchConfig captured_;  //!< the capture slice
-    std::vector<Wiring> wiring_;  //!< per spec
+    std::vector<size_t> evalOf_;  //!< per spec: a CacheSim job's CacheEval
     std::map<uint32_t, replay::FetchBufferFold> fetch_;  //!< by bus width
     std::optional<ImmediateClassProbe> imm_;
     std::vector<replay::CacheEval> evals_;
     std::optional<replay::CacheFold> caches_;
-    std::map<std::string, replay::BranchFold> branches_;  //!< by bp key
+    replay::BranchFold branch_;
     std::optional<replay::TimingFold> timing_;
     double seconds_ = 0;
     double cpuSeconds_ = 0;

@@ -1,5 +1,6 @@
 #include "core/toolchain.hh"
 
+#include <bit>
 #include <optional>
 
 #include "analysis/analysis.hh"
@@ -9,6 +10,15 @@
 
 namespace d16sim::core
 {
+
+unsigned
+fetchBusShift(uint32_t busBytes)
+{
+    if (busBytes < 4 || !std::has_single_bit(busBytes))
+        fatal("fetch bus width ", busBytes,
+              " is not a power of two of at least 4 bytes");
+    return static_cast<unsigned>(std::countr_zero(busBytes));
+}
 
 assem::Image
 build(std::string_view source, const mc::CompileOptions &opts)

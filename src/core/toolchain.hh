@@ -24,6 +24,10 @@ namespace d16sim::core
 assem::Image build(std::string_view source,
                    const mc::CompileOptions &opts);
 
+/** log2 of a fetch bus width; FatalError unless `busBytes` is a power
+ *  of two of at least 4 (one 32-bit word). */
+unsigned fetchBusShift(uint32_t busBytes);
+
 /**
  * Fetch-buffer model of the cacheless machines (§4): the processor
  * holds the last fetched aligned block of `busBytes`; a fetch outside
@@ -31,14 +35,17 @@ assem::Image build(std::string_view source,
  *
  * A trace fold that checks the buffer once per fetched instruction:
  * the direct reference (d16sweep --no-replay) for replay's
- * FetchBufferFold, which counts whole runs at once.
+ * FetchBufferFold, which counts whole runs at once. FatalError on a
+ * bus width fetchBusShift() rejects.
  */
 class FetchBufferProbe : public sim::TraceFold
 {
   public:
     FetchBufferProbe(uint32_t busBytes, uint32_t insnBytes)
         : busBytes_(busBytes), insnBytes_(insnBytes)
-    {}
+    {
+        fetchBusShift(busBytes);  // the reference keeps its division
+    }
 
     void
     feed(const sim::TraceChunk &chunk) override

@@ -1,8 +1,5 @@
 #include "mc/compiler.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "asm/parser.hh"
 #include "mc/codegen.hh"
 #include "mc/irgen.hh"
@@ -91,19 +88,12 @@ compile(std::string_view source, const CompileOptions &opts)
     CompileResult result;
     for (IrFunction &fn : mod.functions) {
         verify(fn, "irgen", nullptr);
-        if (getenv("D16_DEBUG_COMPILE"))
-            fprintf(stderr, "[mc] %s: opt\n", fn.name.c_str());
         optimize(fn, opts.optLevel, afterPass);
         verify(fn, "optimize", nullptr);
-        if (getenv("D16_DEBUG_COMPILE"))
-            fprintf(stderr, "[mc] %s: legalize\n", fn.name.c_str());
         staged(fn, "legalize", [&] { legalize(fn, env, gpOff); });
         verify(fn, "legalize", &env);
         staged(fn, "lower-calls-abi", [&] { lowerCallsAbi(fn, env); });
         verify(fn, "lower-calls-abi", &env);
-        if (getenv("D16_DEBUG_COMPILE"))
-            fprintf(stderr, "[mc] %s: regalloc (%d vregs)\n",
-                    fn.name.c_str(), fn.numVRegs());
         Allocation alloc;
         if (tv) {
             const IrFunction before = fn;

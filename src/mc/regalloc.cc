@@ -1,9 +1,7 @@
 #include "mc/regalloc.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <set>
@@ -134,15 +132,21 @@ lowerCallsAbi(IrFunction &fn, const MachineEnv &env)
 namespace
 {
 
-/** The interference-graph colorer for one attempt. */
+/**
+ * The interference-graph colorer for one attempt. Adjacency is a list
+ * per node plus an n x n bit matrix for the membership test (Briggs,
+ * Cooper & Torczon; George & Appel). After build() and after every
+ * merge the lists hold only representatives and stay symmetric, so a
+ * node's degree is its list's length.
+ */
 struct Colorer
 {
     IrFunction &fn;
     const MachineEnv &env;
 
     int n = 0;
-    std::vector<std::set<int>> adj;
-    std::vector<int> degree;
+    std::vector<std::vector<int>> adj;
+    std::vector<bool> bits;  //!< the n x n interference matrix
     std::vector<bool> crossesCall;
     std::vector<double> spillCost;
     std::vector<int> loopDepth;  //!< per block
@@ -164,20 +168,23 @@ struct Colorer
         return fn.precolorOf(v) >= 0;
     }
 
+    bool
+    interferes(int u, int v) const
+    {
+        return bits[static_cast<size_t>(u) * n + v];
+    }
+
     void
     addEdge(int u, int v)
     {
-        u = find(u);
-        v = find(v);
-        if (u == v)
+        if (u == v || fn.vregClass[u] != fn.vregClass[v] ||
+            interferes(u, v)) {
             return;
-        if (fn.vregClass[u] != fn.vregClass[v])
-            return;
-        if (adj[u].insert(v).second) {
-            adj[v].insert(u);
-            ++degree[u];
-            ++degree[v];
         }
+        bits[static_cast<size_t>(u) * n + v] = true;
+        bits[static_cast<size_t>(v) * n + u] = true;
+        adj[u].push_back(v);
+        adj[v].push_back(u);
     }
 
     void
@@ -228,7 +235,7 @@ struct Colorer
     {
         n = fn.numVRegs();
         adj.assign(n, {});
-        degree.assign(n, 0);
+        bits.assign(static_cast<size_t>(n) * n, false);
         crossesCall.assign(n, false);
         spillCost.assign(n, 0.0);
         alias.resize(n);
@@ -307,7 +314,7 @@ struct Colorer
                         continue;
                     if (fn.vregClass[u] != fn.vregClass[v])
                         continue;
-                    if (adj[u].count(v))
+                    if (interferes(u, v))
                         continue;  // interfere: cannot merge
                     if (precolored(u) && precolored(v))
                         continue;
@@ -321,59 +328,40 @@ struct Colorer
                         // remains legal across any calls v spans.
                         const int phys = fn.precolorOf(u);
                         const RegClass cls = fn.vregClass[u];
-                        if (crossesCall[find(v)] &&
-                            !env.isCalleeSaved(phys, cls)) {
+                        if (crossesCall[v] && !env.isCalleeSaved(phys, cls))
                             continue;
-                        }
-                        bool clash = false;
-                        for (int w : adj[v]) {
-                            const int rw = find(w);
-                            if (rw != u && precolored(rw) &&
-                                fn.precolorOf(rw) == phys) {
-                                clash = true;
-                                break;
-                            }
-                        }
+                        const bool clash = std::any_of(
+                            adj[v].begin(), adj[v].end(), [&](int w) {
+                                return fn.precolorOf(w) == phys;
+                            });
                         if (clash)
                             continue;
                     }
-                    // Briggs test: combined node has < K significant
-                    // neighbors.
-                    const auto &pool = env.allocatable(
-                        fn.vregClass[u] == RegClass::Int
-                            ? RegClass::Int
-                            : RegClass::Fp);
-                    const int k = static_cast<int>(pool.size());
-                    std::set<int> combined;
-                    int significant = 0;
+                    // Briggs test: the combined node has < K
+                    // significant neighbors. Neither list holds u or v.
+                    const size_t k = env.allocatable(fn.vregClass[u]).size();
+                    auto significant = [&](int w) {
+                        return adj[w].size() >= k || precolored(w);
+                    };
+                    size_t count = 0;
                     for (int w : adj[u])
-                        combined.insert(find(w));
+                        count += significant(w);
                     for (int w : adj[v])
-                        combined.insert(find(w));
-                    combined.erase(u);
-                    combined.erase(v);
-                    for (int w : combined)
-                        if (degreeOf(w) >= k || precolored(w))
-                            ++significant;
-                    if (significant >= k)
+                        count += !interferes(u, w) && significant(w);
+                    if (count >= k)
                         continue;
-                    // Merge v into u.
+                    // Merge v into u: each neighbour of v trades its
+                    // edge to v for one to u. v's bits go stale, as only
+                    // representatives are ever tested.
                     alias[v] = u;
                     crossesCall[u] =
                         crossesCall[u] || crossesCall[v];
                     spillCost[u] += spillCost[v];
                     for (int w : adj[v]) {
-                        const int rw = find(w);
-                        if (rw != u) {
-                            adj[u].insert(rw);
-                            adj[rw].erase(v);
-                            adj[rw].insert(u);
-                        } else {
-                            adj[rw].erase(v);
-                        }
+                        std::erase(adj[w], v);
+                        addEdge(u, w);
                     }
                     adj[v].clear();
-                    degree[u] = static_cast<int>(adj[u].size());
                     ++merged;
                     changed = true;
                 }
@@ -382,35 +370,26 @@ struct Colorer
         return merged;
     }
 
-    int
-    degreeOf(int v)
-    {
-        int d = 0;
-        for (int w : adj[v])
-            if (find(w) != v)
-                ++d;
-        return d;
-    }
-
-    std::vector<int>
-    allowedColors(int v) const
-    {
-        const RegClass cls = fn.vregClass[v];
-        std::vector<int> colors;
-        for (int r : env.allocatable(cls)) {
-            if (crossesCall[v] && !env.isCalleeSaved(r, cls))
-                continue;
-            colors.push_back(r);
-        }
-        return colors;
-    }
-
     /** Color; returns spilled representative nodes (empty = success).
      *  On success fills `color` for every representative. */
     std::vector<int>
     select(std::vector<int> &color)
     {
         color.assign(n, -1);
+        // The legal colours depend only on (class, crossesCall).
+        std::array<std::vector<int>, 4> allowed;
+        for (const RegClass cls : {RegClass::Int, RegClass::Fp}) {
+            for (int r : env.allocatable(cls)) {
+                allowed[2 * (cls == RegClass::Fp)].push_back(r);
+                if (env.isCalleeSaved(r, cls))
+                    allowed[2 * (cls == RegClass::Fp) + 1].push_back(r);
+            }
+        }
+        auto allowedColors = [&](int v) -> const std::vector<int> & {
+            return allowed[2 * (fn.vregClass[v] == RegClass::Fp) +
+                           crossesCall[v]];
+        };
+
         std::vector<int> reps;
         for (int v = 0; v < n; ++v)
             if (find(v) == v && (adj[v].size() || isUsed(v)))
@@ -422,63 +401,54 @@ struct Colorer
                 color[v] = fn.precolorOf(v);
 
         // Simplify: repeatedly remove min-degree uncolored nodes.
+        // degree[v] counts v's neighbours not yet removed.
         std::vector<int> stack;
-        std::set<int> removed;
+        std::vector<uint8_t> removed(n, 0);
+        std::vector<int> degree(n, 0);
         std::vector<int> work;
-        for (int v : reps)
+        for (int v : reps) {
+            degree[v] = static_cast<int>(adj[v].size());
             if (!precolored(v))
                 work.push_back(v);
+        }
 
-        auto liveDegree = [&](int v) {
-            int d = 0;
-            for (int w : adj[v])
-                if (!removed.count(find(w)))
-                    ++d;
-            return d;
-        };
-
-        while (removed.size() < work.size()) {
+        while (stack.size() < work.size()) {
             // Pick a node with degree < K if possible, else the one
             // with the lowest spill cost / degree (optimistic push).
             int best = -1;
-            bool bestLow = false;
             double bestScore = 0;
             for (int v : work) {
-                if (removed.count(v))
+                if (removed[v])
                     continue;
-                const int k =
-                    static_cast<int>(allowedColors(v).size());
-                const int d = liveDegree(v);
+                const int k = static_cast<int>(allowedColors(v).size());
+                const int d = degree[v];
                 if (d < k) {
                     best = v;
-                    bestLow = true;
                     break;
                 }
-                const double score =
-                    spillCost[v] / std::max(1, d);
+                const double score = spillCost[v] / std::max(1, d);
                 if (best < 0 || score < bestScore) {
                     best = v;
                     bestScore = score;
                 }
             }
-            (void)bestLow;
             stack.push_back(best);
-            removed.insert(best);
+            removed[best] = 1;
+            for (int w : adj[best])
+                --degree[w];
         }
 
         // Select in reverse order.
         std::vector<int> spilled;
         for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
             const int v = *it;
-            std::set<int> taken;
-            for (int w : adj[v]) {
-                const int rw = find(w);
-                if (color[rw] >= 0)
-                    taken.insert(color[rw]);
-            }
+            uint64_t taken = 0;
+            for (int w : adj[v])
+                if (color[w] >= 0)
+                    taken |= uint64_t{1} << color[w];
             int chosen = -1;
             for (int c : allowedColors(v)) {
-                if (!taken.count(c)) {
+                if (!((taken >> c) & 1)) {
                     chosen = c;
                     break;
                 }
@@ -664,21 +634,11 @@ allocateRegisters(IrFunction &fn, const MachineEnv &env)
     for (int attempt = 0;; ++attempt) {
         panicIf(attempt > 16, "register allocation failed to converge in ",
                 fn.name);
-        const bool dbg = getenv("D16_DEBUG_COMPILE") != nullptr;
-        if (dbg)
-            fprintf(stderr, "[ra] attempt %d: %d vregs, build\n", attempt,
-                    fn.numVRegs());
         Colorer col{fn, env};
         col.build();
-        if (dbg)
-            fprintf(stderr, "[ra] coalesce\n");
         result.coalescedMoves += col.coalesce();
-        if (dbg)
-            fprintf(stderr, "[ra] select\n");
         std::vector<int> color;
         const std::vector<int> spilled = col.select(color);
-        if (dbg)
-            fprintf(stderr, "[ra] spilled %zu\n", spilled.size());
         if (spilled.empty()) {
             // Map every vreg through its alias to its color.
             result.color.assign(fn.numVRegs(), -1);

@@ -171,14 +171,26 @@ class BranchModel
           case BranchPolicy::StaticNotTaken:
             mispredicted = taken;
             break;
-          case BranchPolicy::Bimodal: {
-            uint8_t &ctr = bht_[(pc >> insnShift_) & bhtMask_];
-            mispredicted = (ctr >= 2) != taken;
-            ctr = taken ? (ctr < 3 ? ctr + 1 : 3) : (ctr > 0 ? ctr - 1 : 0);
+          case BranchPolicy::Bimodal:
+            mispredicted = bimodal(pc, taken);
             break;
-          }
         }
         return mispredicted ? uarch_.mispredictPenalty() : 0;
+    }
+
+    /** Under Bimodal: predict the conditional at `pc` from its 2-bit
+     *  counter, train the counter on `taken`, and return whether the
+     *  prediction missed. */
+    bool
+    bimodal(uint32_t pc, bool taken)
+    {
+        // Saturating step, by table so that the host never branches on
+        // the outcome: rows not-taken, taken.
+        static constexpr uint8_t Next[2][4] = {{0, 0, 1, 2}, {1, 2, 3, 3}};
+        uint8_t &ctr = bht_[(pc >> insnShift_) & bhtMask_];
+        const bool missed = (ctr >= 2) != taken;
+        ctr = Next[taken][ctr];
+        return missed;
     }
 
     /** Stall cycles of an unconditional transfer: only the delay-slot

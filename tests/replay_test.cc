@@ -293,9 +293,9 @@ feedInChunks(sim::TraceFold &folds, const Trace &trace, size_t n)
 TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
 {
     // One node's fold set — base, imm, both fetch-buffer widths, the
-    // 20 paper cache configs, the three branch policies and all five
-    // retimed slices — must settle identical results however the
-    // streams are cut into chunks.
+    // 20 paper cache configs, the three branch policies at three BHT
+    // sizes and all five retimed slices — must settle identical
+    // results however the streams are cut into chunks.
     const CompileOptions opts = CompileOptions::dlxe(16, false);
     const assem::Image image = build(workload("queens").source, opts);
     const auto predecoded = std::make_shared<const sim::DecodedText>(image);
@@ -312,12 +312,13 @@ TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
     for (const mem::CacheConfig &cfg : paperCacheConfigs())
         specs.push_back(sweep::JobSpec::cache("queens", opts, cfg, cfg));
     for (const char *key :
-         {"bp=static", "bp=bimodal6", "fwd=on", "depth=6", "fwd=on,depth=6",
-          "depth=7", "fwd=on,depth=7", "fwd=on,depth=7,bp=bimodal6"}) {
+         {"bp=static", "bp=bimodal6", "bp=bimodal2", "bp=bimodal12",
+          "fwd=on", "depth=6", "fwd=on,depth=6", "depth=7", "fwd=on,depth=7",
+          "fwd=on,depth=7,bp=bimodal6"}) {
         specs.push_back(sweep::JobSpec::base("queens", opts));
         specs.back().uarch = sweep::parseUarch(key);
     }
-    ASSERT_EQ(specs.size(), 32u);
+    ASSERT_EQ(specs.size(), 34u);
     std::vector<const sweep::JobSpec *> ptrs;
     for (const sweep::JobSpec &spec : specs)
         ptrs.push_back(&spec);
@@ -337,8 +338,9 @@ TEST(Replay, NodeFoldsIgnoreChunkBoundaries)
     ASSERT_EQ(whole.size(), specs.size());
     for (size_t n : {size_t{1}, size_t{7}, size_t{4096}})
         EXPECT_EQ(settle(n), whole) << n << " records per chunk";
-    // And each row is the one the job replays to on its own.
-    for (size_t i = 0; i < 24; ++i)
+    // And each row on the captured slice is the one the job replays to
+    // on its own.
+    for (size_t i = 0; i < 28; ++i)
         EXPECT_EQ(whole[i], sweep::jobKey(specs[i]) + " " +
                                 sweep::resultJson(sweep::replayJob(
                                     specs[i], trace, predecoded.get()))
@@ -535,6 +537,150 @@ TEST(Replay, BranchStatsMatchDirectSimulation)
             EXPECT_EQ(rs.mispredicts, direct.stats.mispredicts) << key;
             EXPECT_EQ(rs.branchStalls, direct.stats.branchStalls) << key;
         }
+    }
+}
+
+/** Every predictor one BranchFold walks at `depth`: delay slot, static
+ *  not-taken and bimodal tables of 2 .. 2^20 entries. */
+std::vector<sim::UarchConfig>
+everyPredictor(int depth)
+{
+    std::vector<sim::UarchConfig> out(2);
+    out[1].branch = sim::BranchPolicy::StaticNotTaken;
+    for (int log2 = 1; log2 <= 20; ++log2) {
+        out.emplace_back().branch = sim::BranchPolicy::Bimodal;
+        out.back().bhtLog2 = log2;
+    }
+    for (sim::UarchConfig &u : out)
+        u.depth = depth;
+    return out;
+}
+
+/** One BranchFold walking every predictor over `outcomes`, whole and
+ *  in chunks of 1, 7 and 4096 records, must report what one
+ *  sim::BranchModel per predictor charges for the same stream. */
+void
+expectFoldMatchesModels(std::span<const sim::BranchOutcome> outcomes,
+                        uint32_t insnBytes, const std::string &what)
+{
+    // At depth 7 every policy charges something: the delay slot two
+    // cycles per taken transfer (here only conditionals), the
+    // predictors three per mispredict.
+    const std::vector<sim::UarchConfig> predictors = everyPredictor(7);
+    uint64_t taken = 0;
+    for (const sim::BranchOutcome &o : outcomes)
+        taken += o.taken;
+    std::vector<replay::BranchReplayStats> expected;
+    for (const sim::UarchConfig &u : predictors) {
+        sim::BranchModel model(u, insnBytes == 2 ? 1 : 2);
+        replay::BranchReplayStats &e = expected.emplace_back();
+        for (const sim::BranchOutcome &o : outcomes) {
+            bool mispredicted = false;
+            e.branchStalls += model.conditional(o.pc, o.taken, mispredicted);
+            e.mispredicts += mispredicted;
+        }
+    }
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
+        replay::BranchFold fold(insnBytes);
+        for (const sim::UarchConfig &u : predictors)
+            fold.add(u);
+        const size_t step = n ? n : outcomes.size();
+        for (size_t at = 0; at < outcomes.size(); at += step)
+            fold.feed({{}, {}, outcomes.subspan(at, std::min(step,
+                                                outcomes.size() - at))});
+        for (size_t i = 0; i < predictors.size(); ++i) {
+            const replay::BranchReplayStats got =
+                fold.finish(predictors[i], taken);
+            EXPECT_EQ(got.mispredicts, expected[i].mispredicts)
+                << what << " " << predictors[i].key() << ", " << n
+                << " records per chunk";
+            EXPECT_EQ(got.branchStalls, expected[i].branchStalls)
+                << what << " " << predictors[i].key() << ", " << n
+                << " records per chunk";
+        }
+    }
+}
+
+TEST(Replay, BranchFoldWalksEveryTableSizeLikeItsModel)
+{
+    // A hand-built stream: 48 branch sites whose pcs are 2^k
+    // instructions apart for k = 0..11 (four sites per distance), so
+    // they alias in every table up to 2^11 entries and pull their
+    // shared counters in different directions; each site follows its
+    // own taken pattern.
+    for (const uint32_t insnBytes : {2u, 4u}) {
+        std::vector<sim::BranchOutcome> outcomes;
+        for (uint32_t i = 0; i < 20000; ++i) {
+            const uint32_t site = (i * 7) % 48;
+            const uint32_t pc =
+                0x1000 + insnBytes * ((site % 4) + (1u << (site / 4)));
+            outcomes.push_back({pc, ((i / 48 + site) % (site % 5 + 2)) != 0});
+        }
+        expectFoldMatchesModels(outcomes, insnBytes,
+                                "aliasing stream, insnBytes " +
+                                    std::to_string(insnBytes));
+    }
+    // Real streams from both ISAs.
+    for (const char *name : {"queens", "solver"}) {
+        for (const CompileOptions &opts :
+             {CompileOptions::d16(), CompileOptions::dlxe()}) {
+            const Trace trace =
+                replay::capture(build(workload(name).source, opts));
+            ASSERT_GT(trace.outcomes.size(), 4096u) << name;
+            expectFoldMatchesModels(trace.outcomes, trace.insnBytes,
+                                    std::string(name) + " " + opts.name());
+        }
+    }
+}
+
+TEST(Replay, NodeFoldsWalkEveryBimodalSizeAtOnce)
+{
+    // A served request can put more bimodal sizes on one node than an
+    // explore node names: every size from 2 to 2^20 entries, beside
+    // the other two policies, at two depths, must settle each job
+    // exactly as the job replays on its own.
+    const CompileOptions opts = CompileOptions::d16();
+    const assem::Image image = build(workload("queens").source, opts);
+    const auto predecoded = std::make_shared<const sim::DecodedText>(image);
+    const replay::TimingTable table(image, *predecoded);
+    const Trace trace = replay::capture(image, predecoded);
+    std::vector<sweep::JobSpec> specs;
+    for (const int depth : {5, 7}) {
+        for (const sim::UarchConfig &u : everyPredictor(depth)) {
+            specs.push_back(sweep::JobSpec::base("queens", opts));
+            specs.back().uarch = u;
+        }
+    }
+    std::vector<const sweep::JobSpec *> ptrs;
+    for (const sweep::JobSpec &spec : specs)
+        ptrs.push_back(&spec);
+    sweep::NodeFolds folds(ptrs, trace.insnBytes, trace.capturedUarch,
+                           predecoded.get(), &table);
+    feedInChunks(folds, trace, 4096);
+    const auto rows = folds.finish(trace.base);
+    ASSERT_EQ(rows.size(), specs.size());
+    for (const auto &[spec, r] : rows) {
+        if (!spec->uarch.captureConfig().isDefault())
+            continue;  // the depth-7 slice is retimed, checked below
+        EXPECT_EQ(sweep::resultJson(r).dump(),
+                  sweep::resultJson(
+                      sweep::replayJob(*spec, trace, predecoded.get()))
+                      .dump())
+            << sweep::jobKey(*spec);
+    }
+    // At depth 7 each predictor's mispredicts are its depth-5 twin's,
+    // and the stalls follow the deeper penalties.
+    const size_t half = specs.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+        const sim::SimStats &d5 = rows[i].second.run.stats;
+        const sim::SimStats &d7 = rows[half + i].second.run.stats;
+        const sim::UarchConfig &u = specs[half + i].uarch;
+        EXPECT_EQ(d7.mispredicts, d5.mispredicts) << u.key();
+        EXPECT_EQ(d7.branchStalls,
+                  u.branch == sim::BranchPolicy::DelaySlot
+                      ? d7.takenBranches * 2
+                      : d7.mispredicts * 3)
+            << u.key();
     }
 }
 

@@ -297,6 +297,22 @@ TEST(Service, ServerReportsSweepErrorsInBand)
 
     // The connection (and server) is still usable.
     EXPECT_TRUE(client.ping().find("ok")->asBool());
+
+    // A fetch-buffer width that is not a power of two of at least 4
+    // bytes fails in the engine, beside a base job (the node's replay
+    // folds) or alone (the direct fold), and must not kill the server.
+    for (const uint32_t bus : {0u, 6u}) {
+        std::vector<sweep::JobSpec> fetch;
+        if (bus == 0)
+            fetch.push_back(sweep::JobSpec::base(
+                "bubblesort", mc::CompileOptions::d16()));
+        fetch.push_back(sweep::JobSpec::fetch(
+            "bubblesort", mc::CompileOptions::d16(), bus));
+        sweep::ResultStore none;
+        EXPECT_THROW(client.sweep(fetch, none), FatalError) << bus;
+        EXPECT_TRUE(client.ping().find("ok")->asBool()) << bus;
+    }
+
     sweep::ResultStore good;
     client.sweep({sweep::JobSpec::base("towers",
                                        mc::CompileOptions::d16())},

@@ -2,13 +2,26 @@
  * @file
  * Benchmark-suite tests: every workload compiles, runs, and produces
  * identical output on all five machine variants; aggregate ratios
- * land in the neighbourhoods the paper reports.
+ * land in the neighbourhoods the paper reports; and every image the
+ * suite compiles to is pinned, byte for byte, by a digest in
+ * tests/golden/image_digests_golden.json.
+ *
+ * Regenerating the image digests after an *intended* code-generation
+ * change:
+ *
+ *     build/tests/workloads_test --update-golden
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
+#include <sstream>
+
 #include "core/toolchain.hh"
 #include "core/workloads.hh"
+#include "support/hash.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -16,6 +29,8 @@ namespace
 using namespace d16sim;
 using namespace d16sim::core;
 using mc::CompileOptions;
+
+bool updateGolden = false;
 
 const CompileOptions kVariants[] = {
     CompileOptions::d16(),
@@ -123,4 +138,62 @@ TEST(Workloads, CacheBenchmarksHaveLargeFootprints)
     }
 }
 
+TEST(Workloads, ImageBytesMatchGolden)
+{
+    // 15 workloads x 5 variants x O0-O2 x narrow immediates off/on: a
+    // digest of each image's serialized bytes. Register allocation,
+    // scheduling, encoding and layout all show up here.
+    Json digests = Json::object();
+    for (const Workload &w : workloadSuite()) {
+        for (CompileOptions opts : kVariants) {
+            for (int level = 0; level <= 2; ++level) {
+                for (const bool narrow : {false, true}) {
+                    opts.optLevel = level;
+                    opts.narrowImmediates = narrow;
+                    const std::vector<uint8_t> bytes =
+                        build(w.source, opts).serialize();
+                    const std::string key = w.name + " " + opts.name() +
+                                            (narrow ? " ni" : "") +
+                                            " O" + std::to_string(level);
+                    digests[key] = Json(sha256Hex(std::string_view(
+                        reinterpret_cast<const char *>(bytes.data()),
+                        bytes.size())));
+                }
+            }
+        }
+    }
+    ASSERT_EQ(digests.members().size(), 450u);
+    if (updateGolden) {
+        std::ofstream out(D16SIM_IMAGE_GOLDEN_JSON);
+        ASSERT_TRUE(out) << "cannot write " << D16SIM_IMAGE_GOLDEN_JSON;
+        out << digests.dump(2) << "\n";
+        std::cout << "workloads_test: regenerated "
+                  << D16SIM_IMAGE_GOLDEN_JSON << "\n";
+        return;
+    }
+    std::ifstream in(D16SIM_IMAGE_GOLDEN_JSON);
+    ASSERT_TRUE(in) << "cannot read " << D16SIM_IMAGE_GOLDEN_JSON;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const Json golden = Json::parse(text.str());
+    EXPECT_EQ(golden.members().size(), digests.members().size());
+    for (const auto &[key, digest] : digests.members()) {
+        const Json *pinned = golden.find(key);
+        EXPECT_TRUE(pinned && pinned->asString() == digest.asString())
+            << key << ": image bytes differ from "
+            << D16SIM_IMAGE_GOLDEN_JSON
+            << " (rerun with --update-golden if the change is intended)";
+    }
+}
+
 } // namespace
+
+int
+main(int argc, char **argv)
+{
+    ::testing::InitGoogleTest(&argc, argv);
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--update-golden") == 0)
+            updateGolden = true;
+    return RUN_ALL_TESTS();
+}
