@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <span>
 
 #include <benchmark/benchmark.h>
 
@@ -79,13 +80,15 @@ BM_SimulateQueens(benchmark::State &state)
 {
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
+    uint64_t insns = 0;
     for (auto _ : state) {
         sim::Machine m(img);
         m.run();
-        benchmark::DoNotOptimize(m.stats().instructions);
+        insns = m.stats().instructions;
+        benchmark::DoNotOptimize(insns);
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+                            static_cast<int64_t>(insns));
 }
 BENCHMARK(BM_SimulateQueens)->Unit(benchmark::kMillisecond);
 
@@ -99,14 +102,16 @@ BM_SimulateQueensPredecoded(benchmark::State &state)
                                  mc::CompileOptions::dlxe());
     const auto text = std::make_shared<const sim::DecodedText>(img);
     const auto blocks = core::buildBlockProgram(img, text);
+    uint64_t insns = 0;
     for (auto _ : state) {
         sim::Machine m(img, {}, text);
         m.setBlockProgram(blocks);
         m.run();
-        benchmark::DoNotOptimize(m.stats().instructions);
+        insns = m.stats().instructions;
+        benchmark::DoNotOptimize(insns);
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+                            static_cast<int64_t>(insns));
 }
 BENCHMARK(BM_SimulateQueensPredecoded)->Unit(benchmark::kMillisecond);
 
@@ -162,12 +167,14 @@ BM_TraceCaptureQueens(benchmark::State &state)
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
     const auto text = std::make_shared<const sim::DecodedText>(img);
+    uint64_t insns = 0;
     for (auto _ : state) {
         const auto trace = core::replay::capture(img, text);
+        insns = trace.base.stats.instructions;
         benchmark::DoNotOptimize(trace.runs.size());
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+                            static_cast<int64_t>(insns));
 }
 BENCHMARK(BM_TraceCaptureQueens)->Unit(benchmark::kMillisecond);
 
@@ -189,8 +196,9 @@ BM_ReplayTimingQueens(benchmark::State &state)
         const auto timed = core::replay::replayTiming(trace, table, slice);
         benchmark::DoNotOptimize(timed.loadInterlocks);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(trace.base.stats.instructions));
 }
 BENCHMARK(BM_ReplayTimingQueens)->Unit(benchmark::kMillisecond);
 
@@ -223,8 +231,9 @@ BM_RetimeAllSlicesQueens(benchmark::State &state)
         for (const sim::UarchConfig &slice : slices)
             benchmark::DoNotOptimize(fold.finish(slice).loadInterlocks);
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(trace.base.stats.instructions));
 }
 BENCHMARK(BM_RetimeAllSlicesQueens)->Unit(benchmark::kMillisecond);
 
@@ -262,7 +271,7 @@ BM_ReplayCacheQueens(benchmark::State &state)
 {
     // One cache configuration evaluated from a recorded trace: the
     // single-config path (replayCache), a one-size inclusive I-side
-    // walk plus one generic D-cache.
+    // walk plus a one-size direct-mapped D-side group.
     const auto img = core::build(core::workload("queens").source,
                                  mc::CompileOptions::dlxe());
     const auto trace = core::replay::capture(img);
@@ -274,21 +283,17 @@ BM_ReplayCacheQueens(benchmark::State &state)
         const auto stats = core::replay::replayCache(trace, cfg, cfg);
         benchmark::DoNotOptimize(stats.first.misses());
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(trace.base.stats.instructions));
 }
 BENCHMARK(BM_ReplayCacheQueens)->Unit(benchmark::kMillisecond);
 
-static void
-BM_ReplayCachesPaperMatrix(benchmark::State &state)
+/** The paper's 20 §4.1 configurations (1K-16K x 8-64 B blocks,
+ *  sub-block min(block, 8)), the same on both sides. */
+static std::vector<core::replay::CacheEval>
+paperCacheEvals()
 {
-    // The unit of work d16sweep does per §4.1 build node: all 20 paper
-    // cache configurations (1K-16K x 8-64 B blocks) in one
-    // replayCaches() call — four inclusive I-side walks (one per block
-    // size) plus 20 generic D-caches.
-    const auto img = core::build(core::workload("queens").source,
-                                 mc::CompileOptions::dlxe());
-    const auto trace = core::replay::capture(img);
     std::vector<core::replay::CacheEval> evals;
     for (uint32_t kb : {1u, 2u, 4u, 8u, 16u}) {
         for (uint32_t block : {8u, 16u, 32u, 64u}) {
@@ -300,13 +305,68 @@ BM_ReplayCachesPaperMatrix(benchmark::State &state)
             evals.push_back(e);
         }
     }
+    return evals;
+}
+
+static void
+BM_ReplayCachesPaperMatrix(benchmark::State &state)
+{
+    // All 20 paper cache configurations in one replayCaches() call:
+    // four inclusive I-side walks and four direct-mapped D-side groups
+    // (one per block size).
+    const auto img = core::build(core::workload("queens").source,
+                                 mc::CompileOptions::dlxe());
+    const auto trace = core::replay::capture(img);
+    std::vector<core::replay::CacheEval> evals = paperCacheEvals();
     for (auto _ : state) {
         core::replay::replayCaches(trace, evals);
         benchmark::DoNotOptimize(evals.front().icacheStats.misses());
     }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(1639487));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<int64_t>(trace.base.stats.instructions));
 }
 BENCHMARK(BM_ReplayCachesPaperMatrix)->Unit(benchmark::kMillisecond);
+
+static void
+BM_CacheNodeLatexD16(benchmark::State &state, bool dataSide)
+{
+    // One side of the §4.1 node that settles last before paper-cold's
+    // median row: latex on D16 under the paper's 20 configurations,
+    // fed to one CacheFold in capture-sink-sized chunks, as a capture
+    // feeds it. The I-side gets the fetch runs alone, the D-side the
+    // data accesses alone. Items are reference-configuration probes.
+    static const core::replay::Trace trace = core::replay::capture(
+        core::build(core::workload("latex").source,
+                    mc::CompileOptions::d16()));
+    std::vector<core::replay::CacheEval> evals = paperCacheEvals();
+    const std::span<const core::replay::FetchRun> runs(trace.runs);
+    const std::span<const core::replay::DataAccess> accesses(
+        trace.accesses);
+    const size_t n = dataSide ? accesses.size() : runs.size();
+    for (auto _ : state) {
+        core::replay::CacheFold fold(evals, trace.insnBytes);
+        for (size_t i = 0; i < n; i += sim::TraceSink::Capacity) {
+            const size_t len = std::min<size_t>(sim::TraceSink::Capacity,
+                                                n - i);
+            sim::TraceChunk chunk;
+            if (dataSide)
+                chunk.accesses = accesses.subspan(i, len);
+            else
+                chunk.runs = runs.subspan(i, len);
+            fold.feed(chunk);
+        }
+        fold.finish();
+        benchmark::DoNotOptimize(evals.front().dcacheStats.misses());
+    }
+    const uint64_t refs =
+        dataSide ? accesses.size() : trace.base.stats.instructions;
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(refs * evals.size()));
+}
+BENCHMARK_CAPTURE(BM_CacheNodeLatexD16, ISide, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CacheNodeLatexD16, DSide, true)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -79,8 +79,9 @@ echo "== d16sweep: smoke matrix vs golden, --no-replay (A/B) =="
 echo "== d16sweep: cache matrix, replay on vs --no-replay (A/B) =="
 # d16sweep's default full matrix over the cache benchmarks only: each
 # build node's 20 §4.1 cache siblings replay in one pass (inclusive
-# I-side evaluator), and must match re-simulating every job byte for
-# byte.
+# I-side evaluator, direct-mapped D-side sector evaluator), and must
+# match re-simulating every job, each through its own mem::Cache pair,
+# byte for byte.
 ./build/tools/d16sweep --workloads assem,ipl,latex --jobs "$JOBS" \
     --no-timing --json build/sweep_cache.json
 ./build/tools/d16sweep --workloads assem,ipl,latex --jobs "$JOBS" \

@@ -1,6 +1,7 @@
 #include "core/replay/replay.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/error.hh"
@@ -25,16 +26,32 @@ namespace d16sim::core::replay
  * each size that missed takes the block. Results equal running each
  * configuration through mem::Cache::readSeq.
  *
- * The rest (set-associative or prefetch-off I-configs) and every
- * D-cache run the generic model: a D-side write miss allocates a
- * single sub-block and leaves it dirty, so the inclusion argument does
- * not hold there.
+ * The rest of the I-configs (set-associative or prefetch-off) run the
+ * generic model.
+ *
+ * The direct-mapped D-side evaluator serves the direct-mapped,
+ * write-back, write-allocate D-configs with wrap-around prefetch,
+ * grouped by block geometry (block and sub-block size). It is
+ * mem::Cache::access specialized to one way: at associativity 1 the
+ * victim is always the set's only frame, so mem::Cache's lastUse and
+ * useClock_ are written but never read, and dropping them changes no
+ * counter. A frame keeps the resident block number (the set bits
+ * included, so it doubles as the tag) and the valid and dirty
+ * sub-block masks; a miss on another block writes the dirty
+ * sub-blocks back and empties the frame, a read miss then fills every
+ * invalid sub-block, a write miss fills and dirties just its own.
+ * There is no inclusion shortcut here: a read miss in a small cache
+ * prefetches the whole block while the same read can hit a partly
+ * valid block in a larger one (left by a write miss), so every size
+ * is probed. Reads and writes are the same for every size and are
+ * counted once per group; traffic is kept in sub-blocks and scaled to
+ * words at finish().
  */
 CacheFold::CacheFold(std::vector<CacheEval> &evals, uint32_t insnBytes)
     : evals_(evals), insnBytes_(insnBytes)
 {
     std::map<uint32_t, std::vector<size_t>> bySize;
-    dcaches_.reserve(evals.size());
+    std::map<std::pair<uint32_t, uint32_t>, std::vector<size_t>> byBlock;
     for (size_t i = 0; i < evals.size(); ++i) {
         const mem::CacheConfig &ic = evals[i].icache;
         if (ic.assoc == 1 && ic.prefetchWrapAround) {
@@ -43,7 +60,14 @@ CacheFold::CacheFold(std::vector<CacheEval> &evals, uint32_t insnBytes)
             generic_.push_back(i);
             icaches_.emplace_back(ic);
         }
-        dcaches_.emplace_back(evals[i].dcache);
+        const mem::CacheConfig &dc = evals[i].dcache;
+        if (dc.assoc == 1 && dc.prefetchWrapAround && dc.writeAllocate &&
+            dc.writeBack) {
+            byBlock[{dc.blockBytes, dc.subBlockBytes}].push_back(i);
+        } else {
+            genericData_.push_back(i);
+            dcaches_.emplace_back(dc);
+        }
     }
     for (auto &[blockBytes, members] : bySize) {
         Inclusive group;
@@ -64,41 +88,116 @@ CacheFold::CacheFold(std::vector<CacheEval> &evals, uint32_t insnBytes)
         group.members = std::move(members);
         inclusive_.push_back(std::move(group));
     }
+    for (auto &[block, members] : byBlock) {
+        Direct group;
+        for (size_t m : members) {
+            group.geom = mem::CacheGeometry::of(evals[m].dcache);
+            Sector sector;
+            sector.frames.resize(group.geom.numSets);
+            sector.setMask = group.geom.setMask;
+            group.sizes.push_back(std::move(sector));
+        }
+        group.members = std::move(members);
+        direct_.push_back(std::move(group));
+    }
+}
+
+void
+CacheFold::walk(Inclusive &group, std::span<const FetchRun> runs,
+                uint32_t insnBytes)
+{
+    // After a visit every size holds the block, and only this group's
+    // walk touches its frames, so visiting the same block again next
+    // hits everywhere and changes nothing: a run that starts in the
+    // block the last one ended in skips that block.
+    uint32_t last = group.last;
+    for (const FetchRun &r : runs) {
+        if (!r.count)
+            continue;
+        const uint32_t first = r.startPc >> group.blockShift;
+        const uint32_t end =
+            (r.startPc + (r.count - 1) * insnBytes) >> group.blockShift;
+        for (uint32_t b = first + (first == last); b <= end; ++b) {
+            for (Level &l : group.levels) {
+                uint32_t &frame = l.blocks[b & l.setMask];
+                if (frame == b)
+                    break;
+                frame = b;
+                ++l.misses;
+            }
+        }
+        last = end;
+    }
+    group.last = last;
+}
+
+void
+CacheFold::probe(Direct &group, std::span<const DataAccess> accesses)
+{
+    const mem::CacheGeometry &g = group.geom;
+    uint64_t writes = 0;
+    for (const DataAccess &a : accesses) {
+        panicIf(a.size == 0 || (a.addr >> g.subShift) !=
+                                   ((a.addr + a.size - 1u) >> g.subShift),
+                "access of ", int{a.size}, " bytes at ", a.addr,
+                " spans a sub-block");
+        writes += a.write;
+        const uint32_t b = a.addr >> g.blockShift;
+        const uint64_t bit = uint64_t{1}
+                             << ((a.addr & g.blockMask) >> g.subShift);
+        for (Sector &s : group.sizes) {
+            Frame &f = s.frames[b & s.setMask];
+            if (f.block == b && (f.valid & bit)) {
+                if (a.write)
+                    f.dirty |= bit;
+                continue;
+            }
+            if (f.block != b) {
+                s.subsOut += static_cast<uint64_t>(std::popcount(f.dirty));
+                f = Frame{b, 0, 0};
+            }
+            // A write miss fills its sub-block and dirties it; a read
+            // miss fills every invalid sub-block of the block.
+            const uint64_t fill = a.write ? bit : g.fullMask & ~f.valid;
+            f.valid |= fill;
+            s.subsIn += static_cast<uint64_t>(std::popcount(fill));
+            if (a.write) {
+                f.dirty |= bit;
+                ++s.writeMisses;
+            } else {
+                ++s.readMisses;
+            }
+        }
+    }
+    group.accesses += accesses.size();
+    group.writes += writes;
 }
 
 void
 CacheFold::feed(const sim::TraceChunk &chunk)
 {
-    // The caches are independent, so each takes its own pass over the
-    // chunk's stream it models. The fetch side is run-length encoded:
-    // each run feeds a generic icache through the sequential-read fast
-    // path in one call.
+    // The caches are independent, so each group or generic cache takes
+    // its own pass over the chunk's stream it models. The fetch side
+    // is run-length encoded: each run feeds a generic icache through
+    // the sequential-read fast path in one call.
     const uint32_t ib = insnBytes_;
-    for (const FetchRun &r : chunk.runs)
+    // One alignment check per chunk, over the nonempty runs' start
+    // pcs or'ed together: a check per run slowed a one-size walk ~20%.
+    uint32_t pcs = 0;
+    for (const FetchRun &r : chunk.runs) {
         fetches_ += r.count;
-    for (Inclusive &group : inclusive_) {
-        for (const FetchRun &r : chunk.runs) {
-            if (!r.count)
-                continue;
-            panicIf(r.startPc & (ib - 1), "fetch run at pc ", r.startPc,
-                    " is not instruction-aligned");
-            const uint32_t first = r.startPc >> group.blockShift;
-            const uint32_t last =
-                (r.startPc + (r.count - 1) * ib) >> group.blockShift;
-            for (uint32_t b = first; b <= last; ++b) {
-                for (Level &l : group.levels) {
-                    uint32_t &frame = l.blocks[b & l.setMask];
-                    if (frame == b)
-                        break;
-                    frame = b;
-                    ++l.misses;
-                }
-            }
-        }
+        pcs |= r.count ? r.startPc : 0;
     }
+    panicIf(!inclusive_.empty() && (pcs & (ib - 1)),
+            "a fetch run is not instruction-aligned");
+    for (Inclusive &group : inclusive_)
+        walk(group, chunk.runs, ib);
     for (mem::Cache &c : icaches_)
         for (const FetchRun &r : chunk.runs)
             c.readSeq(r.startPc, static_cast<int>(ib), r.count);
+
+    for (Direct &group : direct_)
+        probe(group, chunk.accesses);
     for (mem::Cache &c : dcaches_)
         for (const DataAccess &a : chunk.accesses)
             c.access(a.addr, a.size, a.write);
@@ -119,8 +218,21 @@ CacheFold::finish()
     }
     for (size_t i = 0; i < generic_.size(); ++i)
         evals_[generic_[i]].icacheStats = icaches_[i].stats();
-    for (size_t i = 0; i < evals_.size(); ++i)
-        evals_[i].dcacheStats = dcaches_[i].stats();
+    for (const Direct &group : direct_) {
+        for (size_t i = 0; i < group.members.size(); ++i) {
+            const Sector &s = group.sizes[i];
+            evals_[group.members[i]].dcacheStats = {
+                .reads = group.accesses - group.writes,
+                .writes = group.writes,
+                .readMisses = s.readMisses,
+                .writeMisses = s.writeMisses,
+                .wordsIn = s.subsIn * group.geom.wordsPerSub,
+                .wordsOut = s.subsOut * group.geom.wordsPerSub,
+            };
+        }
+    }
+    for (size_t i = 0; i < genericData_.size(); ++i)
+        evals_[genericData_[i]].dcacheStats = dcaches_[i].stats();
 }
 
 void

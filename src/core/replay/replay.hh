@@ -26,9 +26,14 @@
  * once. On the I-side, direct-mapped configurations with wrap-around
  * prefetch (the paper's whole 5-size x 4-block matrix) go through an
  * inclusive multi-size evaluator: one walk of the fetch runs per block
- * size, one tag check per block visit shared by every size.
- * Set-associative or prefetch-off I-configs and every D-cache run the
- * generic mem::Cache.
+ * size, one tag check per block visit shared by every size. On the
+ * D-side, direct-mapped write-back write-allocate configurations with
+ * wrap-around prefetch (again the paper's whole matrix) go through a
+ * direct-mapped sector evaluator: one pass over the data accesses per
+ * block geometry, each reference decoded once and probed in every
+ * size's frames. Every other configuration (set-associative,
+ * prefetch-off, write-through or write-around) runs the generic
+ * mem::Cache.
  *
  * The pipeline's own counters replay too. Branch penalties are
  * additive accounting over the branch-outcome stream (BranchFold),
@@ -46,6 +51,7 @@
 #define D16SIM_CORE_REPLAY_REPLAY_HH
 
 #include <array>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -97,16 +103,56 @@ class CacheFold : public sim::TraceFold
     struct Inclusive
     {
         uint32_t blockShift = 0;
+        uint32_t last = ~uint32_t{0};  //!< the block visited last
         std::vector<size_t> members;
         std::vector<Level> levels;
     };
+
+    /** One direct-mapped sector frame: the resident block number
+     *  (~0 marks an empty frame) and its sub-block masks. */
+    struct Frame
+    {
+        uint32_t block = ~uint32_t{0};
+        uint64_t valid = 0;
+        uint64_t dirty = 0;  //!< subset of valid
+    };
+    /** One size of a direct-mapped D-side group: its frames and the
+     *  counters that differ by size. Traffic is kept in sub-blocks. */
+    struct Sector
+    {
+        std::vector<Frame> frames;
+        uint32_t setMask = 0;
+        uint64_t readMisses = 0, writeMisses = 0;
+        uint64_t subsIn = 0, subsOut = 0;
+    };
+    /** The direct-mapped, write-back, write-allocate, wrap-around
+     *  D-configs of one block geometry (`members` indexes the evals,
+     *  one Sector each). */
+    struct Direct
+    {
+        mem::CacheGeometry geom;  //!< block fields shared by the sizes
+        uint64_t accesses = 0, writes = 0;
+        std::vector<size_t> members;
+        std::vector<Sector> sizes;
+    };
+
+    /** One group's pass over a chunk's stream. The passes are 64-byte
+     *  aligned, so code growth elsewhere cannot shift their speed. */
+    __attribute__((aligned(64))) static void
+    walk(Inclusive &group, std::span<const FetchRun> runs,
+         uint32_t insnBytes);
+    __attribute__((aligned(64))) static void
+    probe(Direct &group, std::span<const DataAccess> accesses);
 
     std::vector<CacheEval> &evals_;
     uint32_t insnBytes_;
     uint64_t fetches_ = 0;
     std::vector<Inclusive> inclusive_;
     std::vector<size_t> generic_;  //!< evals the generic icaches serve
-    std::vector<mem::Cache> icaches_, dcaches_;
+    std::vector<mem::Cache> icaches_;
+    std::vector<Direct> direct_;
+    std::vector<size_t> genericData_;  //!< evals the generic dcaches serve
+    std::vector<mem::Cache> dcaches_;
 };
 
 /** CacheFold over a whole trace. */

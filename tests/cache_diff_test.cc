@@ -18,10 +18,17 @@
  * multi-size evaluator and the rest with mem::Cache::readSeq — to the
  * same reference driven one fetch at a time, over seeded random
  * fetch-run streams at both instruction widths.
+ *
+ * A third leg does the same for the D-side, whose direct-mapped
+ * write-back write-allocate prefetching configurations go through the
+ * direct-mapped sector evaluator and the rest through mem::Cache:
+ * seeded random read/write streams, fed whole through replayCaches()
+ * and in chunks of several sizes through a replay::CacheFold.
  */
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,6 +195,18 @@ expectStatsEqual(const mem::CacheStats &got, const mem::CacheStats &ref,
     EXPECT_EQ(got.writeMisses, ref.writeMisses) << where;
     EXPECT_EQ(got.wordsIn, ref.wordsIn) << where;
     EXPECT_EQ(got.wordsOut, ref.wordsOut) << where;
+}
+
+/** A configuration as a failure message names it. */
+std::string
+describe(const mem::CacheConfig &c)
+{
+    return std::to_string(c.sizeBytes) + ":" + std::to_string(c.blockBytes) +
+           ":" + std::to_string(c.subBlockBytes) + ":" +
+           std::to_string(c.assoc) +
+           (c.prefetchWrapAround ? "" : " no-prefetch") +
+           (c.writeBack ? "" : " write-through") +
+           (c.writeAllocate ? "" : " write-around");
 }
 
 /** Configurations spanning the paper's vocabulary plus the write
@@ -367,19 +386,113 @@ TEST(CacheDifferential, ReplayedFetchRunsMatchReferenceModel)
                     for (uint32_t j = 0; j < r.count; ++j)
                         ref.access(r.startPc + j * insnBytes,
                                    static_cast<int>(insnBytes), false);
-                const mem::CacheConfig &c = cfgs[i];
-                expectStatsEqual(
-                    evals[i].icacheStats, ref.stats(),
-                    "insnBytes " + std::to_string(insnBytes) +
-                        " stream " + std::to_string(stream) + " config " +
-                        std::to_string(c.sizeBytes) + ":" +
-                        std::to_string(c.blockBytes) + ":" +
-                        std::to_string(c.subBlockBytes) + ":" +
-                        std::to_string(c.assoc) +
-                        (c.prefetchWrapAround ? "" : " no-prefetch"));
+                expectStatsEqual(evals[i].icacheStats, ref.stats(),
+                                 "insnBytes " + std::to_string(insnBytes) +
+                                     " stream " + std::to_string(stream) +
+                                     " config " + describe(cfgs[i]));
                 ++checked;
             }
         }
     }
     EXPECT_EQ(checked, 2 * 8 * static_cast<int>(cfgs.size()));
+}
+
+namespace
+{
+
+/** `count` random data references of 1, 2 or 4 naturally aligned
+ *  bytes, 30% writes: half near the previous one (stack and array
+ *  walks, so blocks are reused and left partly valid and partly
+ *  dirty) and half anywhere in 64 KiB (conflicts across every size up
+ *  to 16 KiB). */
+std::vector<core::replay::DataAccess>
+randomAccesses(std::mt19937 &rng, int count)
+{
+    std::uniform_int_distribution<uint32_t> farDist(0, 0xffff);
+    std::uniform_int_distribution<int> nearDist(-64, 64);
+    std::uniform_int_distribution<int> sizeDist(0, 2);
+    std::bernoulli_distribution far(0.5), write(0.3);
+    std::vector<core::replay::DataAccess> out;
+    uint32_t addr = 0x8000;
+    for (int i = 0; i < count; ++i) {
+        addr = far(rng) ? farDist(rng)
+                        : addr + static_cast<uint32_t>(nearDist(rng));
+        const uint8_t size = static_cast<uint8_t>(1 << sizeDist(rng));
+        addr &= 0xffff & ~(size - 1u);
+        out.push_back({addr, size, write(rng)});
+    }
+    return out;
+}
+
+/** The D-configs one CacheFold evaluates: fetchConfigs()'s (the
+ *  paper's 20, their sub-block-4 variants, a 64-sub-block geometry,
+ *  set-associative and prefetch-off ones) plus the write policies the
+ *  direct-mapped evaluator must leave to mem::Cache. */
+std::vector<mem::CacheConfig>
+dataConfigs()
+{
+    std::vector<mem::CacheConfig> out = fetchConfigs();
+    mem::CacheConfig cfg;
+    cfg.sizeBytes = 4096;
+    cfg.blockBytes = 32;
+    cfg.writeBack = false;
+    out.push_back(cfg);
+    cfg.writeAllocate = false;
+    out.push_back(cfg);
+    cfg.writeBack = true;
+    out.push_back(cfg);
+    return out;
+}
+
+} // namespace
+
+TEST(CacheDifferential, ReplayedDataStreamsMatchReferenceModel)
+{
+    const std::vector<mem::CacheConfig> cfgs = dataConfigs();
+    // 0 feeds the whole stream through replayCaches(); the rest split
+    // it into chunks of that many accesses for one CacheFold.
+    const std::vector<size_t> chunkSizes = {0, 4096, 97, 1};
+    int checked = 0;
+    for (int stream = 0; stream < 6; ++stream) {
+        std::mt19937 rng(0xda7a + stream);
+        core::replay::Trace trace;
+        trace.insnBytes = 4;
+        trace.accesses = randomAccesses(rng, 6000);
+
+        std::vector<mem::CacheStats> want;
+        for (const mem::CacheConfig &cfg : cfgs) {
+            ReferenceCache ref(cfg);
+            for (const core::replay::DataAccess &a : trace.accesses)
+                ref.access(a.addr, a.size, a.write);
+            want.push_back(ref.stats());
+        }
+
+        for (const size_t chunk : chunkSizes) {
+            std::vector<core::replay::CacheEval> evals(cfgs.size());
+            for (size_t i = 0; i < cfgs.size(); ++i)
+                evals[i].dcache = cfgs[i];
+            if (chunk == 0) {
+                core::replay::replayCaches(trace, evals);
+            } else {
+                core::replay::CacheFold fold(evals, trace.insnBytes);
+                const std::span<const core::replay::DataAccess> all(
+                    trace.accesses);
+                for (size_t at = 0; at < all.size(); at += chunk) {
+                    sim::TraceChunk c;
+                    c.accesses =
+                        all.subspan(at, std::min(chunk, all.size() - at));
+                    fold.feed(c);
+                }
+                fold.finish();
+            }
+            for (size_t i = 0; i < cfgs.size(); ++i) {
+                expectStatsEqual(evals[i].dcacheStats, want[i],
+                                 "stream " + std::to_string(stream) +
+                                     " chunk " + std::to_string(chunk) +
+                                     " config " + describe(cfgs[i]));
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 6 * 4 * static_cast<int>(cfgs.size()));
 }

@@ -18,6 +18,12 @@
  * in at configure time); re-run the test afterwards and review the
  * diff like any other source change.
  *
+ * The full experiment matrix (sweep::fullMatrix(), 348 rows, among
+ * them the §4.1 cache rows the smoke matrix leaves out) is pinned too,
+ * one SHA-256 per row of its canonical JSON, in
+ * tests/golden/sweep_full_digests_golden.json; --update-golden
+ * rewrites that file as well.
+ *
  * Also pins the engine's determinism contract (same matrix =>
  * byte-identical canonical JSON at --jobs 1 and --jobs 8), the
  * one-thread node schedule, the error path (a failed node leaves the
@@ -39,6 +45,7 @@
 #include "core/sweep/sweep.hh"
 #include "core/workloads.hh"
 #include "support/error.hh"
+#include "support/hash.hh"
 
 using namespace d16sim;
 using namespace d16sim::core;
@@ -114,6 +121,45 @@ TEST(Sweep, GoldenMatch)
     EXPECT_TRUE(sweep::compareSweeps(doc, golden, &diff))
         << "sweep results diverged from " << D16SIM_GOLDEN_JSON << ":\n"
         << diff
+        << "(rerun with --update-golden if the change is intended)";
+}
+
+TEST(Sweep, FullMatrixRowDigestsMatchGolden)
+{
+    // One digest per canonical row: a drift names its rows, and the
+    // golden stays small enough to review.
+    sweep::ResultStore store;
+    {
+        sweep::SweepEngine engine(store, 4);
+        engine.add(sweep::fullMatrix());
+        engine.run();
+    }
+    const Json doc = sweep::sweepJson(store, nullptr);
+    Json digests = Json::object();
+    for (const auto &[key, row] : doc.find("results")->members())
+        digests[key] = Json(sha256Hex(row.dump()));
+    ASSERT_EQ(digests.members().size(), 348u);
+    if (updateGolden) {
+        std::ofstream out(D16SIM_FULL_DIGESTS_JSON);
+        ASSERT_TRUE(out) << "cannot write " << D16SIM_FULL_DIGESTS_JSON;
+        out << digests.dump(2) << "\n";
+        std::cout << "sweep_test: regenerated " << D16SIM_FULL_DIGESTS_JSON
+                  << "\n";
+        return;
+    }
+    const Json golden = Json::parse(readFile(D16SIM_FULL_DIGESTS_JSON));
+    EXPECT_EQ(golden.members().size(), digests.members().size());
+    int drifted = 0;
+    std::string drift;
+    for (const auto &[key, digest] : digests.members()) {
+        const Json *pinned = golden.find(key);
+        if ((!pinned || pinned->asString() != digest.asString()) &&
+            ++drifted <= 10)
+            drift += "  " + key + "\n";
+    }
+    EXPECT_EQ(drifted, 0)
+        << "rows differ from " << D16SIM_FULL_DIGESTS_JSON << ":\n"
+        << drift
         << "(rerun with --update-golden if the change is intended)";
 }
 
